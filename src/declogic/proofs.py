@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .rules import DUAL_RULE, RuleError, PremiseShapeMismatch, UnknownRule, check_rule
 from .syntax import ParseError, parse_term, print_term
-from .terms import Equation, Mode, canonical_key
+from .terms import DecoratedTerm, Equation, Mode, canonical_key
 from .theory import Theory, _dual_label, dual_symbol_map, dualize_equation
 
 
@@ -144,17 +144,29 @@ def _print_equation(prefix: str, eq: Equation) -> str:
 
 
 def parse_script(text: str, signature) -> ProofScript:
-    """Parse the script format; op names resolve against `signature`."""
+    """Parse the script format; op names resolve against `signature`.
+
+    Equal side texts within the script are parsed once and share one
+    term, so their canonical keys are computed once too.  Parse errors
+    give the script line and the column within it.
+    """
+    terms: dict[str, DecoratedTerm] = {}
     goal: Equation | None = None
     steps: list[ProofStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        # Every equation body below is a suffix of `line`; this is the
+        # column just past the end of `line`.
+        end_col = len(code) - len(code.lstrip()) + len(line) + 1
         if goal is None:
             if not line.startswith("goal "):
                 raise ParseError("expected a goal line first", lineno, 1)
-            goal = _parse_equation(line[len("goal "):], signature, lineno)
+            body = line[len("goal "):]
+            goal = _parse_equation(body, signature, lineno,
+                                   end_col - len(body), terms)
             continue
         if not line.startswith("step "):
             raise ParseError("expected a step line", lineno, 1)
@@ -182,7 +194,8 @@ def parse_script(text: str, signature) -> ProofScript:
                 break
         else:
             raise ParseError("expected '|-' after premises", lineno, 1)
-        conclusion = _parse_equation(tail, signature, lineno)
+        conclusion = _parse_equation(tail, signature, lineno,
+                                     end_col - len(tail), terms)
         steps.append(ProofStep(rule, premises, conclusion))
     if goal is None:
         raise ParseError("script has no goal line", 1, 1)
@@ -202,7 +215,10 @@ def _parse_premises(body: str, lineno: int) -> tuple[int | str, ...]:
     return tuple(premises)
 
 
-def _parse_equation(body: str, signature, lineno: int) -> Equation:
+def _parse_equation(body: str, signature, lineno: int, col: int,
+                    terms: dict[str, DecoratedTerm]) -> Equation:
+    """`body` starts at column `col` of line `lineno`; `terms` maps side
+    texts already parsed in this script to their terms."""
     mode_word, _, rest = body.partition(" ")
     try:
         mode = Mode(mode_word)
@@ -212,6 +228,18 @@ def _parse_equation(body: str, signature, lineno: int) -> Equation:
     sides = rest.split(" = ")
     if len(sides) != 2:
         raise ParseError("expected '<lhs> = <rhs>'", lineno, 1)
-    lhs = parse_term(sides[0].strip(), signature)
-    rhs = parse_term(sides[1].strip(), signature)
-    return Equation(mode, lhs, rhs)
+    col += len(mode_word) + 1
+    parsed = []
+    for side in sides:
+        side_text = side.strip()
+        term = terms.get(side_text)
+        if term is None:
+            try:
+                term = parse_term(side_text, signature)
+            except ParseError as err:
+                at = col + len(side) - len(side.lstrip()) + err.col - 1
+                raise ParseError(err.message, lineno, at) from None
+            terms[side_text] = term
+        parsed.append(term)
+        col += len(side) + len(" = ")
+    return Equation(mode, parsed[0], parsed[1])

@@ -12,6 +12,9 @@ pairs whose halves disagree on their source) must be constructible so
 that `typecheck` can report the problems.  Every node caches `source`,
 `target` and `decoration` eagerly at construction, reading only its
 children's cached values, so building deep terms needs no recursion.
+The canonical key is cached lazily instead, never at construction:
+`canonical_key` stores it on a node the first time it is asked for, so
+building terms that are never compared costs nothing extra.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .types import EMPTY_T, UNIT_T, ObjType, Prod, Sum
+from .types import EMPTY_T, UNIT_T, Base, Empty, ObjType, Prod, Sum, Unit
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class DecoratedTerm:
     source: ObjType
     target: ObjType
     decoration: Decoration
+    # Set on the node by `canonical_key` when first asked for.
+    _canonical_key = None
 
     def _cache(self, source: ObjType, target: ObjType, decoration: Decoration) -> None:
         object.__setattr__(self, "source", source)
@@ -267,43 +272,48 @@ def typecheck(term: DecoratedTerm, signature: dict[str, OpSymbol] | None = None)
     from .syntax import print_type
 
     issues: list[TypeIssue] = []
-    stack: list[tuple[DecoratedTerm, tuple[str, ...]]] = [(term, ())]
+    # A path is kept as a (parent path, step) link and spelled out only
+    # for an issue, so deep terms cost linear space.
+    stack: list[tuple[DecoratedTerm, tuple | None]] = [(term, None)]
+
+    def issue(kind: str, link: tuple | None, detail: str) -> None:
+        path: list[str] = []
+        while link is not None:
+            link, step = link
+            path.append(step)
+        issues.append(TypeIssue(kind, tuple(reversed(path)), detail))
+
     while stack:
-        node, path = stack.pop()
+        node, link = stack.pop()
         if isinstance(node, Comp):
             if node.inner.target != node.outer.source:
-                issues.append(TypeIssue(
-                    "source-target-mismatch", path,
-                    f"inner produces {print_type(node.inner.target)} "
-                    f"but outer expects {print_type(node.outer.source)}"))
-            stack.append((node.outer, path + ("outer",)))
-            stack.append((node.inner, path + ("inner",)))
+                issue("source-target-mismatch", link,
+                      f"inner produces {print_type(node.inner.target)} "
+                      f"but outer expects {print_type(node.outer.source)}")
+            stack.append((node.outer, (link, "outer")))
+            stack.append((node.inner, (link, "inner")))
         elif isinstance(node, PairSeq):
             if node.first.source != node.second.source:
-                issues.append(TypeIssue(
-                    "pair-source-mismatch", path,
-                    f"first reads {print_type(node.first.source)} "
-                    f"but second reads {print_type(node.second.source)}"))
-            stack.append((node.first, path + ("first",)))
-            stack.append((node.second, path + ("second",)))
+                issue("pair-source-mismatch", link,
+                      f"first reads {print_type(node.first.source)} "
+                      f"but second reads {print_type(node.second.source)}")
+            stack.append((node.first, (link, "first")))
+            stack.append((node.second, (link, "second")))
         elif isinstance(node, CaseSeq):
             if node.on_left.target != node.on_right.target:
-                issues.append(TypeIssue(
-                    "case-target-mismatch", path,
-                    f"left branch yields {print_type(node.on_left.target)} "
-                    f"but right branch yields {print_type(node.on_right.target)}"))
-            stack.append((node.on_left, path + ("left",)))
-            stack.append((node.on_right, path + ("right",)))
+                issue("case-target-mismatch", link,
+                      f"left branch yields {print_type(node.on_left.target)} "
+                      f"but right branch yields {print_type(node.on_right.target)}")
+            stack.append((node.on_left, (link, "left")))
+            stack.append((node.on_right, (link, "right")))
         elif isinstance(node, Op) and signature is not None:
             declared = signature.get(node.symbol.name)
             if declared is None:
-                issues.append(TypeIssue(
-                    "unknown-symbol", path,
-                    f"operation {node.symbol.name!r} is not declared"))
+                issue("unknown-symbol", link,
+                      f"operation {node.symbol.name!r} is not declared")
             elif declared != node.symbol:
-                issues.append(TypeIssue(
-                    "symbol-mismatch", path,
-                    f"operation {node.symbol.name!r} disagrees with its declaration"))
+                issue("symbol-mismatch", link,
+                      f"operation {node.symbol.name!r} disagrees with its declaration")
     issues.sort(key=lambda issue: issue.path)
     return TypedReport(
         ok=not issues,
@@ -353,8 +363,6 @@ def shield(term: DecoratedTerm) -> DecoratedTerm:
 
 
 def type_key(ty: ObjType) -> tuple:
-    from .types import Base, Empty, Unit
-
     if isinstance(ty, Unit):
         return ("unit",)
     if isinstance(ty, Empty):
@@ -386,9 +394,11 @@ def chain_factors(term: DecoratedTerm) -> list[DecoratedTerm]:
     return factors
 
 
-def _factor_key(node: DecoratedTerm) -> tuple:
+def _leaf_key(node: DecoratedTerm) -> tuple:
     if isinstance(node, Op):
         return ("op", node.symbol.name)
+    if isinstance(node, Id):
+        return ("id", type_key(node.at))
     if isinstance(node, Proj1):
         return ("proj1", type_key(node.left), type_key(node.right))
     if isinstance(node, Proj2):
@@ -397,10 +407,6 @@ def _factor_key(node: DecoratedTerm) -> tuple:
         return ("inj1", type_key(node.left), type_key(node.right))
     if isinstance(node, Inj2):
         return ("inj2", type_key(node.left), type_key(node.right))
-    if isinstance(node, PairSeq):
-        return ("pair", canonical_key(node.first), canonical_key(node.second))
-    if isinstance(node, CaseSeq):
-        return ("case", canonical_key(node.on_left), canonical_key(node.on_right))
     if isinstance(node, Bang):
         return ("bang", type_key(node.at))
     if isinstance(node, Absurd):
@@ -420,15 +426,59 @@ def _value_key(value: object) -> object:
     return ("atom", value)
 
 
-def canonical_key(term: DecoratedTerm) -> tuple:
-    """Hashable key identifying `term` up to associativity and identity."""
-    factors = chain_factors(term)
+def _chain_key(term: Comp, factors: list[DecoratedTerm]) -> tuple:
     if not factors:
         return ("id", type_key(term.source))
-    keys = [_factor_key(f) for f in factors]
-    if len(keys) == 1:
-        return keys[0]
-    return ("chain", tuple(keys))
+    if len(factors) == 1:
+        return factors[0]._canonical_key
+    return ("chain", tuple(f._canonical_key for f in factors))
+
+
+def canonical_key(term: DecoratedTerm) -> tuple:
+    """Hashable key identifying `term` up to associativity and identity.
+
+    A composite's key lists its factors' keys, innermost first, with
+    identities dropped (an empty chain is the identity at its source).
+    The key is computed the first time it is asked for and stored on the
+    node, as is the key of every factor and pair/case child it needed,
+    so asking again, or for a term built from keyed factors, reuses them.
+    Iterative, so deep terms need no recursion.
+    """
+    key = term._canonical_key
+    if key is not None:
+        return key
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if node._canonical_key is not None:
+            stack.pop()
+            continue
+        if isinstance(node, Comp):
+            factors = chain_factors(node)
+            waiting = [f for f in factors if f._canonical_key is None]
+        elif isinstance(node, PairSeq):
+            waiting = [c for c in (node.first, node.second)
+                       if c._canonical_key is None]
+        elif isinstance(node, CaseSeq):
+            waiting = [c for c in (node.on_left, node.on_right)
+                       if c._canonical_key is None]
+        else:
+            waiting = None
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        if isinstance(node, Comp):
+            key = _chain_key(node, factors)
+        elif isinstance(node, PairSeq):
+            key = ("pair", node.first._canonical_key, node.second._canonical_key)
+        elif isinstance(node, CaseSeq):
+            key = ("case", node.on_left._canonical_key,
+                   node.on_right._canonical_key)
+        else:
+            key = _leaf_key(node)
+        object.__setattr__(node, "_canonical_key", key)
+    return term._canonical_key
 
 
 def compose_chain(factors: list[DecoratedTerm], source: ObjType) -> DecoratedTerm:

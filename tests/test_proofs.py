@@ -27,7 +27,7 @@ from declogic.rules import (
     UnknownRule,
     check_rule,
 )
-from declogic.syntax import ParseError
+from declogic.syntax import ParseError, parse_term, print_term
 from declogic.terms import Bang, Comp, Equation, Id, Mode, Op, PairSeq, Proj2
 from declogic.theory import (
     combine,
@@ -138,6 +138,44 @@ def test_print_parse_round_trip():
             again = parse_script(text, theory.signature)
             assert print_script(again) == text
             assert check_script(again, theory).ok
+
+
+def test_script_sides_parse_as_alone_and_repeats_share_a_term():
+    scripts = [(s, ST1) for s in all_law_scripts(ST1).values()]
+    scripts += [(s, ST2) for s in all_law_scripts(ST2).values()]
+    scripts += [(dualize_script(s, ST2), EX2) for s in all_law_scripts(ST2).values()]
+    for script, theory in scripts:
+        parsed = parse_script(print_script(script), theory.signature)
+        by_text = {}
+        equations = [parsed.goal] + [step.conclusion for step in parsed.steps]
+        for eq in equations:
+            for side in (eq.lhs, eq.rhs):
+                text = print_term(side)
+                assert side == parse_term(text, theory.signature)
+                assert by_text.setdefault(text, side) is side
+
+
+def test_parse_errors_give_script_line_and_column():
+    lines = [
+        "goal weak op(lookup_x) = op(lookup_x)",
+        "step 1: refl [] |- weak op(lookup_x) = op(lookup_x)",
+        "  step 2: refl []  |-  weak op(lookup_x) =   comp(op(lookup_x), op(nope))",
+    ]
+    with pytest.raises(ParseError) as info:
+        parse_script("\n".join(lines) + "\n", ST1.signature)
+    err = info.value
+    assert (err.line, err.col) == (3, lines[2].index("op(nope)") + 1)
+    assert str(err) == (f"operation 'nope' is not declared "
+                        f"(line 3, column {err.col})")
+    # a lhs error, after a comment line and with a repeated good side
+    text = ("# header\n"
+            "goal weak op(lookup_x) = op(lookup_x)\n"
+            "step 1: refl [] |- strong comp(op(lookup_x) = op(lookup_x)\n")
+    with pytest.raises(ParseError) as info:
+        parse_script(text, ST1.signature)
+    line = text.splitlines()[2]
+    assert (info.value.line, info.value.col) == (3, line.index(" = ") + 1)
+    assert info.value.message == "expected ','"
 
 
 def test_law_script_argument_errors():

@@ -1,8 +1,10 @@
 """Types, term construction, decoration inference, typechecking."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from declogic.generate import GenerationError, random_term, type_pool
+from declogic.model import build_model
 from declogic.terms import (
     Absurd,
     Bang,
@@ -29,7 +31,9 @@ from declogic.terms import (
     swap_term,
     typecheck,
 )
+from declogic.theory import combine, dualize, states_theory
 from declogic.types import EMPTY_T, UNIT_T, Base, Prod, Sum, base_names, dual_type
+from reference_keys import canonical_key as reference_key
 
 V = Base("V")
 W = Base("W")
@@ -210,6 +214,33 @@ class TestCanonicalForm:
         rebuilt = compose_chain(factors, t.source)
         assert canonical_key(rebuilt) == canonical_key(t)
         assert compose_chain([], V) == Id(V)
+
+
+_ST = states_theory({"x": "V", "y": "V"})
+KEY_THEORY = combine(_ST, dualize(_ST))
+KEY_MODEL = build_model(KEY_THEORY, {"V": (0, 1)})
+KEY_POOL = type_pool(KEY_THEORY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4))
+def test_cached_key_matches_reference(rng, depth):
+    terms = []
+    for _ in range(4):
+        src, tgt = rng.choice(KEY_POOL), rng.choice(KEY_POOL)
+        try:
+            terms.append(random_term(rng, KEY_THEORY, KEY_MODEL, src, tgt, depth))
+        except GenerationError:
+            continue
+    for term in terms:
+        expected = reference_key(term)
+        assert canonical_key(term) == expected  # computed and stored
+        assert canonical_key(term) == expected  # read back from the node
+    # Composites of keyed terms read keys stored on their parts.
+    for a in terms:
+        for b in terms:
+            for built in (Comp(b, a), PairSeq(a, b), CaseSeq(b, Comp(a, Id(V)))):
+                assert canonical_key(built) == reference_key(built)
 
 
 class TestShield:
