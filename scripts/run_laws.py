@@ -8,9 +8,9 @@ exception models, printing one verdict line per instantiation.
 import itertools
 import sys
 
-from declogic.model import build_model, check_strong_eq, check_weak_eq, render_counterexample
-from declogic.terms import Mode
-from declogic.theory import dual_symbol_map, dualize, dualize_equation, seven_laws, states_theory
+from declogic.cli import _law_lines
+from declogic.model import build_model
+from declogic.theory import dualize, states_theory
 
 
 def model_family():
@@ -26,40 +26,15 @@ def model_family():
             yield locations, carriers
 
 
-def law_number(index: int, total: int) -> int:
-    return index + 1  # laws come back in order 1..4 or 1..7
-
-
 def check_family(dual: bool) -> int:
     failures = 0
     for locations, carriers in model_family():
         theory = states_theory(locations)
-        law_theory = theory
-        model_theory = dualize(theory) if dual else theory
-        model = build_model(model_theory, carriers)
-        symbol_map = dual_symbol_map(theory) if dual else None
-        pairs = [(i, j) for i in locations for j in locations if i != j] or [
-            (next(iter(locations)), None)]
-        for i, j in pairs:
-            laws = seven_laws(law_theory, i, j)
-            for index, law in enumerate(laws):
-                if dual:
-                    law = dualize_equation(law, symbol_map)
-                n = law_number(index, len(laws))
-                where = i if j is None else f"{i},{j}"
-                prefix = f"{'DUAL ' if dual else ''}LAW {n} @ {where}"
-                weak = check_weak_eq(law.lhs, law.rhs, model)
-                strong = check_strong_eq(law.lhs, law.rhs, model)
-                expect_strong = law.mode is Mode.STRONG
-                ok = weak is None and ((strong is None) == expect_strong)
-                if not ok:
-                    failures += 1
-                status = "ok" if ok else "FAIL"
-                strong_part = ("STRONG ok" if strong is None else
-                               "STRONG counterexample: "
-                               + render_counterexample(strong, model))
-                weak_part = "WEAK ok" if weak is None else "WEAK FAIL"
-                print(f"{prefix} {weak_part} {strong_part} [{status}]")
+        model = build_model(dualize(theory) if dual else theory, carriers)
+        lines, failed = _law_lines(locations, model, dual)
+        failures += failed
+        for line in lines:
+            print(line)
     return failures
 
 

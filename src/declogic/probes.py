@@ -8,13 +8,14 @@ an accepted step is a soundness violation and means a rule's side
 conditions are too weak.  Rejected and unbuildable candidates still
 count toward the sample budget, they just cannot witness anything.
 
-`UNSOUND_VARIANTS` holds deliberately broken copies of checkers, each
-missing one side condition, as calibration: probing a variant over a
-flavor where the dropped condition matters must find a violation
-quickly, which shows the probe generator actually reaches the
-dangerous corner of each rule.  A dropped condition can be vacuous in
-a flavor (state conditions never bite without state), so each variant
-names the flavors where detection is expected.
+`UNSOUND_VARIANTS` is the calibration: each variant names side
+conditions (see `declogic.rules`) that the probe drops from the real
+checker, and probing that broken rule over a flavor where the dropped
+condition matters must find a violation quickly, which shows the probe
+generator actually reaches the dangerous corner of each rule.  A
+dropped condition can be vacuous in a flavor (state conditions never
+bite without state), so each variant names the flavors where
+detection is expected.
 
 Premise pools mix seeded terms (readers, writers, throwers, catchers,
 and their weakly-but-not-strongly equal combinations) with random
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .generate import GenerationError, random_term, type_pool
@@ -37,17 +38,7 @@ from .model import (
     enumerate_points,
     eval_term,
 )
-from .rules import (
-    RULES,
-    RuleError,
-    _count,
-    _obs_family,
-    _same,
-    _shape,
-    _split_postcompose,
-    _split_precompose,
-    check_rule,
-)
+from .rules import RULES, RuleError, _obs_family, check_rule
 from .terms import (
     Absurd,
     Bang,
@@ -557,9 +548,10 @@ assert set(_SAMPLERS) == set(RULES)
 
 def soundness_probe(rule: str, theory: Theory, model: FiniteModel,
                     samples: int = 200, seed: int = 0,
-                    checker: Callable | None = None,
+                    drop: frozenset[str] = frozenset(),
                     context: ProbeContext | None = None) -> ProbeReport:
-    """Probe one rule; `checker` overrides the real one for variants."""
+    """Probe one rule; the side conditions named in `drop` count as met,
+    which is how the broken variants are made."""
     sampler = _SAMPLERS.get(rule)
     if sampler is None:
         raise ValueError(f"no sampler for rule {rule!r}")
@@ -578,10 +570,7 @@ def soundness_probe(rule: str, theory: Theory, model: FiniteModel,
             skipped += 1
             continue
         try:
-            if checker is not None:
-                checker(conclusion, premises, theory)
-            else:
-                check_rule(rule, conclusion, premises, theory)
+            check_rule(rule, conclusion, premises, theory, drop)
         except RuleError:
             rejected += 1
             continue
@@ -608,85 +597,14 @@ def probe_all(theory: Theory, model: FiniteModel, samples: int = 200,
 # Deliberately broken checkers, for calibrating the probes
 
 
-def _repl_weak_any_h(conclusion, premises, theory):
-    """repl without the state-blindness requirement on the outer term."""
-    _count(premises, 1, "repl")
-    (p,) = premises
-    _shape(p.mode is conclusion.mode, "repl keeps the mode")
-    h_l = _split_postcompose(conclusion.lhs, p.lhs)
-    h_r = _split_postcompose(conclusion.rhs, p.rhs)
-    _shape(h_l is not None and h_r is not None,
-           "repl conclusion must postcompose the same term on both sides")
-    _shape(_same(h_l, h_r), "repl must postcompose the same term on both sides")
-
-
-def _subs_weak_any_h(conclusion, premises, theory):
-    """subs without the exception-freedom requirement on the inner term."""
-    _count(premises, 1, "subs")
-    (p,) = premises
-    _shape(p.mode is conclusion.mode, "subs keeps the mode")
-    h_l = _split_precompose(conclusion.lhs, p.lhs)
-    h_r = _split_precompose(conclusion.rhs, p.rhs)
-    _shape(h_l is not None and h_r is not None,
-           "subs conclusion must precompose the same term on both sides")
-    _shape(_same(h_l, h_r), "subs must precompose the same term on both sides")
-
-
-def _effect_any_decoration(conclusion, premises, theory):
-    """effect without the (1,1) bound on the sides."""
-    _count(premises, 1, "effect")
-    (p,) = premises
-    _shape(p.mode is Mode.WEAK and conclusion.mode is Mode.STRONG,
-           "effect upgrades a weak premise to a strong conclusion")
-    _shape(_same(conclusion.lhs, p.lhs) and _same(conclusion.rhs, p.rhs),
-           "effect keeps both sides")
-
-
-def _pair_proj_1_keeps_raising(conclusion, premises, theory):
-    """pair-proj-1 without the raise-freedom of the discarded component."""
-    from .terms import chain_factors
-
-    _count(premises, 0, "pair-proj-1")
-    chain = chain_factors(conclusion.lhs)
-    _shape(len(chain) == 2 and isinstance(chain[0], PairSeq)
-           and isinstance(chain[1], Proj1),
-           "left side must be a first projection of a pairing")
-    f, g = chain[0].first, chain[0].second
-    _shape(_same(conclusion.rhs, f),
-           "right side must be the pairing's first component")
-    if conclusion.mode is Mode.STRONG:
-        _shape(g.decoration.state <= 1,
-               "strongly, the discarded component must preserve the state")
-
-
-def _obs_ignores_purity(conclusion, premises, theory):
-    """obs without the cross-axis purity conditions on the sides."""
-    from .terms import canonical_key
-    from .rules import PremiseShapeMismatch
-
-    _shape(conclusion.mode is Mode.STRONG, "obs concludes a strong equation")
-    _shape(all(p.mode is Mode.WEAK for p in premises),
-           "obs premises must all be weak")
-    f, g = conclusion.lhs, conclusion.rhs
-    given = sorted((canonical_key(p.lhs), canonical_key(p.rhs))
-                   for p in premises)
-    for rule in theory.obs_rules:
-        required = _obs_family(rule, f, g)
-        wanted = sorted((canonical_key(a), canonical_key(b))
-                        for a, b in required)
-        if given == wanted:
-            return
-    raise PremiseShapeMismatch("premises do not cover an observer family")
-
-
 @dataclass(frozen=True)
 class ProbeVariant:
-    """A checker with one condition dropped, and where that matters."""
+    """A rule with named side conditions dropped, and where that matters."""
 
     rule: str
     flavors: tuple[str, ...]
     note: str
-    checker: Callable = field(compare=False)
+    drops: tuple[str, ...]
 
 
 UNSOUND_VARIANTS: dict[str, ProbeVariant] = {
@@ -694,35 +612,36 @@ UNSOUND_VARIANTS: dict[str, ProbeVariant] = {
         "repl", ("states", "combined"),
         "a state-reading outer term sees the state drift a weak "
         "equation permits",
-        _repl_weak_any_h),
+        ("repl.weak-outer-state-blind",)),
     "subs_weak_any_h": ProbeVariant(
         "subs", ("exceptions", "combined"),
         "a raising inner term feeds exceptional inputs a weak equation "
         "says nothing about",
-        _subs_weak_any_h),
+        ("subs.weak-inner-raise-free",)),
     "effect_any_decoration": ProbeVariant(
         "effect", ("states", "exceptions", "combined"),
         "modifiers and catchers can differ invisibly to weak equality",
-        _effect_any_decoration),
+        ("effect.sides-bounded",)),
     "pair_proj_1_keeps_raising": ProbeVariant(
         "pair-proj-1", ("exceptions", "combined"),
         "a raising discarded component aborts the pairing the right "
         "side never runs",
-        _pair_proj_1_keeps_raising),
+        ("pair-proj-1.discarded-raise-free",)),
     "obs_ignores_purity": ProbeVariant(
         "obs", ("combined",),
         "state observers cannot see past a raise, so raising sides "
         "smuggle state differences through the family",
-        _obs_ignores_purity),
+        ("obs.sides-raise-free", "obs.sides-state-blind")),
 }
 
 
 def probe_variant(name: str, theory: Theory, model: FiniteModel,
                   samples: int = 200, seed: int = 0) -> ProbeReport:
-    """Probe a deliberately broken checker; expects violations on its
-    listed flavors."""
+    """Probe a rule with a variant's conditions dropped; expects
+    violations on its listed flavors."""
     variant = UNSOUND_VARIANTS[name]
     ctx = ProbeContext(theory, model,
                        random.Random(f"{seed}:{name}:{theory.flavor}"))
     return soundness_probe(variant.rule, theory, model, samples=samples,
-                           seed=seed, checker=variant.checker, context=ctx)
+                           seed=seed, drop=frozenset(variant.drops),
+                           context=ctx)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rules import DUAL_RULE, RuleError, PremiseShapeMismatch, UnknownRule, check_rule
-from .syntax import ParseError, parse_term, print_term
+from .syntax import ParseError, parse_at, parse_term, print_term
 from .terms import DecoratedTerm, Equation, Mode, canonical_key
 from .theory import Theory, _dual_label, dual_symbol_map, dualize_equation
 
@@ -234,11 +234,7 @@ def _parse_equation(body: str, signature, lineno: int, col: int,
         side_text = side.strip()
         term = terms.get(side_text)
         if term is None:
-            try:
-                term = parse_term(side_text, signature)
-            except ParseError as err:
-                at = col + len(side) - len(side.lstrip()) + err.col - 1
-                raise ParseError(err.message, lineno, at) from None
+            term = parse_at(parse_term, side, lineno, col, signature)
             terms[side_text] = term
         parsed.append(term)
         col += len(side) + len(" = ")

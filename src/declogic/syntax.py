@@ -38,6 +38,16 @@ class ParseError(ValueError):
         self.col = col
 
 
+def parse_at(parse, text: str, line: int, col: int, *args):
+    """`parse(text.strip(), *args)` for a `text` that starts at column
+    `col` of line `line` of a file; a parse error gives its place there."""
+    try:
+        return parse(text.strip(), *args)
+    except ParseError as err:
+        col += len(text) - len(text.lstrip()) + err.col - 1
+        raise ParseError(err.message, line, col) from None
+
+
 # ---------------------------------------------------------------------------
 # Printing
 

@@ -446,19 +446,23 @@ def parse_theory(text: str) -> Theory:
     name; other operations parse fine but cannot be instantiated by
     `build_model` without explicit tables.
     """
-    from .syntax import ParseError, parse_term, parse_type
+    from .syntax import ParseError, parse_at, parse_term, parse_type
     from .terms import Mode as TermMode
 
     flavor = None
     locations: dict[str, str] = {}
     exceptions: dict[str, str] = {}
     signature: dict[str, OpSymbol] = {}
-    axiom_lines: list[tuple[int, str, str]] = []
-    obs_lines: list[tuple[int, str, str]] = []
+    axiom_lines: list[tuple[int, int, str, str]] = []
+    obs_lines: list[tuple[int, int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        # `rest` and the bodies below are suffixes of `line`; this is the
+        # column just past the end of `line`.
+        end_col = len(code) - len(code.lstrip()) + len(line) + 1
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "theory":
@@ -480,6 +484,7 @@ def parse_theory(text: str) -> Theory:
             if not at or "->" not in arrow_part:
                 raise ParseError("expected `op NAME : SRC -> TGT @ (s,e)`", lineno, 1)
             src_text, _, tgt_text = arrow_part.partition("->")
+            src_col = end_col - len(rest) + len(name_part) + 1
             dec_text = dec_part.strip()
             if not (dec_text.startswith("(") and dec_text.endswith(")")):
                 raise ParseError("decoration must look like (1,0)", lineno, 1)
@@ -489,42 +494,48 @@ def parse_theory(text: str) -> Theory:
             except ValueError:
                 raise ParseError("decoration must look like (1,0)", lineno, 1) from None
             signature[name] = OpSymbol(
-                name, parse_type(src_text.strip()),
-                parse_type(tgt_text.strip()), decoration)
+                name, parse_at(parse_type, src_text, lineno, src_col),
+                parse_at(parse_type, tgt_text, lineno,
+                         src_col + len(src_text) + len("->")),
+                decoration)
         elif head == "axiom":
             label, sep, body = rest.partition(":")
             if not sep:
                 raise ParseError("expected `axiom LABEL : MODE LHS = RHS`", lineno, 1)
-            axiom_lines.append((lineno, label.strip(), body.strip()))
+            body = body.strip()
+            axiom_lines.append((lineno, end_col - len(body), label.strip(), body))
         elif head == "obs":
             direction, sep, body = rest.partition(":")
             if not sep:
                 raise ParseError("expected `obs DIRECTION : TERMS`", lineno, 1)
-            obs_lines.append((lineno, direction.strip(), body.strip()))
+            body = body.strip()
+            obs_lines.append((lineno, end_col - len(body), direction.strip(), body))
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno, 1)
     if flavor is None:
         raise ParseError("missing `theory` header", 1, 1)
 
     axioms: dict[str, Equation] = {}
-    for lineno, label, body in axiom_lines:
+    for lineno, col, label, body in axiom_lines:
         mode_word, _, eq_text = body.partition(" ")
         if mode_word not in ("weak", "strong"):
             raise ParseError("axiom mode must be weak or strong", lineno, 1)
         lhs_text, sep, rhs_text = eq_text.partition(" = ")
         if not sep:
             raise ParseError("axiom body must be `LHS = RHS`", lineno, 1)
+        col += len(mode_word) + 1
         axioms[label] = Equation(
             TermMode(mode_word),
-            parse_term(lhs_text.strip(), signature),
-            parse_term(rhs_text.strip(), signature))
+            parse_at(parse_term, lhs_text, lineno, col, signature),
+            parse_at(parse_term, rhs_text, lineno,
+                     col + len(lhs_text) + len(" = "), signature))
     obs_rules = []
-    for lineno, direction, body in obs_lines:
+    for lineno, col, direction, body in obs_lines:
         if direction not in ("states", "exceptions"):
             raise ParseError(f"unknown obs direction {direction!r}", lineno, 1)
         observers = tuple(
-            parse_term(piece.strip(), signature)
-            for piece in _split_top_level(body))
+            parse_at(parse_term, piece, lineno, col + offset, signature)
+            for offset, piece in _split_top_level(body))
         obs_rules.append(ObsRule(direction, observers))
 
     auto_ops: dict[str, tuple] = {}
@@ -545,8 +556,9 @@ def parse_theory(text: str) -> Theory:
     )
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas not nested inside parentheses."""
+def _split_top_level(text: str) -> list[tuple[int, str]]:
+    """Split on commas not nested inside parentheses; each piece comes
+    with its offset in `text`."""
     pieces = []
     depth = 0
     start = 0
@@ -556,9 +568,9 @@ def _split_top_level(text: str) -> list[str]:
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            pieces.append(text[start:i])
+            pieces.append((start, text[start:i]))
             start = i + 1
     tail = text[start:].strip()
     if tail:
-        pieces.append(text[start:])
+        pieces.append((start, text[start:]))
     return pieces

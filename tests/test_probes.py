@@ -1,6 +1,8 @@
 """Probe calibration: honest rules survive randomized adversarial steps
 while deliberately weakened checkers are caught within the sample budget."""
 
+import ast
+import inspect
 import random
 
 import pytest
@@ -9,16 +11,25 @@ from hypothesis import strategies as st
 
 from declogic.generate import GenerationError, random_term, type_pool
 from declogic.model import build_model, check_eq, check_strong_eq, check_weak_eq
+from declogic import rules
 from declogic.probes import (
+    _SAMPLERS,
     ProbeContext,
     UNSOUND_VARIANTS,
     probe_all,
     probe_variant,
     soundness_probe,
 )
-from declogic.rules import RULES
+from declogic.rules import DUAL_RULE, RULES, RuleError, check_rule, dual_name
 from declogic.terms import Bang, Comp, Const, Id, Mode, typecheck
-from declogic.theory import combine, dualize, states_theory
+from declogic.theory import (
+    TheoryError,
+    combine,
+    dual_symbol_map,
+    dualize,
+    dualize_equation,
+    states_theory,
+)
 from declogic.types import EMPTY_T, UNIT_T, Base, Prod, Sum
 
 ST = states_theory({"x": "V", "y": "V"})
@@ -157,6 +168,91 @@ def test_probing_honest_rules_finds_no_violation(flavor):
         assert never_fired == set()
 
 
+# Per rule, (accepted, rejected, skipped) of probe_all(samples=200,
+# seed=0) over states, exceptions and combined, as recorded before the
+# mirror pairs of rules were merged into one checker each.
+PINNED_VERDICTS = {
+    "refl": ((200, 0, 0), (200, 0, 0), (200, 0, 0)),
+    "sym": ((200, 0, 0), (200, 0, 0), (200, 0, 0)),
+    "trans": ((200, 0, 0), (200, 0, 0), (200, 0, 0)),
+    "strong-to-weak": ((200, 0, 0), (200, 0, 0), (200, 0, 0)),
+    "subs": ((200, 0, 0), (133, 67, 0), (147, 53, 0)),
+    "repl": ((125, 75, 0), (200, 0, 0), (128, 72, 0)),
+    "effect": ((16, 184, 0), (21, 179, 0), (12, 188, 0)),
+    "obs": ((24, 0, 176), (39, 0, 161), (13, 112, 75)),
+    "pair-cong": ((135, 65, 0), (200, 0, 0), (171, 29, 0)),
+    "case-cong": ((200, 0, 0), (155, 45, 0), (182, 18, 0)),
+    "unit-weak": ((200, 0, 0), (62, 138, 0), (104, 96, 0)),
+    "empty-weak": ((0, 0, 200), (200, 0, 0), (138, 62, 0)),
+    "pair-proj-1": ((122, 78, 0), (50, 150, 0), (56, 144, 0)),
+    "pair-proj-2": ((84, 116, 0), (52, 148, 0), (45, 155, 0)),
+    "case-inj-1": ((26, 174, 0), (150, 50, 0), (56, 144, 0)),
+    "case-inj-2": ((32, 168, 0), (124, 76, 0), (44, 156, 0)),
+    "pair-bang-2": ((200, 0, 0), (144, 56, 0), (162, 38, 0)),
+    "case-absurd-2": ((0, 0, 200), (200, 0, 0), (141, 59, 0)),
+    "pair-fuse-2": ((200, 0, 0), (107, 93, 0), (148, 52, 0)),
+    "case-fuse-2": ((61, 139, 0), (200, 0, 0), (120, 80, 0)),
+    "pair-comp": ((46, 154, 0), (69, 131, 0), (46, 154, 0)),
+    "case-comp": ((41, 159, 0), (87, 113, 0), (38, 162, 0)),
+}
+
+
+def test_probe_verdicts_are_pinned():
+    for i, flavor in enumerate(FLAVORS):
+        theory, model = FLAVORS[flavor]
+        reports = probe_all(theory, model, samples=200, seed=0)
+        got = {rule: (r.accepted, r.rejected, r.skipped)
+               for rule, r in reports.items()}
+        assert got == {rule: triples[i]
+                       for rule, triples in PINNED_VERDICTS.items()}, flavor
+
+
+def test_dual_rule_is_an_involution():
+    names = set(RULES) | {"axiom"}
+    assert set(DUAL_RULE) == names
+    for rule, mirror in DUAL_RULE.items():
+        assert mirror in names and DUAL_RULE[mirror] == rule
+
+
+def _verdict(rule, conclusion, premises, theory):
+    """None if accepted, else the error class and the condition name."""
+    try:
+        check_rule(rule, conclusion, premises, theory)
+    except RuleError as err:
+        return type(err), getattr(err, "condition", None)
+    return None
+
+
+@pytest.mark.parametrize("flavor", ["states", "exceptions"])
+def test_mirror_rules_agree_on_dualized_steps(flavor):
+    """A rule and its mirror give the same verdict, error class and
+    mirrored condition name on a sampled step and its dual."""
+    theory, model = FLAVORS[flavor]
+    mirror, symbols = dualize(theory), dual_symbol_map(theory)
+    ctx = ProbeContext(theory, model, random.Random(f"0:{flavor}"))
+    compared = 0
+    for rule in RULES:
+        for _ in range(200):
+            candidate = _SAMPLERS[rule](ctx)
+            if candidate is None:
+                continue
+            premises, conclusion = candidate
+            try:
+                dual_premises = [dualize_equation(p, symbols)
+                                 for p in premises]
+                dual_conclusion = dualize_equation(conclusion, symbols)
+            except TheoryError:  # constants have no dual
+                continue
+            verdict = _verdict(rule, conclusion, premises, theory)
+            dual = _verdict(DUAL_RULE[rule], dual_conclusion, dual_premises,
+                            mirror)
+            if dual is not None and dual[1] is not None:
+                dual = (dual[0], dual_name(dual[1]))
+            assert verdict == dual, (rule, conclusion)
+            compared += 1
+    assert compared >= 900
+
+
 def test_probe_is_deterministic_per_seed():
     theory, model = FLAVORS["combined"]
     fingerprint = [
@@ -224,3 +320,108 @@ def test_variant_flavors_are_tight_for_repl():
         report = probe_variant("repl_weak_any_h", theory, model,
                                samples=200, seed=seed)
         assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# Named side conditions
+
+_MORE = "necessary, but 200 samples do not reach it: "
+_SAFE = "conservative: "
+
+# Every named side condition of the rule checker: the flavors where
+# dropping it alone lets `soundness_probe` (seed 0, 200 samples, one
+# ProbeContext per flavor shared in this order, as probe_all shares
+# one) find a violation, or the reason no such probe does.
+KILL_TABLE = {
+    "case-absurd-2.kept-state-preserving":
+        _SAFE + "empty has no ordinary points and an exception passes inj2 "
+        "and absurd untouched, so both sides run the kept branch alike",
+    "case-comp.outer-catch-free":
+        _MORE + "on the right side an exception the outer term raises "
+        "meets it again, and a catcher handles it (combined, 1000 samples)",
+    "case-comp.outer-raise-free-or-left-catch-free": ("exceptions",),
+    "case-comp.outer-state-blind":
+        _SAFE + "a catch-free outer term ignores exceptions, so each side "
+        "applies it once, to the same value in the same state",
+    "case-cong.weak-premise": ("exceptions", "combined"),
+    "case-fuse-2.strong-moved-state-preserving":
+        _SAFE + "both sides run the moved term, then the right branch on "
+        "its outcome, then the left branch on any exception",
+    "case-fuse-2.weak-moved-state-preserving-or-left-state-blind":
+        _SAFE + "both sides run the moved term, then the right branch on "
+        "its outcome, then the left branch on any exception",
+    "case-inj-1.discarded-state-blind":
+        _SAFE + "the skipped branch only sees exceptional inputs, which "
+        "weak equality ignores and a catch-free branch passes untouched",
+    "case-inj-1.strong-discarded-catch-free": ("exceptions", "combined"),
+    "case-inj-1.strong-kept-state-preserving":
+        _SAFE + "with a catch-free skipped branch both sides run the left "
+        "branch on exactly the same inputs",
+    "case-inj-2.left-state-blind":
+        _SAFE + "the left branch only sees the right branch's exceptions, "
+        "which it passes untouched unless it catches, allowed only when "
+        "the right branch cannot raise",
+    "case-inj-2.strong-kept-state-preserving":
+        _SAFE + "both sides start by running the right branch on the same "
+        "input",
+    "case-inj-2.strong-left-catch-free": ("exceptions", "combined"),
+    "case-inj-2.weak-left-catch-free-or-right-raise-free":
+        ("exceptions", "combined"),
+    "effect.sides-bounded": ("states", "exceptions", "combined"),
+    "empty-weak.sides-state-blind":
+        _SAFE + "empty has no ordinary points, so every weak equation out "
+        "of it holds",
+    "obs.sides-raise-free": ("combined",),
+    "obs.sides-state-blind": ("combined",),
+    "pair-bang-2.kept-catch-free": ("exceptions", "combined"),
+    "pair-comp.inner-raise-free": ("exceptions", "combined"),
+    "pair-comp.inner-state-blind-or-first-state-preserving":
+        _MORE + "the right side reruns a state-reading inner term after a "
+        "state-changing first component (states, 1000 samples)",
+    "pair-comp.inner-state-preserving":
+        _MORE + "the right side runs a state-changing inner term twice, "
+        "which only a non-idempotent writer shows (states, seed 1, 1000 "
+        "samples)",
+    "pair-cong.weak-premise": ("states",),
+    "pair-fuse-2.strong-moved-catch-free": ("exceptions", "combined"),
+    "pair-fuse-2.weak-moved-catch-free-or-first-raise-free":
+        ("exceptions", "combined"),
+    "pair-proj-1.discarded-raise-free": ("exceptions", "combined"),
+    "pair-proj-1.strong-discarded-state-preserving": ("states", "combined"),
+    "pair-proj-1.strong-kept-catch-free": ("exceptions", "combined"),
+    "pair-proj-2.first-raise-free": ("exceptions", "combined"),
+    "pair-proj-2.strong-first-state-preserving": ("states", "combined"),
+    "pair-proj-2.strong-kept-catch-free": ("exceptions", "combined"),
+    "pair-proj-2.weak-first-state-preserving-or-second-state-blind":
+        ("states", "combined"),
+    "repl.weak-outer-state-blind": ("states", "combined"),
+    "subs.weak-inner-raise-free": ("exceptions", "combined"),
+    "unit-weak.sides-raise-free": ("exceptions", "combined"),
+}
+
+
+def test_kill_table_lists_every_condition():
+    """Every `_side` call in the rule checker names a condition (its third
+    argument) in the pair/state reading.  A mirrored checker also runs
+    it on the exception axis, under its `dual_name`; a self-dual rule's
+    name is its own `dual_name`."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(rules))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_side":
+            name = node.args[2].value
+            names |= {name, dual_name(name)}
+    assert set(KILL_TABLE) == names
+
+
+def test_kill_table_matches_probes():
+    caught = {name: () for name in KILL_TABLE}
+    for flavor, (theory, model) in FLAVORS.items():
+        ctx = ProbeContext(theory, model, random.Random(f"0:{flavor}"))
+        for name in KILL_TABLE:
+            report = soundness_probe(name.split(".")[0], theory, model,
+                                     samples=200, seed=0,
+                                     drop=frozenset({name}), context=ctx)
+            if report.violations:
+                caught[name] += (flavor,)
+    assert caught == {name: entry if isinstance(entry, tuple) else ()
+                      for name, entry in KILL_TABLE.items()}

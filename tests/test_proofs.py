@@ -392,6 +392,20 @@ def test_pair_proj_2_conditions():
                    [], ST2)
 
 
+def test_side_conditions_carry_their_names():
+    ax = ST2.axioms["st_ax1_x"]
+    update = update_op(ST2, "x")
+    conclusion = weak(Comp(update, ax.lhs), Comp(update, ax.rhs))
+    with pytest.raises(SideConditionViolated) as info:
+        check_rule("repl", conclusion, [ax], ST2,
+                   drop=frozenset({"subs.weak-inner-raise-free"}))
+    assert info.value.condition == "repl.weak-outer-state-blind"
+    assert str(info.value) == "weak replacement needs a state-blind outer term"
+    # a dropped condition counts as met
+    check_rule("repl", conclusion, [ax], ST2,
+               drop=frozenset({"repl.weak-outer-state-blind"}))
+
+
 def test_rules_reject_malformed_shapes():
     lx, ly = lookup_op(ST2, "x"), lookup_op(ST2, "y")
     with pytest.raises(PremiseShapeMismatch):

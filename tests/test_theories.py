@@ -3,7 +3,7 @@
 import pytest
 
 from declogic.model import UNIT, Exc, Outcome, build_model, check_weak_eq, eval_term
-from declogic.syntax import print_term
+from declogic.syntax import ParseError, print_term
 from declogic.terms import Comp, Const, Decoration, Mode, Op
 from declogic.theory import (
     DuplicateLocation,
@@ -247,6 +247,29 @@ class TestTheoryDump:
     def test_dual_dump_round_trip(self):
         ex = dualize(states_theory({"e": "P"}))
         assert dump_theory(parse_theory(dump_theory(ex))) == dump_theory(ex)
+
+    @pytest.mark.parametrize("head, old, new, at, message", [
+        ("axiom st_ax2_x_y ", "= comp(op(lookup_y)", "= comp(op((lookup_y)",
+         "(lookup_y)", "expected a name"),
+        ("obs ", ", op(lookup_y)", ", op(lookup_z)", "op(lookup_z)",
+         "operation 'lookup_z' is not declared"),
+        ("op update_y ", "V -> unit", "V -> prod(unit", " @", "expected ','"),
+    ])
+    def test_parse_errors_give_file_line_and_column(self, head, old, new, at,
+                                                    message):
+        """A term or type error in a declaration on a later, indented and
+        commented line is reported at its column on that line."""
+        lines = dump_theory(states_theory({"x": "V", "y": "V"})).splitlines()
+        number = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith(head))
+        assert number > 1
+        line = "  " + lines[number - 1].replace(old, new) + "  # edited"
+        lines[number - 1] = line
+        with pytest.raises(ParseError) as info:
+            parse_theory("\n".join(lines) + "\n")
+        assert info.value.message == message
+        col = line.index(at, line.index(new)) + 1
+        assert (info.value.line, info.value.col) == (number, col)
 
 
 class TestTheoryFromConfig:
