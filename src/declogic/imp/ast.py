@@ -190,7 +190,11 @@ def print_command(cmd: Command) -> str:
     if isinstance(cmd, Assign):
         return f"{cmd.target} := {print_aexp(cmd.expr)}"
     if isinstance(cmd, Seq):
-        return f"{print_command(cmd.first)}; {print_command(cmd.second)}"
+        parts = []
+        while isinstance(cmd, Seq):
+            parts.append(print_command(cmd.first))
+            cmd = cmd.second
+        return "; ".join(parts + [print_command(cmd)])
     if isinstance(cmd, If):
         return (
             f"if {print_bexp(cmd.cond)}"

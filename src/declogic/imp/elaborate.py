@@ -10,6 +10,10 @@ fuel exhaustion is always visible in the result.
 Every elaborated command is transparent: fed an exceptional input, it
 returns that input unchanged.  Try blocks need an explicit shield for
 this, because their untags would otherwise catch upstream exceptions.
+
+Handlers see a caught payload by substitution, and each command node is
+built once per value of the binders it reads, so the term is a shared
+graph: a handler reading k binders has |V|^k copies, not |V|^depth.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ from .ast import (
     BExp,
     BFalse,
     BTrue,
+    Clause,
     Command,
     Eq,
     If,
@@ -249,8 +254,46 @@ def _case_tree(branches: list[DecoratedTerm]) -> DecoratedTerm:
     return CaseSeq(branches[0], _case_tree(branches[1:]))
 
 
+def _free_names(root: Command, names: dict) -> tuple[str, ...]:
+    """The names `root` reads or assigns and does not bind itself, found
+    bottom-up without recursion and recorded in `names` for every node
+    under `root`, by node identity."""
+    stack = [] if id(root) in names else [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        kids = [kid for value in getattr(node, "__dict__", {}).values()
+                for kid in (value if isinstance(value, tuple) else (value,))
+                if isinstance(kid, (AExp, BExp, Command, Clause))]
+        if not ready:
+            stack.append((node, True))
+            stack += [(kid, False) for kid in kids if id(kid) not in names]
+            continue
+        free = {name for kid in kids for name in names[id(kid)]}
+        if isinstance(node, (Loc, Assign)):
+            free.add(node.name if isinstance(node, Loc) else node.target)
+        elif isinstance(node, Clause):
+            free.discard(node.binder)
+        names[id(node)] = tuple(free)
+    return names[id(root)]
+
+
 def _cmd(cmd: Command, theory: Theory, sizes: dict[str, int],
-         fuel: int, binders) -> DecoratedTerm:
+         fuel: int, binders, memo: tuple[dict, dict]) -> DecoratedTerm:
+    """`_build`, shared within one `elaborate` call: `memo` holds each
+    node's free names and the terms built, keyed by node identity (a
+    frozen AST node's hash re-walks its subtree) and the values of the
+    binders among those names, the only ones the term depends on."""
+    if not binders:  # outside every handler, each node is built once
+        return _build(cmd, theory, sizes, fuel, binders, memo)
+    names, terms = memo
+    key = (id(cmd), *map(binders.get, _free_names(cmd, names)))
+    if key not in terms:
+        terms[key] = _build(cmd, theory, sizes, fuel, binders, memo)
+    return terms[key]
+
+
+def _build(cmd: Command, theory: Theory, sizes: dict[str, int],
+           fuel: int, binders, memo: tuple[dict, dict]) -> DecoratedTerm:
     if isinstance(cmd, Skip):
         return Id(UNIT_T)
     if isinstance(cmd, Assign):
@@ -262,17 +305,23 @@ def _cmd(cmd: Command, theory: Theory, sizes: dict[str, int],
         value = _aexp(cmd.expr, base, theory, sizes, binders)
         return Comp(update_op(theory, cmd.target), value)
     if isinstance(cmd, Seq):
-        first = _cmd(cmd.first, theory, sizes, fuel, binders)
-        second = _cmd(cmd.second, theory, sizes, fuel, binders)
-        return Comp(second, first)
+        # A loop over the `;` spine, first halves in program order.
+        firsts = []
+        while isinstance(cmd, Seq):
+            firsts.append(_cmd(cmd.first, theory, sizes, fuel, binders, memo))
+            cmd = cmd.second
+        term = _cmd(cmd, theory, sizes, fuel, binders, memo)
+        for first in reversed(firsts):
+            term = Comp(term, first)
+        return term
     if isinstance(cmd, If):
         guard = _bexp(cmd.cond, theory, sizes, binders)
-        then_branch = _cmd(cmd.then_branch, theory, sizes, fuel, binders)
-        else_branch = _cmd(cmd.else_branch, theory, sizes, fuel, binders)
+        then_branch = _cmd(cmd.then_branch, theory, sizes, fuel, binders, memo)
+        else_branch = _cmd(cmd.else_branch, theory, sizes, fuel, binders, memo)
         return Comp(CaseSeq(then_branch, else_branch), guard)
     if isinstance(cmd, While):
         guard = _bexp(cmd.cond, theory, sizes, binders)
-        body = _cmd(cmd.body, theory, sizes, fuel, binders)
+        body = _cmd(cmd.body, theory, sizes, fuel, binders, memo)
         fuel_base = theory.exceptions[FUEL_EXCEPTION]
         # The innermost round raises before looking at the guard, so a
         # loop needing exactly `fuel` iterations still exhausts.
@@ -290,26 +339,27 @@ def _cmd(cmd: Command, theory: Theory, sizes: dict[str, int],
         payload = _aexp(cmd.payload, base, theory, sizes, binders)
         return Comp(Absurd(UNIT_T), Comp(tag_op(theory, cmd.exception), payload))
     if isinstance(cmd, TryCatch):
-        return _try(cmd, theory, sizes, fuel, binders)
+        return _try(cmd, theory, sizes, fuel, binders, memo)
     raise TypeError(f"not a command: {cmd!r}")
 
 
 def _try(cmd: TryCatch, theory: Theory, sizes: dict[str, int],
-         fuel: int, binders) -> DecoratedTerm:
+         fuel: int, binders, memo: tuple[dict, dict]) -> DecoratedTerm:
     """Reify the body's outcome into a sum, then dispatch on it.
 
     Slot 0 is the ordinary outcome; slot k carries the payload of the
     k-th clause's exception.  Clause 1 reclassifies first, so the first
     clause naming a raised exception wins.  Handlers see their caught
-    payload by exhaustive substitution: one handler copy per carrier
-    value, selected through the base's enumeration operation.  The
-    whole block is shielded so upstream exceptions bypass its untags.
+    payload by exhaustive substitution: one leaf per carrier value,
+    selected through the base's enumeration operation.  `_cmd` shares a
+    leaf among all copies of the block that agree on what it reads.
+    The whole block is shielded so upstream exceptions bypass its untags.
     """
     for clause in cmd.clauses:
         if (clause.exception == FUEL_EXCEPTION
                 or clause.exception not in theory.exceptions):
             raise UndeclaredException(f"unknown exception {clause.exception!r}")
-    body = _cmd(cmd.body, theory, sizes, fuel, binders)
+    body = _cmd(cmd.body, theory, sizes, fuel, binders, memo)
     slots: list[ObjType] = [UNIT_T]
     slots += [Base(theory.exceptions[c.exception]) for c in cmd.clauses]
 
@@ -324,7 +374,7 @@ def _try(cmd: TryCatch, theory: Theory, sizes: dict[str, int],
         leaves = []
         for value in range(sizes[base]):
             bound = {**binders, clause.binder: (value, base)}
-            leaves.append(_cmd(clause.handler, theory, sizes, fuel, bound))
+            leaves.append(_cmd(clause.handler, theory, sizes, fuel, bound, memo))
         tree = _case_tree(leaves)
         branches.append(Comp(tree, Op(theory.signature[f"enum_{base}"])))
     dispatch = _case_tree(branches)
@@ -342,4 +392,7 @@ def elaborate(cmd: Command, theory: Theory, fuel: int = 64) -> DecoratedTerm:
     if FUEL_EXCEPTION not in theory.exceptions:
         raise ElaborationError("theory lacks the reserved fuel exception; "
                                "build it with build_imp_theory")
-    return _cmd(cmd, theory, carrier_sizes(theory), fuel, {})
+    try:
+        return _cmd(cmd, theory, carrier_sizes(theory), fuel, {}, ({}, {}))
+    except RecursionError:
+        raise ElaborationError("program nests too deeply to elaborate") from None

@@ -241,10 +241,13 @@ class _Parser:
     # -- commands
 
     def parse_command(self) -> Command:
-        first = self.parse_simple()
-        if self.take("punct", ";"):
-            return Seq(first, self.parse_command())
-        return first
+        firsts = [self.parse_simple()]
+        while self.take("punct", ";"):
+            firsts.append(self.parse_simple())
+        cmd = firsts.pop()
+        for first in reversed(firsts):
+            cmd = Seq(first, cmd)
+        return cmd
 
     def parse_block(self) -> Command:
         self.expect("punct", "{")
@@ -289,26 +292,25 @@ class _Parser:
         return Assign(target, self.parse_aexp())
 
 
-def parse_command(text: str) -> Command:
-    """Parse a complete program; trailing input is an error."""
+def _parse_all(text: str, rule) -> object:
     parser = _Parser(text)
-    cmd = parser.parse_command()
+    try:
+        result = rule(parser)
+    except RecursionError:
+        raise parser.fail("input nests too deeply to parse") from None
     if parser.peek().kind != "eof":
         raise parser.fail("unexpected trailing input")
-    return cmd
+    return result
+
+
+def parse_command(text: str) -> Command:
+    """Parse a complete program; trailing input is an error."""
+    return _parse_all(text, _Parser.parse_command)
 
 
 def parse_aexp(text: str) -> AExp:
-    parser = _Parser(text)
-    expr = parser.parse_aexp()
-    if parser.peek().kind != "eof":
-        raise parser.fail("unexpected trailing input")
-    return expr
+    return _parse_all(text, _Parser.parse_aexp)
 
 
 def parse_bexp(text: str) -> BExp:
-    parser = _Parser(text)
-    expr = parser.parse_bexp()
-    if parser.peek().kind != "eof":
-        raise parser.fail("unexpected trailing input")
-    return expr
+    return _parse_all(text, _Parser.parse_bexp)

@@ -1,8 +1,10 @@
-"""Deep terms under the interpreter's default recursion limit.
+"""Deep terms and programs under the interpreter's default recursion limit.
 
 A 100k-node chain `comp(id(V), comp(id(V), ... op(lookup_x)))` must
 parse, print back to the same text, get a canonical key, and go through
-the `check` and `prove` subcommands with their normal exit codes.
+the `check` and `prove` subcommands with their normal exit codes.  A
+100k-statement program must parse, print, elaborate and get a verdict,
+and programs nested deeper than the parser can follow are input errors.
 """
 
 import sys
@@ -10,6 +12,16 @@ import sys
 import pytest
 
 from declogic.cli import main
+from declogic.imp import (
+    Assign,
+    Seq,
+    build_imp_theory,
+    check_equiv,
+    default_carriers,
+    parse_command,
+    print_command,
+)
+from declogic.model import build_model
 from declogic.syntax import parse_term, print_term
 from declogic.terms import canonical_key, typecheck
 from declogic.theory import states_theory
@@ -61,3 +73,48 @@ def test_check_and_prove_exit_normally(tmp_path, capsys):
                       f"step 1: refl [] |- strong {CHAIN} = id(unit)\n")
     assert main(["prove", str(script), "--theory", str(model)]) == 1
     assert capsys.readouterr().out.startswith("rejected at step 1: ")
+
+
+STATEMENTS = 100_000  # an even number of flips of x, so the same as skip
+PROGRAM = "; ".join(["x := 1 - x", "skip"] * (STATEMENTS // 2))
+
+
+def test_long_program_gets_a_verdict():
+    cmd = parse_command(PROGRAM)
+    firsts = []
+    node = cmd
+    while isinstance(node, Seq):  # no `==`: comparing deep ASTs recurses
+        firsts.append(node.first)
+        node = node.second
+    assert len(firsts) + 1 == STATEMENTS
+    assert isinstance(firsts[0], Assign) and isinstance(firsts[-1], Assign)
+    assert print_command(cmd) == PROGRAM
+    theory = build_imp_theory({"x": "V"}, {}, {"V": 2})
+    model = build_model(theory, default_carriers(theory))
+    assert check_equiv(cmd, parse_command("skip"), theory, model).kind == "strong"
+
+
+def test_imp_equiv_cli_on_long_and_deep_programs(tmp_path, capsys):
+    model = tmp_path / "x.model"
+    model.write_text(MODEL)
+    long, skip = tmp_path / "long.imp", tmp_path / "skip.imp"
+    long.write_text(PROGRAM)
+    skip.write_text("skip")
+    assert main(["imp-equiv", str(long), str(skip), "--model", str(model)]) == 0
+    assert capsys.readouterr().out == "strongly equivalent\n"
+
+    # Deeper than the parser can follow even under the CLI's raised limit.
+    nest = 30_000
+    deep = tmp_path / "deep.imp"
+    for text in ("if true then { " * nest + "skip" + " } else { skip }" * nest,
+                 "x := " + "(" * nest + "x" + ")" * nest,
+                 "if " + "not " * nest + "x == 0 then { skip } else { skip }"):
+        deep.write_text(text)
+        assert main(["imp-equiv", str(deep), str(skip), "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nests too deeply to parse (line 1, column ")
+
+    # A sum parses as a left-nested tree, which elaboration walks recursively.
+    deep.write_text("x := x" + " + 1" * nest)
+    assert main(["imp-equiv", str(deep), str(skip), "--model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: program nests too deeply to elaborate\n"

@@ -6,6 +6,8 @@ translation and the interpreter against the frozen values and against
 each other on every initial state.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,7 @@ from declogic.imp import (
     print_command,
 )
 from declogic.syntax import ParseError
+from declogic.terms import DecoratedTerm
 from declogic.theory import states_theory
 from reference_imp import Machine, reference_verdict, state_of, store_of
 
@@ -327,6 +330,18 @@ def test_elaboration_errors(source, error):
         elaborate(parse_command(source), THEORY)
 
 
+def test_first_error_in_program_order():
+    """The first error met in program order is the one raised, also
+    down a long `;` chain and inside a handler built once per value."""
+    with pytest.raises(ElaborationError, match="literal 9 outside"):
+        elaborate(parse_command("x := 9; z := 1"), THEORY)
+    with pytest.raises(UndeclaredLocation, match="'z'"):
+        elaborate(parse_command("x := 1; y := z; x := 9"), THEORY)
+    handler = "try { throw e(x) } catch e(v) { y := v; x := v + 9; z := 1 }"
+    with pytest.raises(ElaborationError, match="literal 9 outside"):
+        elaborate(parse_command(handler), THEORY)
+
+
 def test_two_base_theory_errors():
     wide = build_imp_theory({"x": "V", "w": "W"}, {}, {"V": 2, "W": 3})
     with pytest.raises(ElaborationError):
@@ -366,3 +381,115 @@ def test_elaborated_decorations():
     assert infer_decoration(catcher).exc == 2
     loop = elaborate(parse_command("while x == 0 do { y := 1 }"), THEORY)
     assert infer_decoration(loop).leq(Decoration(2, 1))
+
+
+# -- semantics against the direct interpreter, on random programs
+#
+# Programs use locations x, y and exceptions e, f.  Handlers bind v, w
+# or x (shadowing the location) and read every name in scope, so inner
+# handlers read outer binders.  `try` nests up to three deep.
+
+
+@functools.cache
+def _scoped_aexps(scope):
+    """A literal or a name in scope, or one operation on two of them."""
+    leaf = (st.builds(Lit, st.integers(0, 3))
+            | st.builds(Loc, st.sampled_from(sorted({"x", "y"} | scope))))
+    return leaf | st.builds(Add, leaf, leaf) | st.builds(Sub, leaf, leaf) \
+        | st.builds(Mul, leaf, leaf)
+
+
+@functools.cache
+def _scoped_bexps(scope):
+    aexps = _scoped_aexps(scope)
+    return st.recursive(
+        st.builds(Eq, aexps, aexps) | st.builds(Le, aexps, aexps) | st.just(BTrue()),
+        lambda inner: st.builds(Not, inner) | st.builds(And, inner, inner),
+        max_leaves=2,
+    )
+
+
+@functools.cache
+def _scoped_commands(scope=frozenset(), tries=0, depth=3):
+    targets = st.sampled_from(sorted({"x", "y"} - scope))
+    exceptions = st.sampled_from(["e", "f"])
+    assign = st.builds(Assign, targets, _scoped_aexps(scope))
+    throw = st.builds(Throw, exceptions, _scoped_aexps(scope))
+    options = [st.just(Skip()), assign, throw]
+    if depth > 0:
+        inner = _scoped_commands(scope, tries, depth - 1)
+        options += [
+            st.builds(Seq, assign | throw, inner),
+            st.builds(If, _scoped_bexps(scope), inner, inner),
+            st.builds(While, _scoped_bexps(scope), inner),
+        ]
+    if tries < 3:
+        clause = st.one_of([
+            st.builds(Clause, exceptions, st.just(binder),
+                      _scoped_commands(scope | {binder}, tries + 1, min(depth, 1)))
+            for binder in ("v", "w", "x")
+        ])
+        # Bodies mostly raise, and `try` is listed three times, so most
+        # programs run a handler on some states.
+        body = throw | st.builds(Seq, assign, throw) \
+            | _scoped_commands(scope, tries + 1, min(depth, 1))
+        options += [st.builds(TryCatch, body,
+                              st.lists(clause, min_size=1, max_size=2).map(tuple))
+                    for _ in range(3)]
+    return st.one_of(options)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scoped_commands())
+def test_random_programs_match_reference(cmd):
+    term = elaborate(cmd, THEORY, fuel=3)
+    for state in MODEL.states:
+        assert eval_term(term, MODEL, UNIT, state) == _reference_outcome(cmd, state, 3)
+        for exc in MODEL.exceptional_values():
+            assert eval_term(term, MODEL, exc, state) == Outcome(exc, state)
+
+
+@pytest.mark.parametrize("handler", [
+    "if v == 0 then { y := 1 } else { skip }",
+    "while not v <= y do { y := y + 1 }",
+    "try { throw f(1) } catch f(w) { if w <= v then { y := 2 } else { skip } }",
+])
+def test_handler_guards_read_the_binder(handler):
+    """A guard is part of the node it decides, so a handler whose
+    branches do not read the binder is still built once per value."""
+    cmd = parse_command(f"try {{ throw e(x) }} catch e(v) {{ {handler} }}")
+    term = elaborate(cmd, THEORY, fuel=4)
+    for state in MODEL.states:
+        assert eval_term(term, MODEL, UNIT, state) == _reference_outcome(cmd, state, 4)
+
+
+# -- elaborated size
+
+
+def _distinct_nodes(term):
+    seen = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [child for child in vars(node).values()
+                      if isinstance(child, DecoratedTerm)]
+    return len(seen)
+
+
+@pytest.mark.parametrize("binder", ["v{level}", "v"], ids=["distinct", "shadowing"])
+def test_nested_try_size_is_linear_in_depth(binder):
+    """Each handler reads only its own binder, so it is built once per
+    value of that binder, whatever the enclosing handlers caught."""
+    theory = build_imp_theory({"x": "V", "y": "V"}, {"e": "V"}, {"V": 8})
+    sizes = []
+    for depth in range(1, 7):
+        source = "skip"
+        for level in reversed(range(depth)):
+            name = binder.format(level=level)
+            source = f"try {{ throw e(x) }} catch e({name}) {{ y := {name}; {source} }}"
+        sizes.append(_distinct_nodes(elaborate(parse_command(source), theory)))
+    steps = {after - before for before, after in zip(sizes, sizes[1:])}
+    assert len(steps) == 1, sizes
+    assert sizes[-1] <= 2000, sizes
