@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .imp import (
     ElaborationError,
@@ -46,18 +45,6 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation: a subcommand plus its file arguments."""
-
-    subcommand: str
-    inputs: tuple[str, ...] = ()
-    model: str | None = None
-    theory: str | None = None
-    fuel: int = 64
-    verbosity: int = 0
-
-
 class InputError(Exception):
     """A file argument is missing, unreadable, or malformed."""
 
@@ -89,11 +76,11 @@ def _load_model(path: str):
     return config, theory, build_model(theory, config.carriers)
 
 
-def _cmd_check(config: CliConfig) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
     signature = None
-    if config.theory is not None:
-        signature = _load_theory(config.theory).signature
-    term = parse_term(_read(config.inputs[0]), signature)
+    if args.theory is not None:
+        signature = _load_theory(args.theory).signature
+    term = parse_term(_read(args.term_file), signature)
     report = typecheck(term, signature)
     print(report.describe())
     return 0 if report.ok else 1
@@ -131,8 +118,8 @@ def _law_lines(locations, model, dual: bool):
     return lines, failures
 
 
-def _cmd_laws(config: CliConfig) -> int:
-    model_config, _, model = _load_model(config.model)
+def _cmd_laws(args: argparse.Namespace) -> int:
+    model_config, _, model = _load_model(args.model)
     failures = 0
     if model_config.locations:
         lines, failed = _law_lines(model_config.locations, model, dual=False)
@@ -151,25 +138,25 @@ def _cmd_laws(config: CliConfig) -> int:
     return 0
 
 
-def _cmd_prove(config: CliConfig) -> int:
-    theory = _load_theory(config.theory)
-    script = parse_script(_read(config.inputs[0]), theory.signature)
+def _cmd_prove(args: argparse.Namespace) -> int:
+    theory = _load_theory(args.theory)
+    script = parse_script(_read(args.script), theory.signature)
     report = check_script(script, theory)
-    if config.verbosity:
+    if args.verbosity:
         print(f"{len(script.steps)} steps toward "
               f"{script.goal.mode.value} goal")
     print(report.describe())
     return 0 if report.ok else 1
 
 
-def _cmd_dualize(config: CliConfig) -> int:
-    theory = _load_theory(config.theory)
+def _cmd_dualize(args: argparse.Namespace) -> int:
+    theory = _load_theory(args.theory)
     sys.stdout.write(dump_theory(dualize(theory)))
     return 0
 
 
-def _cmd_imp_equiv(config: CliConfig) -> int:
-    model_config = parse_model_config(_read(config.model))
+def _cmd_imp_equiv(args: argparse.Namespace) -> int:
+    model_config = parse_model_config(_read(args.model))
     if not model_config.locations:
         raise InputError("program models need at least one location")
     for base, values in model_config.carriers.items():
@@ -185,20 +172,11 @@ def _cmd_imp_equiv(config: CliConfig) -> int:
         {base: sizes[base] for base in used},
     )
     model = build_model(theory, default_carriers(theory))
-    left = parse_command(_read(config.inputs[0]))
-    right = parse_command(_read(config.inputs[1]))
-    verdict = check_equiv(left, right, theory, model, fuel=config.fuel)
+    left = parse_command(_read(args.programs[0]))
+    right = parse_command(_read(args.programs[1]))
+    verdict = check_equiv(left, right, theory, model, fuel=args.fuel)
     print(verdict.describe(model))
     return 0 if verdict.kind in (STRONG, WEAK) else 1
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "laws": _cmd_laws,
-    "prove": _cmd_prove,
-    "dualize": _cmd_dualize,
-    "imp-equiv": _cmd_imp_equiv,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,44 +193,31 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("term_file")
     check.add_argument("--theory", help="theory dump or model file declaring "
                                         "the operations the term may use")
+    check.set_defaults(handler=_cmd_check)
 
     laws = commands.add_parser(
         "laws", help="verify the seven state laws and their duals over a model")
     laws.add_argument("--model", required=True)
+    laws.set_defaults(handler=_cmd_laws)
 
     prove = commands.add_parser(
         "prove", help="replay a proof script against a theory")
     prove.add_argument("script")
     prove.add_argument("--theory", required=True)
+    prove.set_defaults(handler=_cmd_prove)
 
     dual = commands.add_parser(
         "dualize", help="print the mirror theory of a theory")
     dual.add_argument("--theory", required=True)
+    dual.set_defaults(handler=_cmd_dualize)
 
     equiv = commands.add_parser(
         "imp-equiv", help="compare two programs over every initial state")
     equiv.add_argument("programs", nargs=2)
     equiv.add_argument("--model", required=True)
     equiv.add_argument("--fuel", type=int, default=64)
+    equiv.set_defaults(handler=_cmd_imp_equiv)
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    inputs: tuple[str, ...] = ()
-    if args.subcommand == "check":
-        inputs = (args.term_file,)
-    elif args.subcommand == "prove":
-        inputs = (args.script,)
-    elif args.subcommand == "imp-equiv":
-        inputs = tuple(args.programs)
-    return CliConfig(
-        subcommand=args.subcommand,
-        inputs=inputs,
-        model=getattr(args, "model", None),
-        theory=getattr(args, "theory", None),
-        fuel=getattr(args, "fuel", 64),
-        verbosity=args.verbosity,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -262,9 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fuel must be a positive integer")
     # Deep term files nest compositions one level per factor.
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    config = _config_from(args)
     try:
-        return _HANDLERS[config.subcommand](config)
+        return args.handler(args)
     except (InputError, ParseError, TheoryError, ElaborationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

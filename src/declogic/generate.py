@@ -40,14 +40,12 @@ class GenerationError(Exception):
     pass
 
 
-def type_pool(theory: Theory, include_empty: bool | None = None) -> list[ObjType]:
+def type_pool(theory: Theory) -> list[ObjType]:
     """A small set of types to draw sources and targets from.
 
     The empty type is included exactly when the theory can produce or
     consume exceptional values (otherwise nothing maps into it).
     """
-    if include_empty is None:
-        include_empty = bool(theory.exceptions)
     bases = [Base(name) for name in
              dict.fromkeys(list(theory.locations.values())
                            + list(theory.exceptions.values()))]
@@ -57,7 +55,7 @@ def type_pool(theory: Theory, include_empty: bool | None = None) -> list[ObjType
     first = bases[0]
     pool.append(Prod(first, UNIT_T))
     pool.append(Sum(first, UNIT_T))
-    if include_empty:
+    if theory.exceptions:
         pool.append(EMPTY_T)
     return pool
 

@@ -115,9 +115,9 @@ def _scan(text: str) -> list[_Token]:
             kind = "keyword" if word in KEYWORDS else "name"
             tokens.append(_Token(kind, word, line, col))
             col += i - start
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(_Token("int", text[start:i], line, col))
             col += i - start

@@ -7,6 +7,15 @@ A term of type X -> Y denotes a total function on (X + E) x S: the
 state is always threaded, including past a raise, so a handler sees
 writes performed before the throw.
 
+An exceptional value passes through every construct except a catcher,
+an operation whose exception decoration is 2.  A pairing runs its
+first half, then its second half on the same input in the state the
+first left, and skips the second half when the first raised.  A case
+split runs only its left branch on a left input.  On a right input it
+runs its right branch, and when that gives an exceptional value, it
+applies the left branch to that value.  An exceptional input is
+handed to the right branch as it is, and the same rule follows.
+
 Strong equality compares full outcomes on every input (ordinary and
 exceptional) and every state.  Weak equality compares only the result
 value (with its exceptional identity) on ordinary inputs, ignoring the
@@ -68,10 +77,6 @@ class Exc:
 class Outcome:
     value: object
     state: tuple
-
-    @property
-    def is_exceptional(self) -> bool:
-        return isinstance(self.value, Exc)
 
 
 class ModelError(Exception):
@@ -150,113 +155,85 @@ def enumerate_points(ty: ObjType, model: FiniteModel) -> list:
     raise TypeError(f"not an object type: {ty!r}")
 
 
-def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> Outcome:
-    """Evaluate `term` on one input and one state.
+def _absurd(t, v):
+    raise CarrierMismatch(f"ordinary value {v!r} reached the empty type")
 
-    Iterative, so fuel-unrolled loop bodies of any depth evaluate
-    without touching the interpreter recursion limit.  Exceptional
-    values bypass every construct except catcher operations; a pairing
-    whose first half raised skips the second half; a case split routes
-    exceptional input through its right branch first and lets the left
-    branch post-process whatever exceptional outcome comes back.
-    """
+
+# Every leaf but `Op`, as a map from (node, ordinary value) to its result.
+_LEAVES = {
+    Id: lambda t, v: v,
+    Proj1: lambda t, v: v[0],
+    Proj2: lambda t, v: v[1],
+    Inj1: lambda t, v: ("L", v),
+    Inj2: lambda t, v: ("R", v),
+    Bang: lambda t, v: UNIT,
+    Const: lambda t, v: t.value,
+    Absurd: _absurd,
+}
+_RUN = object()
+
+
+def _op_error(interps: dict, name: str, v, s) -> ModelError:
+    if name not in interps:
+        return MissingInterpretation(f"operation {name!r} has no interpretation")
+    return CarrierMismatch(
+        f"operation {name!r} undefined on input {v!r} in state {s!r}")
+
+
+def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> Outcome:
+    """Evaluate `term` on one input and one state, by the rules in the
+    module docstring; iterative, so terms of any depth evaluate."""
     interps = model.interps
-    kstack: list[tuple] = []
-    cur = term
-    v = value
-    s = state
-    returning = False
+    # (node, _RUN) runs `node` next.  Post-steps: (pair, its input) after the
+    # first half, (None, first result) after the second, (case, None).
+    frames: list[tuple] = []
+    t, saved, v, s = term, _RUN, value, state
     while True:
-        if not returning:
-            t = cur
-            if isinstance(t, Comp):
-                kstack.append(("then", t.outer))
-                cur = t.inner
-                continue
-            if isinstance(t, PairSeq):
-                if isinstance(v, Exc):
-                    returning = True
+        exc = isinstance(v, Exc)
+        kind = type(t)
+        if saved is not _RUN:
+            if kind is CaseSeq:
+                if exc:
+                    t, saved = t.on_left, _RUN
                     continue
-                kstack.append(("pair-second", t.second, v))
-                cur = t.first
-                continue
-            if isinstance(t, CaseSeq):
-                if isinstance(v, Exc):
-                    kstack.append(("case-post", t.on_left))
-                    cur = t.on_right
+            elif not exc:
+                if kind is PairSeq:
+                    frames.append((None, v))
+                    t, saved, v = t.second, _RUN, saved
                     continue
-                tag, payload = v
-                if tag == "L":
-                    cur = t.on_left
-                    v = payload
-                    continue
-                kstack.append(("case-post", t.on_left))
-                cur = t.on_right
-                v = payload
-                continue
-            if isinstance(t, Op):
-                symbol = t.symbol
-                if not (isinstance(v, Exc) and symbol.decoration.exc <= 1):
-                    table = interps.get(symbol.name)
-                    if table is None:
-                        raise MissingInterpretation(
-                            f"operation {symbol.name!r} has no interpretation")
-                    try:
-                        v, s = table[(v, s)]
-                    except KeyError:
-                        raise CarrierMismatch(
-                            f"operation {symbol.name!r} undefined on "
-                            f"input {v!r} in state {s!r}") from None
-            elif isinstance(t, Id):
-                pass
-            elif isinstance(t, Proj1):
-                if not isinstance(v, Exc):
-                    v = v[0]
-            elif isinstance(t, Proj2):
-                if not isinstance(v, Exc):
-                    v = v[1]
-            elif isinstance(t, Inj1):
-                if not isinstance(v, Exc):
-                    v = ("L", v)
-            elif isinstance(t, Inj2):
-                if not isinstance(v, Exc):
-                    v = ("R", v)
-            elif isinstance(t, Bang):
-                if not isinstance(v, Exc):
-                    v = UNIT
-            elif isinstance(t, Absurd):
-                if not isinstance(v, Exc):
-                    raise CarrierMismatch(
-                        f"ordinary value {v!r} reached the empty type")
-            elif isinstance(t, Const):
-                if not isinstance(v, Exc):
-                    v = t.value
-            else:
-                raise TypeError(f"not a term: {t!r}")
-            returning = True
+                v = (saved, v)
+        elif kind is Comp:
+            frames.append((t.outer, _RUN))
+            t = t.inner
             continue
-        if not kstack:
-            return Outcome(v, s)
-        frame = kstack.pop()
-        kind = frame[0]
-        if kind == "then":
-            cur = frame[1]
-            returning = False
-        elif kind == "pair-second":
-            if not isinstance(v, Exc):
-                kstack.append(("pair-first-done", v))
-                cur = frame[1]
-                v = frame[2]
-                returning = False
-        elif kind == "pair-first-done":
-            if not isinstance(v, Exc):
-                v = (frame[1], v)
-        elif kind == "case-post":
-            if isinstance(v, Exc):
-                cur = frame[1]
-                returning = False
+        elif kind is Op:
+            if not exc or t.symbol.decoration.exc > 1:
+                try:
+                    v, s = interps[t.symbol.name][(v, s)]
+                except KeyError:
+                    raise _op_error(interps, t.symbol.name, v, s) from None
+        elif kind is PairSeq:
+            if not exc:
+                frames.append((t, v))
+                t = t.first
+                continue
+        elif kind is CaseSeq:
+            if not exc:
+                tag, v = v
+                if tag == "L":
+                    t = t.on_left
+                    continue
+            frames.append((t, None))
+            t = t.on_right
+            continue
+        elif kind in _LEAVES:
+            if not exc:
+                v = _LEAVES[kind](t, v)
         else:
-            raise AssertionError(f"unknown frame {kind!r}")
+            raise TypeError(f"not a term: {t!r}")
+        if not frames:
+            return Outcome(v, s)
+        t, saved = frames.pop()
 
 
 @dataclass(frozen=True)
@@ -379,15 +356,13 @@ def enum_type(size: int) -> ObjType:
     return ty
 
 
-def build_model(theory, carriers: dict[str, tuple],
-                extra_interps: dict[str, dict] | None = None) -> FiniteModel:
+def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
     """Instantiate `theory` over the given carriers.
 
     Every operation the theory declares gets its table from the
     theory's construction recipe (lookups read their state component,
     updates overwrite it, tags wrap, untags match-or-rethrow, plus the
-    pure arithmetic and enumeration families).  `extra_interps`
-    supplies or overrides tables for operations without a recipe.
+    pure arithmetic and enumeration families).
     """
     for base in set(theory.locations.values()) | set(theory.exceptions.values()):
         if base not in carriers:
@@ -401,9 +376,6 @@ def build_model(theory, carriers: dict[str, tuple],
     interps: dict[str, dict] = {}
     exc_values = model.exceptional_values()
     for name, symbol in theory.signature.items():
-        if extra_interps and name in extra_interps:
-            interps[name] = dict(extra_interps[name])
-            continue
         recipe = theory.auto_ops.get(name)
         if recipe is None:
             raise MissingInterpretation(

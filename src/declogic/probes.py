@@ -132,17 +132,20 @@ def _seed_terms(theory: Theory, model: FiniteModel) -> list[DecoratedTerm]:
     return list(dict.fromkeys(seeds))
 
 
+# Each pool of terms of one type pair draws this many random terms of at
+# most this depth, besides the seed terms.
+_RANDOMS_PER_POOL = 10
+_RANDOM_DEPTH = 3
+
+
 class ProbeContext:
     """Shared pools and behavior tables for one theory and model."""
 
     def __init__(self, theory: Theory, model: FiniteModel,
-                 rng: random.Random, depth: int = 3,
-                 randoms_per_pair: int = 10) -> None:
+                 rng: random.Random) -> None:
         self.theory = theory
         self.model = model
         self.rng = rng
-        self.depth = depth
-        self.randoms_per_pair = randoms_per_pair
         self.types: list[ObjType] = type_pool(theory)
         self._seeds = _seed_terms(theory, model)
         self._pools: dict[tuple, list[DecoratedTerm]] = {}
@@ -178,10 +181,10 @@ class ProbeContext:
             return pool
         members = [t for t in self._seeds
                    if t.source == src and t.target == tgt]
-        for _ in range(self.randoms_per_pair):
+        for _ in range(_RANDOMS_PER_POOL):
             try:
                 members.append(random_term(self.rng, self.theory, self.model,
-                                           src, tgt, self.depth))
+                                           src, tgt, _RANDOM_DEPTH))
             except GenerationError:
                 continue
         pool = list(dict.fromkeys(members))

@@ -172,7 +172,7 @@ def parse_script(text: str, signature) -> ProofScript:
             raise ParseError("expected a step line", lineno, 1)
         rest = line[len("step "):]
         head, sep, rest = rest.partition(":")
-        if not sep or not head.strip().isdigit():
+        if not sep or not head.strip().isdecimal():
             raise ParseError("expected 'step <number>:'", lineno, 1)
         number = int(head)
         if number != len(steps) + 1:
@@ -211,7 +211,7 @@ def _parse_premises(body: str, lineno: int) -> tuple[int | str, ...]:
         piece = piece.strip()
         if not piece:
             raise ParseError("empty premise", lineno, 1)
-        premises.append(int(piece) if piece.isdigit() else piece)
+        premises.append(int(piece) if piece.isdecimal() else piece)
     return tuple(premises)
 
 

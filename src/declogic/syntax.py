@@ -196,10 +196,10 @@ def _token_end(text: str, start: int) -> int | None:
     """End of the name or integer at `start`, or None if none starts there.
 
     Names start with a letter or `_` and go on with `str.isalnum`
-    characters; integers are `str.isdigit` runs, optionally after `-`.
-    The regex classes agree with that on ASCII only: a few non-ASCII
-    digits and numerals (such as `²` or `½`) are word characters but no
-    letters, or digits but no decimals.
+    characters; integers are `str.isdecimal` runs, optionally after `-`,
+    so that `int` reads every one.  The regex classes agree with that on
+    ASCII only: a few non-ASCII digits and numerals (such as `²` or `½`)
+    are word characters but no letters, or digits but no decimals.
     """
     ch = text[start]
     end = start + 1
@@ -207,8 +207,8 @@ def _token_end(text: str, start: int) -> int | None:
         while end < len(text) and (text[end].isalnum() or text[end] == "_"):
             end += 1
         return end
-    if ch.isdigit() or (ch == "-" and end < len(text) and text[end].isdigit()):
-        while end < len(text) and text[end].isdigit():
+    if ch.isdecimal() or (ch == "-" and end < len(text) and text[end].isdecimal()):
+        while end < len(text) and text[end].isdecimal():
             end += 1
         return end
     return None
@@ -226,7 +226,7 @@ def _is_name(tok: str) -> bool:
 
 def _is_int(tok: str) -> bool:
     # a lone `-` is an offending character left in by `_scan`
-    return tok[:1].isdigit() or (tok[:1] == "-" and len(tok) > 1)
+    return tok[:1].isdecimal() or (tok[:1] == "-" and len(tok) > 1)
 
 
 _BINARY = {"comp": Comp, "pair": PairSeq, "case": CaseSeq}

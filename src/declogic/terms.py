@@ -33,7 +33,11 @@ class Decoration:
     exc: int
 
     def join(self, other: "Decoration") -> "Decoration":
-        return Decoration(max(self.state, other.state), max(self.exc, other.exc))
+        """The componentwise maximum; one of the nine shared decorations
+        whenever both axes are in range."""
+        key = (max(self.state, other.state), max(self.exc, other.exc))
+        shared = _SHARED.get(key)
+        return shared if shared is not None else Decoration(*key)
 
     def leq(self, other: "Decoration") -> bool:
         return self.state <= other.state and self.exc <= other.exc
@@ -42,7 +46,9 @@ class Decoration:
         return f"({self.state},{self.exc})"
 
 
-PURE = Decoration(0, 0)
+_SHARED = {(state, exc): Decoration(state, exc)
+           for state in range(3) for exc in range(3)}
+PURE = _SHARED[(0, 0)]
 
 
 @dataclass(frozen=True)

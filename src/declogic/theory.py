@@ -256,12 +256,30 @@ def _dual_symbol(symbol: OpSymbol) -> OpSymbol:
 def dualize_term(term: DecoratedTerm, symbol_map: dict[str, OpSymbol]) -> DecoratedTerm:
     """Reverse the arrow: swap products with sums, pairing with case
     analysis, projections with injections, and map each operation to
-    its dual symbol.  Constant points have no dual."""
+    its dual symbol.  Constant points have no dual.  Iterative, so
+    terms of any depth dualize."""
+    done: list[DecoratedTerm] = []
+    # (node, None) dualizes `node`; (None, build) joins the last two results.
+    stack: list[tuple] = [(term, None)]
+    while stack:
+        node, build = stack.pop()
+        if build is not None:
+            second = done.pop()
+            done.append(build(done.pop(), second))
+        elif isinstance(node, Comp):
+            stack += ((None, Comp), (node.outer, None), (node.inner, None))
+        elif isinstance(node, PairSeq):
+            stack += ((None, CaseSeq), (node.second, None), (node.first, None))
+        elif isinstance(node, CaseSeq):
+            stack += ((None, PairSeq), (node.on_right, None), (node.on_left, None))
+        else:
+            done.append(_dualize_leaf(node, symbol_map))
+    return done[0]
+
+
+def _dualize_leaf(term: DecoratedTerm, symbol_map: dict[str, OpSymbol]) -> DecoratedTerm:
     if isinstance(term, Id):
         return Id(dual_type(term.at))
-    if isinstance(term, Comp):
-        return Comp(dualize_term(term.inner, symbol_map),
-                    dualize_term(term.outer, symbol_map))
     if isinstance(term, Op):
         dual = symbol_map.get(term.symbol.name)
         if dual is None:
@@ -275,12 +293,6 @@ def dualize_term(term: DecoratedTerm, symbol_map: dict[str, OpSymbol]) -> Decora
         return Proj1(dual_type(term.left), dual_type(term.right))
     if isinstance(term, Inj2):
         return Proj2(dual_type(term.left), dual_type(term.right))
-    if isinstance(term, PairSeq):
-        return CaseSeq(dualize_term(term.first, symbol_map),
-                       dualize_term(term.second, symbol_map))
-    if isinstance(term, CaseSeq):
-        return PairSeq(dualize_term(term.on_left, symbol_map),
-                       dualize_term(term.on_right, symbol_map))
     if isinstance(term, Bang):
         return Absurd(dual_type(term.at))
     if isinstance(term, Absurd):
@@ -444,7 +456,7 @@ def parse_theory(text: str) -> Theory:
 
     Construction recipes are restored for the four effect families by
     name; other operations parse fine but cannot be instantiated by
-    `build_model` without explicit tables.
+    `build_model`.
     """
     from .syntax import ParseError, parse_at, parse_term, parse_type
     from .terms import Mode as TermMode

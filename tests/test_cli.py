@@ -166,6 +166,23 @@ def test_usage_errors_exit_2(write):
     assert exc.value.code == 2
 
 
+def test_non_decimal_digits_exit_2(write, capsys):
+    model = write("m.model", ST_MODEL)
+    skip = write("skip.imp", "skip")
+    program = write("sq.imp", "x := ²")
+    assert main(["imp-equiv", program, skip, "--model", model]) == 2
+    assert capsys.readouterr().err == \
+        "error: unexpected character '²' (line 1, column 6)\n"
+    term = write("sq.term", "const(², V)")
+    assert main(["check", term, "--theory", model]) == 2
+    assert capsys.readouterr().err == \
+        "error: unexpected character '²' (line 1, column 7)\n"
+    script = write("sq.proof", "goal strong const(², V) = const(0, V)\n")
+    assert main(["prove", script, "--theory", model]) == 2
+    assert capsys.readouterr().err == \
+        "error: unexpected character '²' (line 1, column 19)\n"
+
+
 def test_empty_theory_file_is_input_error(write, capsys):
     empty = write("empty.model", "# nothing here\n")
     assert main(["dualize", "--theory", empty]) == 2

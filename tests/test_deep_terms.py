@@ -1,8 +1,9 @@
 """Deep terms and programs under the interpreter's default recursion limit.
 
 A 100k-node chain `comp(id(V), comp(id(V), ... op(lookup_x)))` must
-parse, print back to the same text, get a canonical key, and go through
-the `check` and `prove` subcommands with their normal exit codes.  A
+parse, print back to the same text, get a canonical key, dualize, and
+go through the `check` and `prove` subcommands with their normal exit
+codes.  A
 100k-statement program must parse, print, elaborate and get a verdict,
 and programs nested deeper than the parser can follow are input errors.
 """
@@ -24,7 +25,7 @@ from declogic.imp import (
 from declogic.model import build_model
 from declogic.syntax import parse_term, print_term
 from declogic.terms import canonical_key, typecheck
-from declogic.theory import states_theory
+from declogic.theory import dualize, dump_theory, parse_theory, states_theory
 
 DEPTH = 50_000  # compositions; with their identities and the op, 100,001 nodes
 CHAIN = "comp(id(V), " * DEPTH + "op(lookup_x)" + ")" * DEPTH
@@ -53,6 +54,16 @@ def test_nested_pairs_parse_print_and_key():
     assert print_term(term) == NESTED_PAIRS
     key = canonical_key(term)
     assert key[0] == "pair" and key[2] == ("op", "lookup_x")
+
+
+def test_dualize_deep_axiom():
+    theory = parse_theory(dump_theory(states_theory({"x": "V"}))
+                          + f"axiom deep : strong {CHAIN} = op(lookup_x)\n")
+    dual = dump_theory(dualize(theory))
+    # comp(id, t) dualizes to comp(dual of t, id), and lookup_x to tag_x
+    mirrored = "comp(" * DEPTH + "op(tag_x)" + ", id(V))" * DEPTH
+    assert f"axiom deep : strong {mirrored} = op(tag_x)" in dual.splitlines()
+    assert dump_theory(dualize(parse_theory(dual))) == dump_theory(theory)
 
 
 def test_check_and_prove_exit_normally(tmp_path, capsys):

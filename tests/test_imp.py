@@ -223,6 +223,8 @@ def test_comments_and_layout():
         "skip }",
         "x := 1 ?",
         "not",
+        "x := ²",
+        "x := ①",
     ],
 )
 def test_parse_errors(source):

@@ -511,6 +511,14 @@ def test_parse_rejects_bad_mode():
         parse_script("goal loose id(unit) = id(unit)\n", ST1.signature)
 
 
+def test_parse_rejects_non_decimal_step_number():
+    text = ("goal weak id(unit) = id(unit)\n"
+            "step ²: refl [] |- weak id(unit) = id(unit)\n")
+    with pytest.raises(ParseError) as info:
+        parse_script(text, ST1.signature)
+    assert (info.value.line, info.value.col) == (2, 1)
+
+
 def test_parse_accepts_unicode_turnstile_and_comments():
     text = ("# annihilation, single location\n"
             "goal weak comp(op(lookup_x), op(update_x)) = id(V)\n"

@@ -122,6 +122,14 @@ class TestTermSyntax:
         with pytest.raises(ParseError):
             parse_term("const(l(0), prod(V, V))", SIGNATURE)
 
+    def test_non_decimal_digits_are_located_errors(self):
+        # `str.isdigit` holds for these, but `int` cannot read them.
+        for digit in ("²", "①"):
+            with pytest.raises(ParseError) as info:
+                parse_term(f"const({digit}, V)", SIGNATURE)
+            assert str(info.value) == (f"unexpected character {digit!r} "
+                                       f"(line 1, column 7)")
+
     def test_comments_in_term_files(self):
         text = "comp( # outer runs second\n  op(update_x),\n  op(lookup_x))"
         t = parse_term(text, SIGNATURE)

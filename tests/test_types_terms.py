@@ -50,6 +50,14 @@ class TestDecoration:
         assert Decoration(1, 0).join(Decoration(0, 2)) == Decoration(1, 2)
         assert Decoration(2, 1).join(Decoration(1, 2)) == Decoration(2, 2)
 
+    def test_join_returns_a_shared_instance(self):
+        joined = Decoration(1, 0).join(Decoration(0, 2))
+        assert joined is Decoration(0, 2).join(Decoration(1, 1))
+        assert joined == Decoration(1, 2) and joined is not Decoration(1, 2)
+        assert PURE.join(PURE) is PURE
+        assert Comp(Op(UPDATE), Op(LOOKUP)).decoration is \
+            Decoration(2, 0).join(PURE)
+
     def test_leq_is_componentwise(self):
         assert Decoration(0, 0).leq(Decoration(2, 2))
         assert Decoration(1, 1).leq(Decoration(1, 1))
