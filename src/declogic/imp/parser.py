@@ -24,9 +24,9 @@ backtracks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from ..syntax import ParseError
+from ..syntax import ParseError, _position
 from .ast import (
     Add,
     AExp,
@@ -70,131 +70,105 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT_PAIRS = (":=", "==", "<=")
-_PUNCT_SINGLE = ";(){}+-*"
+# Layout (blanks, newlines, `#` comments), then a token: punctuation, an
+# integer or an ASCII-led word in group 1, else any other word, or
+# nothing where an offending character or the end of the text comes next.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*"
+                    r"(?:(:=|==|<=|[;(){}+*-]|\d+|[A-Za-z_]\w*)|(\w*))")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "keyword", "int", "punct", "eof"
-    text: str
-    line: int
-    col: int
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    r"""Tokens of `text` and their offsets; the empty token is the end.
+
+    `\d` is exactly `str.isdecimal`, and `\w` exactly `str.isalnum` or
+    `_`, but a name must start with a letter or `_`: a word led by another
+    digit or numeral, such as `²`, is an unexpected character.  The end
+    sits where a comment on the last line starts, since comment
+    characters advance no column.
+    """
+    tokens: list[str] = []
+    offsets: list[int] = []
+    for found in _TOKEN.finditer(text):
+        tok = found[1]
+        if tok is None:
+            tok = found[2]
+            if not tok[:1].isalpha():
+                break
+        tokens.append(tok)
+        offsets.append(found.end() - len(tok))
+    offset = found.start(2)
+    if offset < len(text):
+        raise ParseError(f"unexpected character {text[offset]!r}",
+                         *_position(text, offset))
+    comment = text.find("#", text.rfind("\n") + 1)
+    tokens.append("")
+    offsets.append(len(text) if comment < 0 else comment)
+    return tokens, offsets
 
 
-def _scan(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text[i : i + 2] in _PUNCT_PAIRS:
-            tokens.append(_Token("punct", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-        elif ch in _PUNCT_SINGLE:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "name"
-            tokens.append(_Token(kind, word, line, col))
-            col += i - start
-        elif ch.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            tokens.append(_Token("int", text[start:i], line, col))
-            col += i - start
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _is_name(tok: str) -> bool:
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _scan(text)
+        self.text = text
+        self.tokens, self.offsets = _scan(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message,
+                          *_position(self.text, self.offsets[self.pos]))
 
-    def at(self, kind: str, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and tok.text == text
-
-    def take(self, kind: str, text: str) -> bool:
-        if self.at(kind, text):
-            self.advance()
+    def take(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, kind: str, text: str) -> None:
-        if not self.take(kind, text):
+    def expect(self, text: str) -> None:
+        if not self.take(text):
             raise self.fail(f"expected {text!r}")
 
     def expect_name(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "name":
+        if not _is_name(tok):
             raise self.fail(f"expected {what}")
-        self.advance()
-        return tok.text
+        self.pos += 1
+        return tok
 
     # -- arithmetic
 
     def parse_aexp(self) -> AExp:
         expr = self.parse_aterm()
         while True:
-            if self.take("punct", "+"):
+            if self.take("+"):
                 expr = Add(expr, self.parse_aterm())
-            elif self.take("punct", "-"):
+            elif self.take("-"):
                 expr = Sub(expr, self.parse_aterm())
             else:
                 return expr
 
     def parse_aterm(self) -> AExp:
         expr = self.parse_afactor()
-        while self.take("punct", "*"):
+        while self.take("*"):
             expr = Mul(expr, self.parse_afactor())
         return expr
 
     def parse_afactor(self) -> AExp:
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Lit(int(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            return Loc(tok.text)
-        if self.take("punct", "("):
+        if tok[:1].isdecimal():
+            self.pos += 1
+            return Lit(int(tok))
+        if _is_name(tok):
+            self.pos += 1
+            return Loc(tok)
+        if self.take("("):
             expr = self.parse_aexp()
-            self.expect("punct", ")")
+            self.expect(")")
             return expr
         raise self.fail("expected an arithmetic expression")
 
@@ -202,21 +176,21 @@ class _Parser:
 
     def parse_bexp(self) -> BExp:
         left = self.parse_bnot()
-        if self.take("keyword", "and"):
+        if self.take("and"):
             return And(left, self.parse_bexp())
         return left
 
     def parse_bnot(self) -> BExp:
-        if self.take("keyword", "not"):
+        if self.take("not"):
             return Not(self.parse_bnot())
         return self.parse_batom()
 
     def parse_batom(self) -> BExp:
-        if self.take("keyword", "true"):
+        if self.take("true"):
             return BTrue()
-        if self.take("keyword", "false"):
+        if self.take("false"):
             return BFalse()
-        if self.at("punct", "("):
+        if self.peek() == "(":
             # Ambiguous: the parenthesis may open a comparison operand
             # or a whole boolean.  Try the comparison, then backtrack.
             mark = self.pos
@@ -224,17 +198,17 @@ class _Parser:
                 return self.parse_comparison()
             except ParseError:
                 self.pos = mark
-            self.expect("punct", "(")
+            self.expect("(")
             inner = self.parse_bexp()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
         return self.parse_comparison()
 
     def parse_comparison(self) -> BExp:
         left = self.parse_aexp()
-        if self.take("punct", "=="):
+        if self.take("=="):
             return Eq(left, self.parse_aexp())
-        if self.take("punct", "<="):
+        if self.take("<="):
             return Le(left, self.parse_aexp())
         raise self.fail("expected '==' or '<='")
 
@@ -242,7 +216,7 @@ class _Parser:
 
     def parse_command(self) -> Command:
         firsts = [self.parse_simple()]
-        while self.take("punct", ";"):
+        while self.take(";"):
             firsts.append(self.parse_simple())
         cmd = firsts.pop()
         for first in reversed(firsts):
@@ -250,45 +224,45 @@ class _Parser:
         return cmd
 
     def parse_block(self) -> Command:
-        self.expect("punct", "{")
+        self.expect("{")
         body = self.parse_command()
-        self.expect("punct", "}")
+        self.expect("}")
         return body
 
     def parse_simple(self) -> Command:
-        if self.take("keyword", "skip"):
+        if self.take("skip"):
             return Skip()
-        if self.take("keyword", "if"):
+        if self.take("if"):
             cond = self.parse_bexp()
-            self.expect("keyword", "then")
+            self.expect("then")
             then_branch = self.parse_block()
-            self.expect("keyword", "else")
+            self.expect("else")
             else_branch = self.parse_block()
             return If(cond, then_branch, else_branch)
-        if self.take("keyword", "while"):
+        if self.take("while"):
             cond = self.parse_bexp()
-            self.expect("keyword", "do")
+            self.expect("do")
             return While(cond, self.parse_block())
-        if self.take("keyword", "throw"):
+        if self.take("throw"):
             name = self.expect_name("an exception name")
-            self.expect("punct", "(")
+            self.expect("(")
             payload = self.parse_aexp()
-            self.expect("punct", ")")
+            self.expect(")")
             return Throw(name, payload)
-        if self.take("keyword", "try"):
+        if self.take("try"):
             body = self.parse_block()
             clauses = []
-            while self.take("keyword", "catch"):
+            while self.take("catch"):
                 exc = self.expect_name("an exception name")
-                self.expect("punct", "(")
+                self.expect("(")
                 binder = self.expect_name("a binder name")
-                self.expect("punct", ")")
+                self.expect(")")
                 clauses.append(Clause(exc, binder, self.parse_block()))
             if not clauses:
                 raise self.fail("expected at least one catch clause")
             return TryCatch(body, tuple(clauses))
         target = self.expect_name("a command")
-        self.expect("punct", ":=")
+        self.expect(":=")
         return Assign(target, self.parse_aexp())
 
 
@@ -298,7 +272,7 @@ def _parse_all(text: str, rule) -> object:
         result = rule(parser)
     except RecursionError:
         raise parser.fail("input nests too deeply to parse") from None
-    if parser.peek().kind != "eof":
+    if parser.peek():
         raise parser.fail("unexpected trailing input")
     return result
 

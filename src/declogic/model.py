@@ -188,52 +188,60 @@ def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> O
     # first half, (None, first result) after the second, (case, None).
     frames: list[tuple] = []
     t, saved, v, s = term, _RUN, value, state
-    while True:
-        exc = isinstance(v, Exc)
-        kind = type(t)
-        if saved is not _RUN:
-            if kind is CaseSeq:
-                if exc:
-                    t, saved = t.on_left, _RUN
-                    continue
-            elif not exc:
-                if kind is PairSeq:
-                    frames.append((None, v))
-                    t, saved, v = t.second, _RUN, saved
-                    continue
-                v = (saved, v)
-        elif kind is Comp:
-            frames.append((t.outer, _RUN))
-            t = t.inner
-            continue
-        elif kind is Op:
-            if not exc or t.symbol.decoration.exc > 1:
-                try:
-                    v, s = interps[t.symbol.name][(v, s)]
-                except KeyError:
-                    raise _op_error(interps, t.symbol.name, v, s) from None
-        elif kind is PairSeq:
-            if not exc:
-                frames.append((t, v))
-                t = t.first
+    try:
+        while True:
+            exc = isinstance(v, Exc)
+            kind = type(t)
+            if saved is not _RUN:
+                if kind is CaseSeq:
+                    if exc:
+                        t, saved = t.on_left, _RUN
+                        continue
+                elif not exc:
+                    if kind is PairSeq:
+                        frames.append((None, v))
+                        t, saved, v = t.second, _RUN, saved
+                        continue
+                    v = (saved, v)
+            elif kind is Comp:
+                frames.append((t.outer, _RUN))
+                t = t.inner
                 continue
-        elif kind is CaseSeq:
-            if not exc:
-                tag, v = v
-                if tag == "L":
-                    t = t.on_left
+            elif kind is Op:
+                if not exc or t.symbol.decoration.exc > 1:
+                    try:
+                        v, s = interps[t.symbol.name][(v, s)]
+                    except KeyError:
+                        raise _op_error(interps, t.symbol.name, v, s) from None
+            elif kind is PairSeq:
+                if not exc:
+                    frames.append((t, v))
+                    t = t.first
                     continue
-            frames.append((t, None))
-            t = t.on_right
-            continue
-        elif kind in _LEAVES:
-            if not exc:
-                v = _LEAVES[kind](t, v)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        if not frames:
-            return Outcome(v, s)
-        t, saved = frames.pop()
+            elif kind is CaseSeq:
+                if not exc:
+                    tag, v = v
+                    if tag == "L":
+                        t = t.on_left
+                        continue
+                frames.append((t, None))
+                t = t.on_right
+                continue
+            elif kind in _LEAVES:
+                if not exc:
+                    v = _LEAVES[kind](t, v)
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            if not frames:
+                return Outcome(v, s)
+            t, saved = frames.pop()
+    except (TypeError, ValueError, IndexError):
+        # Only an input off the carrier fails inside a projection or a
+        # case split; converting here keeps the loop free of checks.
+        if kind not in (Proj1, Proj2, CaseSeq):
+            raise
+        raise CarrierMismatch(f"{kind.__name__} undefined on input {v!r} "
+                              f"in state {s!r}") from None
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ Premise pools mix seeded terms (readers, writers, throwers, catchers,
 and their weakly-but-not-strongly equal combinations) with random
 terms, bucketed by their full and by their value-only behavior tables
 so that equal pairs of either strength can be drawn directly.
+
+Each mirror pair of samplers is written once, as the checkers in
+`declogic.rules` are: in the pair/state reading, run over `STATE` or
+`EXC`, with `_arrow` turning each drawn arrow around on `EXC`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .generate import GenerationError, random_term, type_pool
@@ -38,25 +43,11 @@ from .model import (
     enumerate_points,
     eval_term,
 )
-from .rules import RULES, RuleError, _obs_family, check_rule
-from .terms import (
-    Absurd,
-    Bang,
-    CaseSeq,
-    Comp,
-    Const,
-    DecoratedTerm,
-    Equation,
-    Id,
-    Inj1,
-    Inj2,
-    Mode,
-    PairSeq,
-    Proj1,
-    Proj2,
-)
+from .rules import (EXC, RULES, STATE, Axis, RuleError, _obs_family,
+                    check_rule, dual_name)
+from .terms import Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id, Mode
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
-from .types import EMPTY_T, UNIT_T, ObjType
+from .types import UNIT_T, ObjType
 
 
 @dataclass(frozen=True)
@@ -309,34 +300,6 @@ def _s_strong_to_weak(ctx):
     return [Equation(Mode.STRONG, f, g)], Equation(Mode.WEAK, f, g)
 
 
-def _s_subs(ctx):
-    mode = ctx.mode()
-    got = ctx.pair_anywhere(mode, prefer_weak_only=True)
-    if got is None:
-        return None
-    f, g, src, _ = got
-    inner_src = ctx.some_type()
-    h = ctx.rand(inner_src, src, prefer_effectful=ctx.rng.random() < 0.5)
-    if h is None:
-        return None
-    return ([Equation(mode, f, g)],
-            Equation(mode, Comp(f, h), Comp(g, h)))
-
-
-def _s_repl(ctx):
-    mode = ctx.mode()
-    got = ctx.pair_anywhere(mode, prefer_weak_only=True)
-    if got is None:
-        return None
-    f, g, _, tgt = got
-    outer_tgt = ctx.some_type()
-    h = ctx.rand(tgt, outer_tgt, prefer_effectful=ctx.rng.random() < 0.5)
-    if h is None:
-        return None
-    return ([Equation(mode, f, g)],
-            Equation(mode, Comp(h, f), Comp(h, g)))
-
-
 def _s_effect(ctx):
     got = ctx.pair_anywhere(Mode.WEAK, prefer_weak_only=True)
     if got is None:
@@ -357,11 +320,31 @@ def _s_obs(ctx):
     return premises, Equation(Mode.STRONG, f, g)
 
 
-def _s_pair_cong(ctx):
+def _arrow(axis: Axis, a: ObjType, b: ObjType) -> tuple[ObjType, ObjType]:
+    """(source, target) of the arrow a -> b of the pair/state reading."""
+    return (b, a) if axis.flipped else (a, b)
+
+
+def _s_subs(axis, ctx):
+    mode = ctx.mode()
+    got = ctx.pair_anywhere(mode, prefer_weak_only=True)
+    if got is None:
+        return None
+    f, g, _, _ = got
+    inner_src = ctx.some_type()
+    h = ctx.rand(*_arrow(axis, inner_src, axis.src(f)),
+                 prefer_effectful=ctx.rng.random() < 0.5)
+    if h is None:
+        return None
+    return ([Equation(mode, f, g)],
+            Equation(mode, axis.comp(f, h), axis.comp(g, h)))
+
+
+def _s_cong(axis, ctx):
     a, b, c = ctx.some_type(), ctx.some_type(), ctx.some_type()
     m1, m2 = ctx.mode(), ctx.mode()
-    first = ctx.equal_pair(a, b, m1)
-    second = ctx.equal_pair(a, c, m2)
+    first = ctx.equal_pair(*_arrow(axis, a, b), m1)
+    second = ctx.equal_pair(*_arrow(axis, a, c), m2)
     if first is None or second is None:
         return None
     f, f2 = first
@@ -369,181 +352,98 @@ def _s_pair_cong(ctx):
     both_strong = m1 is Mode.STRONG and m2 is Mode.STRONG
     cmode = Mode.STRONG if both_strong and ctx.rng.random() < 0.7 else Mode.WEAK
     return ([Equation(m1, f, f2), Equation(m2, g, g2)],
-            Equation(cmode, PairSeq(f, g), PairSeq(f2, g2)))
+            Equation(cmode, axis.pair(f, g), axis.pair(f2, g2)))
 
 
-def _s_case_cong(ctx):
-    a, b, c = ctx.some_type(), ctx.some_type(), ctx.some_type()
-    m1, m2 = ctx.mode(), ctx.mode()
-    first = ctx.equal_pair(a, c, m1)
-    second = ctx.equal_pair(b, c, m2)
-    if first is None or second is None:
+def _s_unit_weak(axis, ctx):
+    if axis.unit not in ctx.types:
         return None
-    f, f2 = first
-    g, g2 = second
-    both_strong = m1 is Mode.STRONG and m2 is Mode.STRONG
-    cmode = Mode.STRONG if both_strong and ctx.rng.random() < 0.7 else Mode.WEAK
-    return ([Equation(m1, f, f2), Equation(m2, g, g2)],
-            Equation(cmode, CaseSeq(f, g), CaseSeq(f2, g2)))
-
-
-def _s_unit_weak(ctx):
-    a = ctx.some_type()
-    f, g = ctx.rand(a, UNIT_T), ctx.rand(a, UNIT_T)
+    arrow = _arrow(axis, ctx.some_type(), axis.unit)
+    f, g = ctx.rand(*arrow), ctx.rand(*arrow)
     if f is None or g is None:
         return None
     return [], Equation(Mode.WEAK, f, g)
 
 
-def _s_empty_weak(ctx):
-    if EMPTY_T not in ctx.types:
-        return None
-    b = ctx.some_type()
-    f, g = ctx.rand(EMPTY_T, b), ctx.rand(EMPTY_T, b)
-    if f is None or g is None:
-        return None
-    return [], Equation(Mode.WEAK, f, g)
-
-
-def _pick_fg(ctx, prefer_effectful_second=True):
+def _s_proj(axis, ctx, i):
+    """Projection `i` (0 or 1) of a pairing; the discarded component is
+    the one drawn effectful."""
     a, b, c = ctx.some_type(), ctx.some_type(), ctx.some_type()
-    f = ctx.rand(a, b)
-    g = ctx.rand(a, c, prefer_effectful=(prefer_effectful_second
-                                         and ctx.rng.random() < 0.5))
-    if f is None or g is None:
+    kept = ctx.rand(*_arrow(axis, a, b))
+    discarded = ctx.rand(*_arrow(axis, a, c),
+                         prefer_effectful=ctx.rng.random() < 0.5)
+    if kept is None or discarded is None:
         return None
-    return f, g
+    parts = (kept, discarded) if i == 0 else (discarded, kept)
+    proj = axis.proj[i](*map(axis.tgt, parts))
+    lhs = axis.comp(proj, axis.pair(*parts))
+    return [], Equation(ctx.mode(), lhs, kept)
 
 
-def _s_pair_proj_1(ctx):
-    got = _pick_fg(ctx)
-    if got is None:
+def _s_bang_2(axis, ctx):
+    if axis.unit not in ctx.types:
         return None
-    f, g = got
-    lhs = Comp(Proj1(f.target, g.target), PairSeq(f, g))
-    return [], Equation(ctx.mode(), lhs, f)
-
-
-def _s_pair_proj_2(ctx):
-    got = _pick_fg(ctx)
-    if got is None:
-        return None
-    g, f = got
-    lhs = Comp(Proj2(f.target, g.target), PairSeq(f, g))
-    return [], Equation(ctx.mode(), lhs, g)
-
-
-def _s_case_inj_1(ctx):
-    a, b, c = ctx.some_type(), ctx.some_type(), ctx.some_type()
-    f = ctx.rand(a, c)
-    g = ctx.rand(b, c, prefer_effectful=ctx.rng.random() < 0.5)
-    if f is None or g is None:
-        return None
-    lhs = Comp(CaseSeq(f, g), Inj1(a, b))
-    return [], Equation(ctx.mode(), lhs, f)
-
-
-def _s_case_inj_2(ctx):
-    a, b, c = ctx.some_type(), ctx.some_type(), ctx.some_type()
-    f = ctx.rand(a, c, prefer_effectful=ctx.rng.random() < 0.5)
-    g = ctx.rand(b, c)
-    if f is None or g is None:
-        return None
-    lhs = Comp(CaseSeq(f, g), Inj2(a, b))
-    return [], Equation(ctx.mode(), lhs, g)
-
-
-def _s_pair_bang_2(ctx):
     a = ctx.some_type()
-    kept = ctx.rand(a, UNIT_T, prefer_effectful=ctx.rng.random() < 0.5)
+    kept = ctx.rand(*_arrow(axis, a, axis.unit),
+                    prefer_effectful=ctx.rng.random() < 0.5)
     if kept is None:
         return None
-    lhs = Comp(Proj2(UNIT_T, UNIT_T), PairSeq(kept, Bang(a)))
+    lhs = axis.comp(axis.proj[1](axis.unit, axis.unit),
+                    axis.pair(kept, axis.bang(a)))
     return [], Equation(ctx.mode(), lhs, kept)
 
 
-def _s_case_absurd_2(ctx):
-    if EMPTY_T not in ctx.types:
-        return None
-    b = ctx.some_type()
-    kept = ctx.rand(EMPTY_T, b, prefer_effectful=ctx.rng.random() < 0.5)
-    if kept is None:
-        return None
-    lhs = Comp(CaseSeq(kept, Absurd(b)), Inj2(EMPTY_T, EMPTY_T))
-    return [], Equation(ctx.mode(), lhs, kept)
-
-
-def _s_pair_fuse_2(ctx):
+def _s_fuse_2(axis, ctx):
     a, b, c, d = (ctx.some_type() for _ in range(4))
-    f = ctx.rand(a, b, prefer_effectful=ctx.rng.random() < 0.5)
-    g = ctx.rand(a, c)
-    h = ctx.rand(c, d, prefer_effectful=ctx.rng.random() < 0.5)
+    f = ctx.rand(*_arrow(axis, a, b),
+                 prefer_effectful=ctx.rng.random() < 0.5)
+    g = ctx.rand(*_arrow(axis, a, c))
+    h = ctx.rand(*_arrow(axis, c, d),
+                 prefer_effectful=ctx.rng.random() < 0.5)
     if f is None or g is None or h is None:
         return None
-    lhs = Comp(h, Comp(Proj2(b, c), PairSeq(f, g)))
-    rhs = Comp(Proj2(b, d), PairSeq(f, Comp(h, g)))
+    lhs = axis.comp(h, axis.comp(axis.proj[1](axis.tgt(f), axis.tgt(g)),
+                                 axis.pair(f, g)))
+    rhs = axis.comp(axis.proj[1](axis.tgt(f), axis.tgt(h)),
+                    axis.pair(f, axis.comp(h, g)))
     return [], Equation(ctx.mode(), lhs, rhs)
 
 
-def _s_case_fuse_2(ctx):
+def _s_comp(axis, ctx):
     a, b, c, d = (ctx.some_type() for _ in range(4))
-    f = ctx.rand(b, c, prefer_effectful=ctx.rng.random() < 0.5)
-    g = ctx.rand(a, c)
-    h = ctx.rand(d, a, prefer_effectful=ctx.rng.random() < 0.5)
+    f = ctx.rand(*_arrow(axis, a, b),
+                 prefer_effectful=ctx.rng.random() < 0.5)
+    g = ctx.rand(*_arrow(axis, a, c))
+    h = ctx.rand(*_arrow(axis, d, a),
+                 prefer_effectful=ctx.rng.random() < 0.5)
     if f is None or g is None or h is None:
         return None
-    lhs = Comp(CaseSeq(f, g), Comp(Inj2(b, a), h))
-    rhs = Comp(CaseSeq(f, Comp(g, h)), Inj2(b, d))
+    lhs = axis.comp(axis.pair(f, g), h)
+    rhs = axis.pair(axis.comp(f, h), axis.comp(g, h))
     return [], Equation(ctx.mode(), lhs, rhs)
 
 
-def _s_pair_comp(ctx):
-    a, b, c, d = (ctx.some_type() for _ in range(4))
-    f = ctx.rand(a, b, prefer_effectful=ctx.rng.random() < 0.5)
-    g = ctx.rand(a, c)
-    h = ctx.rand(d, a, prefer_effectful=ctx.rng.random() < 0.5)
-    if f is None or g is None or h is None:
-        return None
-    lhs = Comp(PairSeq(f, g), h)
-    rhs = PairSeq(Comp(f, h), Comp(g, h))
-    return [], Equation(ctx.mode(), lhs, rhs)
-
-
-def _s_case_comp(ctx):
-    a, b, c, d = (ctx.some_type() for _ in range(4))
-    f = ctx.rand(a, c, prefer_effectful=ctx.rng.random() < 0.5)
-    g = ctx.rand(b, c)
-    h = ctx.rand(c, d, prefer_effectful=ctx.rng.random() < 0.5)
-    if f is None or g is None or h is None:
-        return None
-    lhs = Comp(h, CaseSeq(f, g))
-    rhs = CaseSeq(Comp(h, f), Comp(h, g))
-    return [], Equation(ctx.mode(), lhs, rhs)
-
+_MIRRORED: dict[str, Callable] = {
+    "subs": _s_subs,
+    "pair-cong": _s_cong,
+    "unit-weak": _s_unit_weak,
+    "pair-proj-1": partial(_s_proj, i=0),
+    "pair-proj-2": partial(_s_proj, i=1),
+    "pair-bang-2": _s_bang_2,
+    "pair-fuse-2": _s_fuse_2,
+    "pair-comp": _s_comp,
+}
 
 _SAMPLERS: dict[str, Callable] = {
     "refl": _s_refl,
     "sym": _s_sym,
     "trans": _s_trans,
     "strong-to-weak": _s_strong_to_weak,
-    "subs": _s_subs,
-    "repl": _s_repl,
     "effect": _s_effect,
     "obs": _s_obs,
-    "pair-cong": _s_pair_cong,
-    "case-cong": _s_case_cong,
-    "unit-weak": _s_unit_weak,
-    "empty-weak": _s_empty_weak,
-    "pair-proj-1": _s_pair_proj_1,
-    "pair-proj-2": _s_pair_proj_2,
-    "case-inj-1": _s_case_inj_1,
-    "case-inj-2": _s_case_inj_2,
-    "pair-bang-2": _s_pair_bang_2,
-    "case-absurd-2": _s_case_absurd_2,
-    "pair-fuse-2": _s_pair_fuse_2,
-    "case-fuse-2": _s_case_fuse_2,
-    "pair-comp": _s_pair_comp,
-    "case-comp": _s_case_comp,
+    **{name: partial(sampler, STATE) for name, sampler in _MIRRORED.items()},
+    **{dual_name(name): partial(sampler, EXC)
+       for name, sampler in _MIRRORED.items()},
 }
 
 assert set(_SAMPLERS) == set(RULES)

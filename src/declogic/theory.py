@@ -505,6 +505,9 @@ def parse_theory(text: str) -> Theory:
                 decoration = Decoration(int(state_text), int(exc_text))
             except ValueError:
                 raise ParseError("decoration must look like (1,0)", lineno, 1) from None
+            if not (0 <= decoration.state <= 2 and 0 <= decoration.exc <= 2):
+                raise ParseError("decoration levels must be 0, 1 or 2",
+                                 lineno, end_col - len(dec_text))
             signature[name] = OpSymbol(
                 name, parse_at(parse_type, src_text, lineno, src_col),
                 parse_at(parse_type, tgt_text, lineno,

@@ -183,6 +183,15 @@ def test_non_decimal_digits_exit_2(write, capsys):
         "error: unexpected character '²' (line 1, column 19)\n"
 
 
+def test_decoration_out_of_range_exits_2(write, capsys):
+    theory = write("bad.theory", "theory states\nlocation x : V\n"
+                   "op lookup_x : unit -> V @ (7,-1)\n")
+    term = write("t.term", "op(lookup_x)")
+    assert main(["check", term, "--theory", theory]) == 2
+    assert capsys.readouterr().err == ("error: decoration levels must be 0, "
+                                       "1 or 2 (line 3, column 27)\n")
+
+
 def test_empty_theory_file_is_input_error(write, capsys):
     empty = write("empty.model", "# nothing here\n")
     assert main(["dualize", "--theory", empty]) == 2

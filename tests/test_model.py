@@ -35,6 +35,7 @@ from declogic.terms import (
     Op,
     PairSeq,
     Proj1,
+    Proj2,
     shield,
 )
 from declogic.theory import (
@@ -142,6 +143,27 @@ class TestEvalBasics:
         theory, model = st1
         with pytest.raises(CarrierMismatch):
             eval_term(update_op(theory, "x"), model, 7, (0,))
+
+    @pytest.mark.parametrize("term, value", [
+        (Proj1(V, V), 3),
+        (Proj2(V, V), (0,)),
+        (Comp(Id(V), Proj1(V, V)), 3),
+        (CaseSeq(Id(V), Id(V)), 3),
+        (CaseSeq(Id(V), Id(V)), ("L", 0, 1)),
+    ])
+    def test_off_carrier_input_names_node_and_input(self, st1, term, value):
+        _, model = st1
+        kind = "CaseSeq" if isinstance(term, CaseSeq) else "Proj"
+        with pytest.raises(CarrierMismatch) as info:
+            eval_term(term, model, value, (0,))
+        assert str(info.value).startswith(kind)
+        assert f"undefined on input {value!r} in state (0,)" in str(info.value)
+
+    def test_non_term_keeps_its_type_error(self, st1):
+        _, model = st1
+        with pytest.raises(TypeError) as info:
+            eval_term("junk", model, UNIT, (0,))
+        assert str(info.value) == "not a term: 'junk'"
 
 
 class TestExceptionRouting:

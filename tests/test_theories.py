@@ -254,6 +254,10 @@ class TestTheoryDump:
         ("obs ", ", op(lookup_y)", ", op(lookup_z)", "op(lookup_z)",
          "operation 'lookup_z' is not declared"),
         ("op update_y ", "V -> unit", "V -> prod(unit", " @", "expected ','"),
+        ("op lookup_x ", "@ (1,0)", "@ (7,-1)", "(7,-1)",
+         "decoration levels must be 0, 1 or 2"),
+        ("op update_x ", "@ (2,0)", "@ (2,3)", "(2,3)",
+         "decoration levels must be 0, 1 or 2"),
     ])
     def test_parse_errors_give_file_line_and_column(self, head, old, new, at,
                                                     message):
