@@ -148,19 +148,29 @@ class TryCatch(Command):
 
 # Precedence levels for printing: additive 0, multiplicative 1, atom 2.
 
+_OPERATORS = {Add: ("+", 0), Sub: ("-", 0), Mul: ("*", 1)}
+
+
 def print_aexp(expr: AExp, prec: int = 0) -> str:
-    if isinstance(expr, Lit):
-        return str(expr.value)
-    if isinstance(expr, Loc):
-        return expr.name
-    if isinstance(expr, (Add, Sub)):
-        sign = "+" if isinstance(expr, Add) else "-"
-        text = f"{print_aexp(expr.left, 0)} {sign} {print_aexp(expr.right, 1)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(expr, Mul):
-        text = f"{print_aexp(expr.left, 1)} * {print_aexp(expr.right, 2)}"
-        return f"({text})" if prec > 1 else text
-    raise TypeError(f"not an arithmetic expression: {expr!r}")
+    """Iterative, so sums of any length print."""
+    out: list[str] = []
+    stack: list = [(expr, prec)]  # and strings, emitted as they are
+    while stack:
+        item = stack.pop()
+        node = item if isinstance(item, str) else item[0]
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Lit):
+            out.append(str(node.value))
+        elif isinstance(node, Loc):
+            out.append(node.name)
+        elif type(node) in _OPERATORS:
+            sign, level = _OPERATORS[type(node)]
+            close, open_ = (")", "(") if item[1] > level else ("", "")
+            stack += (close, (node.right, level + 1), f" {sign} ", (node.left, level), open_)
+        else:
+            raise TypeError(f"not an arithmetic expression: {node!r}")
+    return "".join(out)
 
 
 # Boolean precedence: conjunction 0, negation 1, atom 2.

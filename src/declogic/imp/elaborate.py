@@ -110,7 +110,6 @@ def build_imp_theory(
     theory = combine(st, ex)
 
     symbols: list[OpSymbol] = []
-    recipes: dict[str, tuple] = {}
     pure = Decoration(0, 0)
     bases = dict.fromkeys(list(locations.values()) + list(exceptions.values()))
     for base in bases:
@@ -123,13 +122,10 @@ def build_imp_theory(
         pair = Prod(b, b)
         for kind in ("add", "sub", "mul"):
             symbols.append(OpSymbol(f"{kind}_{base}", pair, b, pure))
-            recipes[f"{kind}_{base}"] = (kind, base)
         for kind in ("eq", "le"):
             symbols.append(OpSymbol(f"{kind}_{base}", pair, BOOL_T, pure))
-            recipes[f"{kind}_{base}"] = (kind, base)
         symbols.append(OpSymbol(f"enum_{base}", b, enum_type(size), pure))
-        recipes[f"enum_{base}"] = ("enum", base)
-    return extend_theory(theory, symbols, recipes)
+    return extend_theory(theory, symbols)
 
 
 def carrier_sizes(theory: Theory) -> dict[str, int]:
@@ -159,10 +155,13 @@ _Binders = "dict[str, tuple[int, str]]"
 
 
 def _first_name(expr: AExp) -> str | None:
-    if isinstance(expr, Loc):
-        return expr.name
-    if isinstance(expr, (Add, Sub, Mul)):
-        return _first_name(expr.left) or _first_name(expr.right)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Loc):
+            return node.name
+        if isinstance(node, (Add, Sub, Mul)):
+            stack += (node.right, node.left)
     return None
 
 
@@ -186,29 +185,39 @@ def _comparison_base(left: AExp, right: AExp, theory: Theory,
     )
 
 
+_ARITH_KIND = {Add: "add", Sub: "sub", Mul: "mul"}
+
+
 def _aexp(expr: AExp, base: str, theory: Theory,
           sizes: dict[str, int], binders) -> DecoratedTerm:
-    if isinstance(expr, Lit):
-        if not 0 <= expr.value < sizes[base]:
-            raise ElaborationError(
-                f"literal {expr.value} outside 0..{sizes[base] - 1} for base {base!r}"
-            )
-        return Const(expr.value, Base(base))
-    if isinstance(expr, Loc):
-        found = _name_base(expr.name, theory, binders)
-        if found != base:
-            raise ElaborationError(
-                f"{expr.name!r} holds {found!r} values where {base!r} is needed"
-            )
-        if expr.name in binders:
-            return Const(binders[expr.name][0], Base(base))
-        return lookup_op(theory, expr.name)
-    if isinstance(expr, (Add, Sub, Mul)):
-        kind = {Add: "add", Sub: "sub", Mul: "mul"}[type(expr)]
-        left = _aexp(expr.left, base, theory, sizes, binders)
-        right = _aexp(expr.right, base, theory, sizes, binders)
-        return Comp(Op(theory.signature[f"{kind}_{base}"]), PairSeq(left, right))
-    raise TypeError(f"not an arithmetic expression: {expr!r}")
+    """Iterative, left operands first, so sums of any length elaborate.
+    An op name on the stack joins the last two results under that op."""
+    done: list[DecoratedTerm] = []
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            right = done.pop()
+            done.append(Comp(Op(theory.signature[node]), PairSeq(done.pop(), right)))
+        elif type(node) in _ARITH_KIND:
+            stack += (f"{_ARITH_KIND[type(node)]}_{base}", node.right, node.left)
+        elif isinstance(node, Lit):
+            if not 0 <= node.value < sizes[base]:
+                raise ElaborationError(
+                    f"literal {node.value} outside 0..{sizes[base] - 1} for base {base!r}"
+                )
+            done.append(Const(node.value, Base(base)))
+        elif isinstance(node, Loc):
+            found = _name_base(node.name, theory, binders)
+            if found != base:
+                raise ElaborationError(
+                    f"{node.name!r} holds {found!r} values where {base!r} is needed"
+                )
+            done.append(Const(binders[node.name][0], Base(base)) if node.name in binders
+                        else lookup_op(theory, node.name))
+        else:
+            raise TypeError(f"not an arithmetic expression: {node!r}")
+    return done[0]
 
 
 def _bexp(expr: BExp, theory: Theory, sizes: dict[str, int], binders) -> DecoratedTerm:
@@ -241,17 +250,20 @@ def _nested_sum(slots: list[ObjType]) -> ObjType:
 
 def _inject(slots: list[ObjType], index: int) -> DecoratedTerm:
     """Injection of slot `index` into the right-nested sum of `slots`."""
-    if len(slots) == 1:
-        return Id(slots[0])
-    if index == 0:
-        return Inj1(slots[0], _nested_sum(slots[1:]))
-    return Comp(Inj2(slots[0], _nested_sum(slots[1:])), _inject(slots[1:], index - 1))
+    if index == len(slots) - 1:
+        term = Id(slots[index])
+    else:
+        term = Inj1(slots[index], _nested_sum(slots[index + 1:]))
+    for k in reversed(range(index)):
+        term = Comp(Inj2(slots[k], _nested_sum(slots[k + 1:])), term)
+    return term
 
 
 def _case_tree(branches: list[DecoratedTerm]) -> DecoratedTerm:
-    if len(branches) == 1:
-        return branches[0]
-    return CaseSeq(branches[0], _case_tree(branches[1:]))
+    tree = branches[-1]
+    for branch in reversed(branches[:-1]):
+        tree = CaseSeq(branch, tree)
+    return tree
 
 
 def _free_names(root: Command, names: dict) -> tuple[str, ...]:

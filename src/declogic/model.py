@@ -16,6 +16,10 @@ runs its right branch, and when that gives an exceptional value, it
 applies the left branch to that value.  An exceptional input is
 handed to the right branch as it is, and the same rule follows.
 
+Each operation is interpreted from its name `family_arg` alone (see
+`build_model`), and its table fills on first use, so a check builds
+only the entries it reads.
+
 Strong equality compares full outcomes on every input (ordinary and
 exceptional) and every state.  Weak equality compares only the result
 value (with its exceptional identity) on ordinary inputs, ignoring the
@@ -101,9 +105,9 @@ class FiniteModel:
 
     `carriers` maps base type names to ordered tuples of distinct
     values.  `locations` and `exceptions` map names to base type names.
-    `interps` maps operation names to total tables keyed by
-    (input value, state); catchers additionally cover exceptional
-    inputs, everything else only ordinary ones.
+    `interps` maps operation names to tables keyed by (input value,
+    state), which `build_model` makes fill on first use; untags cover
+    exceptional inputs, everything else only ordinary ones.
     """
 
     carriers: dict[str, tuple]
@@ -345,11 +349,10 @@ def enum_slot_value(index: int, size: int):
     """
     if not 0 <= index < size:
         raise ValueError(f"slot {index} out of range for size {size}")
-    if size == 1:
-        return UNIT
-    if index == 0:
-        return ("L", UNIT)
-    return ("R", enum_slot_value(index - 1, size - 1))
+    value = UNIT if index == size - 1 else ("L", UNIT)
+    for _ in range(index):
+        value = ("R", value)
+    return value
 
 
 def enum_type(size: int) -> ObjType:
@@ -367,10 +370,10 @@ def enum_type(size: int) -> ObjType:
 def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
     """Instantiate `theory` over the given carriers.
 
-    Every operation the theory declares gets its table from the
-    theory's construction recipe (lookups read their state component,
-    updates overwrite it, tags wrap, untags match-or-rethrow, plus the
-    pure arithmetic and enumeration families).
+    Each operation `family_arg` is interpreted from its name (lookups
+    read location `arg`, updates overwrite it, tags wrap, untags
+    match-or-rethrow, and enum, add, sub, mul, eq and le act on base
+    `arg`).  Tables fill on first use; `len()` counts entries built.
     """
     for base in set(theory.locations.values()) | set(theory.exceptions.values()):
         if base not in carriers:
@@ -381,82 +384,69 @@ def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
         exceptions=dict(theory.exceptions),
         interps={},
     )
-    interps: dict[str, dict] = {}
-    exc_values = model.exceptional_values()
-    for name, symbol in theory.signature.items():
-        recipe = theory.auto_ops.get(name)
-        if recipe is None:
+    states = frozenset(model.states)
+    for name in theory.signature:
+        family = _family(name, model)
+        if family is None:
             raise MissingInterpretation(
                 f"operation {name!r} has no construction recipe and no "
                 f"explicit interpretation")
-        interps[name] = _recipe_table(recipe, symbol, model, exc_values)
-    return FiniteModel(
-        carriers=model.carriers,
-        locations=model.locations,
-        exceptions=model.exceptions,
-        interps=interps,
-    )
+        model.interps[name] = _Table(*family, states)
+    return model
 
 
-def _recipe_table(recipe: tuple, symbol, model: FiniteModel,
-                  exc_values: list[Exc]) -> dict:
-    kind = recipe[0]
-    table: dict = {}
-    states = model.states
-    if kind == "lookup":
-        index = model.location_index[recipe[1]]
-        for s in states:
-            table[(UNIT, s)] = (s[index], s)
-    elif kind == "update":
-        index = model.location_index[recipe[1]]
-        carrier = model.carriers[model.locations[recipe[1]]]
-        for s in states:
-            for v in carrier:
-                table[(v, s)] = (UNIT, s[:index] + (v,) + s[index + 1:])
-    elif kind == "tag":
-        name = recipe[1]
-        carrier = model.carriers[model.exceptions[name]]
-        for s in states:
-            for p in carrier:
-                table[(p, s)] = (Exc(name, p), s)
-    elif kind == "untag":
-        name = recipe[1]
-        for s in states:
-            for ev in exc_values:
-                if ev.name == name:
-                    table[(ev, s)] = (ev.param, s)
-                else:
-                    table[(ev, s)] = (ev, s)
-    elif kind == "enum":
-        carrier = model.carriers[recipe[1]]
-        size = len(carrier)
-        for s in states:
-            for index, v in enumerate(carrier):
-                table[(v, s)] = (enum_slot_value(index, size), s)
-    elif kind in ("add", "sub", "mul"):
-        carrier = model.carriers[recipe[1]]
-        size = len(carrier)
-        if tuple(carrier) != tuple(range(size)):
-            raise ModelError(
-                f"arithmetic needs carrier 0..{size - 1}, got {carrier!r}")
-        fn = {"add": lambda a, b: a + b,
-              "sub": lambda a, b: a - b,
-              "mul": lambda a, b: a * b}[kind]
-        for s in states:
-            for a in carrier:
-                for b in carrier:
-                    table[((a, b), s)] = (fn(a, b) % size, s)
-    elif kind in ("eq", "le"):
-        carrier = model.carriers[recipe[1]]
-        fn = {"eq": lambda a, b: a == b, "le": lambda a, b: a <= b}[kind]
-        for s in states:
-            for a in carrier:
-                for b in carrier:
-                    result = ("L", UNIT) if fn(a, b) else ("R", UNIT)
-                    table[((a, b), s)] = (result, s)
-    else:
-        raise MissingInterpretation(f"unknown recipe {recipe!r}")
-    return table
+class _Table(dict):
+    """A table that fills on first use, from `entry`, at values passing `in_domain`."""
+
+    def __init__(self, in_domain, entry, states: frozenset) -> None:
+        super().__init__()
+        self.in_domain, self.entry, self.states = in_domain, entry, states
+
+    def __missing__(self, key):
+        value, state = key
+        if state not in self.states or not self.in_domain(value):
+            raise KeyError(key)
+        self[key] = out = self.entry(value, state)
+        return out
+
+
+# The families on pairs of values from base `arg`, as f(a, b, carrier size).
+_ON_PAIRS = {
+    "add": lambda a, b, n: (a + b) % n,
+    "sub": lambda a, b, n: (a - b) % n,
+    "mul": lambda a, b, n: (a * b) % n,
+    "eq": lambda a, b, n: ("L", UNIT) if a == b else ("R", UNIT),
+    "le": lambda a, b, n: ("L", UNIT) if a <= b else ("R", UNIT),
+}
+
+
+def _family(name: str, model: FiniteModel):
+    """(in_domain, entry) of the op named `kind_arg`; None if `kind` or `arg` is unknown."""
+    kind, _, arg = name.partition("_")
+    if kind in ("lookup", "update") and arg in model.locations:
+        i = model.location_index[arg]
+        if kind == "lookup":
+            return (lambda v: v is UNIT), lambda v, s: (s[i], s)
+        return (frozenset(model.carriers[model.locations[arg]]).__contains__,
+                lambda v, s: (UNIT, s[:i] + (v,) + s[i + 1:]))
+    if kind == "tag" and arg in model.exceptions:
+        return (frozenset(model.carriers[model.exceptions[arg]]).__contains__,
+                lambda v, s: (Exc(arg, v), s))
+    if kind == "untag" and arg in model.exceptions:
+        return (frozenset(model.exceptional_values()).__contains__,
+                lambda v, s: (v.param if v.name == arg else v, s))
+    carrier = model.carriers.get(arg)
+    if carrier is None or kind != "enum" and kind not in _ON_PAIRS:
+        return None
+    size = len(carrier)
+    if kind == "enum":
+        index = {v: i for i, v in enumerate(carrier)}
+        return index.__contains__, lambda v, s: (enum_slot_value(index[v], size), s)
+    if kind in ("add", "sub", "mul") and tuple(carrier) != tuple(range(size)):
+        raise ModelError(f"arithmetic needs carrier 0..{size - 1}, got {carrier!r}")
+    fn, values = _ON_PAIRS[kind], frozenset(carrier)
+    return (lambda v: type(v) is tuple and len(v) == 2
+            and v[0] in values and v[1] in values), lambda v, s: (fn(*v, size), s)
 
 
 def validate_model(model: FiniteModel, theory) -> list[str]:
@@ -478,6 +468,11 @@ def validate_model(model: FiniteModel, theory) -> list[str]:
         wanted = {(v, s) for v in ordinary for s in model.states}
         if symbol.decoration.exc >= 2:
             wanted |= {(ev, s) for ev in exc_values for s in model.states}
+        for key in wanted:  # forces a table that fills on first use
+            try:
+                table[key]
+            except KeyError:
+                pass
         have = set(table.keys())
         if have != wanted:
             missing = wanted - have

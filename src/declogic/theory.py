@@ -4,9 +4,9 @@ A theory bundles a signature of decorated operation symbols, named
 axioms, and observational rules.  The states theory declares a lookup
 and an update per location with two weak axiom families; the
 exceptions theory is produced from it by a mechanical dualizer; the
-combined theory is their disjoint union.  Construction recipes carried
-alongside the signature let a finite model instantiate every symbol
-without hand-written tables.
+combined theory is their disjoint union.  Every operation is named
+`family_arg` (`lookup_x`, `untag_e`, `add_V`), and a finite model
+interprets it from that name alone, so a theory carries no tables.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class Theory:
     obs_rules: tuple[ObsRule, ...]
     locations: dict[str, str] = field(default_factory=dict)
     exceptions: dict[str, str] = field(default_factory=dict)
-    auto_ops: dict[str, tuple] = field(default_factory=dict)
 
     def base_type(self, location_or_exception: str) -> Base:
         if location_or_exception in self.locations:
@@ -122,15 +121,12 @@ def states_theory(locations) -> Theory:
             raise DuplicateLocation(f"location {name!r} declared twice")
         locs[name] = base
     signature: dict[str, OpSymbol] = {}
-    auto_ops: dict[str, tuple] = {}
     for name, base in locs.items():
         value_ty = Base(base)
         signature[f"lookup_{name}"] = OpSymbol(
             f"lookup_{name}", UNIT_T, value_ty, Decoration(1, 0))
         signature[f"update_{name}"] = OpSymbol(
             f"update_{name}", value_ty, UNIT_T, Decoration(2, 0))
-        auto_ops[f"lookup_{name}"] = ("lookup", name)
-        auto_ops[f"update_{name}"] = ("update", name)
     axioms: dict[str, Equation] = {}
     for name in locs:
         value_ty = Base(locs[name])
@@ -157,7 +153,6 @@ def states_theory(locations) -> Theory:
         obs_rules=(ObsRule("states", observers),),
         locations=locs,
         exceptions={},
-        auto_ops=auto_ops,
     )
 
 
@@ -237,7 +232,6 @@ def seven_laws(theory: Theory, i: str | None = None, j: str | None = None) -> li
 
 
 _DUAL_PREFIX = {"lookup": "tag", "update": "untag", "tag": "lookup", "untag": "update"}
-_DUAL_RECIPE = {"lookup": "tag", "update": "untag", "tag": "lookup", "untag": "update"}
 _DUAL_LABEL_PREFIX = {"st_": "ex_", "ex_": "st_"}
 
 
@@ -323,9 +317,9 @@ def dualize(theory: Theory) -> Theory:
     """The mirror theory: states become exceptions and back.
 
     Lookup becomes tag (raise with parameter), update becomes untag
-    (match-and-extract, re-raise on mismatch).  Axioms, observational
-    rules and construction recipes are transported along; applying
-    dualize twice restores the original theory exactly.
+    (match-and-extract, re-raise on mismatch).  Axioms and observational
+    rules are transported along; applying dualize twice restores the
+    original theory exactly.
     """
     if theory.flavor == "states":
         new_flavor = "exceptions"
@@ -351,10 +345,6 @@ def dualize(theory: Theory) -> Theory:
         )
         for rule in theory.obs_rules
     )
-    auto_ops = {}
-    for name, recipe in theory.auto_ops.items():
-        dual_name = symbol_map[name].name
-        auto_ops[dual_name] = (_DUAL_RECIPE[recipe[0]],) + recipe[1:]
     return Theory(
         flavor=new_flavor,
         signature=signature,
@@ -362,14 +352,13 @@ def dualize(theory: Theory) -> Theory:
         obs_rules=obs_rules,
         locations=new_locations,
         exceptions=new_exceptions,
-        auto_ops=auto_ops,
     )
 
 
 def combine(st: Theory, ex: Theory) -> Theory:
     """Merge a states theory with an exceptions theory.
 
-    Signatures, axioms, observational rules and recipes are unioned;
+    Signatures, axioms and observational rules are unioned;
     decorations already live on separate axes, so symbols keep their
     declared pairs.  No cross-effect axioms are added."""
     if st.flavor != "states" or ex.flavor != "exceptions":
@@ -387,12 +376,10 @@ def combine(st: Theory, ex: Theory) -> Theory:
         obs_rules=st.obs_rules + ex.obs_rules,
         locations=dict(st.locations),
         exceptions=dict(ex.exceptions),
-        auto_ops={**st.auto_ops, **ex.auto_ops},
     )
 
 
-def extend_theory(theory: Theory, symbols: list[OpSymbol],
-                  recipes: dict[str, tuple]) -> Theory:
+def extend_theory(theory: Theory, symbols: list[OpSymbol]) -> Theory:
     """A copy of `theory` with extra operations (no new axioms)."""
     clash = [s.name for s in symbols if s.name in theory.signature]
     if clash:
@@ -407,7 +394,6 @@ def extend_theory(theory: Theory, symbols: list[OpSymbol],
         obs_rules=theory.obs_rules,
         locations=dict(theory.locations),
         exceptions=dict(theory.exceptions),
-        auto_ops={**theory.auto_ops, **recipes},
     )
 
 
@@ -454,9 +440,10 @@ def dump_theory(theory: Theory) -> str:
 def parse_theory(text: str) -> Theory:
     """Parse a theory dump.
 
-    Construction recipes are restored for the four effect families by
-    name; other operations parse fine but cannot be instantiated by
-    `build_model`.
+    A finite model interprets each parsed operation from its
+    `family_arg` name, as it does the operations of a built theory; an
+    operation of no known family parses fine but cannot be
+    instantiated by `build_model`.
     """
     from .syntax import ParseError, parse_at, parse_term, parse_type
     from .terms import Mode as TermMode
@@ -552,14 +539,6 @@ def parse_theory(text: str) -> Theory:
             parse_at(parse_term, piece, lineno, col + offset, signature)
             for offset, piece in _split_top_level(body))
         obs_rules.append(ObsRule(direction, observers))
-
-    auto_ops: dict[str, tuple] = {}
-    for name in signature:
-        prefix, _, rest = name.partition("_")
-        if prefix in ("lookup", "update") and rest in locations:
-            auto_ops[name] = (prefix, rest)
-        elif prefix in ("tag", "untag") and rest in exceptions:
-            auto_ops[name] = (prefix, rest)
     return Theory(
         flavor=flavor,
         signature=signature,
@@ -567,7 +546,6 @@ def parse_theory(text: str) -> Theory:
         obs_rules=tuple(obs_rules),
         locations=locations,
         exceptions=exceptions,
-        auto_ops=auto_ops,
     )
 
 

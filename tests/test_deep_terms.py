@@ -6,6 +6,8 @@ go through the `check` and `prove` subcommands with their normal exit
 codes.  A
 100k-statement program must parse, print, elaborate and get a verdict,
 and programs nested deeper than the parser can follow are input errors.
+A 100k-term sum must elaborate, get a verdict and print back, and a
+1500-value carrier must elaborate a handler.
 """
 
 import sys
@@ -19,13 +21,15 @@ from declogic.imp import (
     build_imp_theory,
     check_equiv,
     default_carriers,
+    elaborate,
     parse_command,
     print_command,
 )
-from declogic.model import build_model
+from declogic.model import build_model, enum_slot_value, enum_type, enumerate_points
 from declogic.syntax import parse_term, print_term
 from declogic.terms import canonical_key, typecheck
 from declogic.theory import dualize, dump_theory, parse_theory, states_theory
+from declogic.types import UNIT_T
 
 DEPTH = 50_000  # compositions; with their identities and the op, 100,001 nodes
 CHAIN = "comp(id(V), " * DEPTH + "op(lookup_x)" + ")" * DEPTH
@@ -125,7 +129,38 @@ def test_imp_equiv_cli_on_long_and_deep_programs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: input nests too deeply to parse (line 1, column ")
 
-    # A sum parses as a left-nested tree, which elaboration walks recursively.
+    # A sum parses as a left-nested tree, which elaboration walks in a loop;
+    # adding 1 an even number of times over V = {0,1} leaves x as it is.
     deep.write_text("x := x" + " + 1" * nest)
-    assert main(["imp-equiv", str(deep), str(skip), "--model", str(model)]) == 2
-    assert capsys.readouterr().err == "error: program nests too deeply to elaborate\n"
+    assert main(["imp-equiv", str(deep), str(skip), "--model", str(model)]) == 0
+    assert capsys.readouterr().out == "strongly equivalent\n"
+
+
+TERMS = 100_000  # 1 added TERMS times is 1 added once in 0..2
+SUM = "x := x" + " + 1" * TERMS
+
+
+def test_long_sum_gets_a_verdict():
+    theory = build_imp_theory({"x": "V"}, {}, {"V": 3})
+    model = build_model(theory, default_carriers(theory))
+    cmd = parse_command(SUM)
+    assert print_command(cmd) == SUM
+    assert check_equiv(cmd, parse_command("x := x + 1"), theory, model).kind == "strong"
+    # A guard's sums take the same path; 30k, a multiple of 3, makes it hold.
+    guard = "if x == x" + " + 1" * 30_000 + " then { x := 1 } else { x := 2 }"
+    cmd = parse_command(guard)
+    assert print_command(cmd) == guard
+    assert check_equiv(cmd, parse_command("x := 1"), theory, model).kind == "strong"
+
+
+def test_large_carrier_elaborates():
+    # one handler leaf and one enumeration slot per carrier value
+    theory = build_imp_theory({"x": "V"}, {"e": "V"}, {"V": 1500})
+    term = elaborate(parse_command("try { throw e(x) } catch e(v) { x := v }"), theory)
+    assert term.source == term.target == UNIT_T
+    slots = [(k, enum_slot_value(k, 1500)) for k in (0, 1, 1100, 1498, 1499)]
+    # The recursive point enumeration is the oracle, and comparing nested
+    # values recurses too; only these need the raised limit.
+    sys.setrecursionlimit(10_000)
+    points = enumerate_points(enum_type(1500), None)
+    assert all(value == points[k] for k, value in slots)

@@ -2,11 +2,13 @@
 
 import pytest
 
+from declogic.imp import build_imp_theory, default_carriers, elaborate, parse_command
 from declogic.model import (
     UNIT,
     CarrierMismatch,
     Exc,
     MissingInterpretation,
+    ModelError,
     Outcome,
     UnknownBaseType,
     build_model,
@@ -33,6 +35,8 @@ from declogic.terms import (
     Inj1,
     Inj2,
     Op,
+    OpSymbol,
+    PURE,
     PairSeq,
     Proj1,
     Proj2,
@@ -41,6 +45,7 @@ from declogic.terms import (
 from declogic.theory import (
     combine,
     dualize,
+    extend_theory,
     lookup_op,
     states_theory,
     tag_op,
@@ -376,28 +381,96 @@ class TestEnumEncoding:
             enum_slot_value(3, 3)
 
 
+def forced_copy(model, theory):
+    """Plain dicts holding every entry of `model`'s tables; validating
+    first fills tables that `build_model` leaves to fill on first use."""
+    assert validate_model(model, theory) == []
+    interps = {name: dict(table) for name, table in model.interps.items()}
+    return type(model)(carriers=model.carriers, locations=model.locations,
+                       exceptions=model.exceptions, interps=interps)
+
+
 class TestValidation:
     def test_standard_models_validate(self, st1, st2, cmb):
         for theory, model in (st1, st2, cmb):
             assert validate_model(model, theory) == []
 
+    def test_imp_model_validates(self):
+        # every family: lookup, update, tag, untag, enum, add, sub, mul, eq, le
+        theory = build_imp_theory({"x": "V", "y": "W"}, {"e": "W"}, {"V": 3, "W": 2})
+        model = build_model(theory, default_carriers(theory))
+        assert validate_model(model, theory) == []
+        assert {name.partition("_")[0] for name in model.interps} == {
+            "lookup", "update", "tag", "untag", "enum", "add", "sub", "mul", "eq", "le"}
+
     def test_state_mutation_by_accessor_flagged(self, st1):
         theory, model = st1
-        interps = {name: dict(table) for name, table in model.interps.items()}
-        interps["lookup_x"][(UNIT, (0,))] = (0, (1,))
-        broken = type(model)(carriers=model.carriers, locations=model.locations,
-                             exceptions=model.exceptions, interps=interps)
+        broken = forced_copy(model, theory)
+        broken.interps["lookup_x"][(UNIT, (0,))] = (0, (1,))
         problems = validate_model(broken, theory)
         assert any("changed state" in p for p in problems)
 
     def test_missing_coverage_flagged(self, st1):
         theory, model = st1
-        interps = {name: dict(table) for name, table in model.interps.items()}
-        del interps["update_x"][(0, (0,))]
-        broken = type(model)(carriers=model.carriers, locations=model.locations,
-                             exceptions=model.exceptions, interps=interps)
+        broken = forced_copy(model, theory)
+        del broken.interps["update_x"][(0, (0,))]
         problems = validate_model(broken, theory)
         assert any("misses" in p for p in problems)
+
+
+class Recording(dict):
+    """A table view that notes every key looked up in it."""
+
+    def __init__(self, name, table, seen):
+        super().__init__()
+        self.name, self.table, self.seen = name, table, seen
+
+    def __getitem__(self, key):
+        self.seen.add((self.name, key))
+        return self.table[key]
+
+
+class TestLazyTables:
+    def test_tables_fill_on_first_use(self):
+        theory = build_imp_theory({"x": "V"}, {"e": "V"}, {"V": 4})
+        model = build_model(theory, default_carriers(theory))
+        assert [len(table) for table in model.interps.values()] == [0] * len(model.interps)
+        term = elaborate(parse_command(
+            "try { x := x + 1; throw e(x * 3) } catch e(v) { x := v - 1 }"), theory)
+        seen = set()
+        fresh = build_model(theory, default_carriers(theory))
+        recording = type(fresh)(
+            carriers=fresh.carriers, locations=fresh.locations, exceptions=fresh.exceptions,
+            interps={name: Recording(name, table, seen)
+                     for name, table in fresh.interps.items()})
+        eval_term(term, recording, UNIT, (2,))
+        assert ("add_V", ((2, 1), (2,))) in seen
+        eval_term(term, model, UNIT, (2,))
+        built = {(name, key) for name, table in model.interps.items() for key in table}
+        assert built == seen and sum(map(len, model.interps.values())) == len(seen)
+        eval_term(term, model, UNIT, (2,))
+        assert sum(map(len, model.interps.values())) == len(seen)
+
+    def test_undeclared_arg_is_missing_interpretation(self):
+        theory = states_theory({"x": "V"})
+        for name in ("lookup_y", "tag_x", "add_W", "frobnicate_V", "noise"):
+            bigger = extend_theory(theory, [OpSymbol(name, UNIT_T, UNIT_T, PURE)])
+            with pytest.raises(MissingInterpretation) as info:
+                build_model(bigger, {"V": (0, 1)})
+            assert str(info.value) == (f"operation {name!r} has no construction "
+                                       f"recipe and no explicit interpretation")
+
+    def test_off_domain_keys_are_missing(self, cmb):
+        _, model = cmb
+        for name, key in (("lookup_x", (0, (0,))), ("update_x", (2, (0,))),
+                          ("update_x", (0, (2,))), ("tag_e", (UNIT, (0,))),
+                          ("untag_e", (0, (0,)))):
+            with pytest.raises(KeyError):
+                model.interps[name][key]
+
+    def test_arithmetic_needs_a_carrier_from_zero(self):
+        with pytest.raises(ModelError):
+            build_model(build_imp_theory({"x": "V"}, {}, {"V": 2}), {"V": (1, 2)})
 
 
 class TestModelConfigFiles:

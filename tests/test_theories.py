@@ -26,9 +26,16 @@ from declogic.theory import (
     untag_op,
     update_op,
 )
-from declogic.model import parse_model_config
+from declogic.model import parse_model_config, validate_model
 from declogic.terms import OpSymbol, PURE
 from declogic.types import EMPTY_T, UNIT_T, Base
+
+
+def forced_tables(theory, carriers):
+    """Every table of `theory`'s model, filled by `validate_model`."""
+    model = build_model(theory, carriers)
+    assert validate_model(model, theory) == []
+    return {name: dict(table) for name, table in model.interps.items()}
 
 
 class TestStatesTheory:
@@ -127,7 +134,8 @@ class TestDualize:
         assert back.axioms == st.axioms
         assert back.obs_rules == st.obs_rules
         assert back.locations == st.locations
-        assert back.auto_ops == st.auto_ops
+        carriers = {"V": (0, 1), "W": (0, 1, 2)}
+        assert forced_tables(back, carriers) == forced_tables(st, carriers)
 
     def test_dual_term_swaps_structure(self):
         st = states_theory({"x": "V"})
@@ -177,7 +185,7 @@ class TestCombine:
         combine(st, ex)  # fine: lookup_tag vs tag_e
         clash_ex = dualize(states_theory({"x": "P"}))
         renamed = extend_theory(
-            states_theory({"y": "V"}), [clash_ex.signature["tag_x"]], {})
+            states_theory({"y": "V"}), [clash_ex.signature["tag_x"]])
         with pytest.raises(NameClash):
             combine(renamed, clash_ex)
 
@@ -212,14 +220,14 @@ class TestExtend:
     def test_extension_adds_symbols(self):
         st = states_theory({"x": "V"})
         extra = OpSymbol("noise", UNIT_T, UNIT_T, PURE)
-        bigger = extend_theory(st, [extra], {})
+        bigger = extend_theory(st, [extra])
         assert "noise" in bigger.signature
         assert bigger.axioms == st.axioms
 
     def test_extension_rejects_clash(self):
         st = states_theory({"x": "V"})
         with pytest.raises(NameClash):
-            extend_theory(st, [st.signature["lookup_x"]], {})
+            extend_theory(st, [st.signature["lookup_x"]])
 
 
 class TestTheoryDump:
@@ -232,7 +240,8 @@ class TestTheoryDump:
         assert parsed.axioms == st.axioms
         assert parsed.obs_rules == st.obs_rules
         assert parsed.locations == st.locations
-        assert parsed.auto_ops == st.auto_ops
+        carriers = {"V": (0, 1), "W": (0, 1, 2)}
+        assert forced_tables(parsed, carriers) == forced_tables(st, carriers)
         assert dump_theory(parsed) == text
 
     def test_combined_round_trip(self):
