@@ -30,7 +30,7 @@ from .model import (
     render_counterexample,
 )
 from .proofs import check_script, parse_script
-from .syntax import ParseError, parse_term
+from .syntax import ParseError, code_lines, parse_term
 from .terms import Mode, typecheck
 from .theory import (
     TheoryError,
@@ -60,10 +60,7 @@ def _read(path: str) -> str:
 def _load_theory(path: str):
     """A theory from either a theory dump or a model description."""
     text = _read(path)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line, _ in code_lines(text):
         if line.split()[0] == "theory":
             return parse_theory(text)
         return theory_from_config(parse_model_config(text))
@@ -225,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fuel", 64) < 1:
         parser.error("--fuel must be a positive integer")
-    # Deep term files nest compositions one level per factor.
+    # Imp parsing and elaboration, and nested types, still recurse.
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     try:
         return args.handler(args)

@@ -61,9 +61,10 @@ from .ast import (
 )
 from .parser import KEYWORDS
 
-# Raised when a loop's unrolling budget runs out.  The name starts the
-# comment character, so no source program can declare or catch it.
-FUEL_EXCEPTION = "#fuel"
+# Raised when a loop's unrolling budget runs out.  The name is a keyword,
+# so no source program can declare or catch it, and a theory dump that
+# declares it reads back.
+FUEL_EXCEPTION = "while"
 
 BOOL_T = Sum(UNIT_T, UNIT_T)
 

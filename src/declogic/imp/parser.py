@@ -17,16 +17,19 @@ Grammar, with `;` and `and` associating to the right:
     aterm    ::= afactor ("*" afactor)*
     afactor  ::= int | name | "(" aexp ")"
 
-`#` starts a comment running to the end of the line.  A leading `(` in a
-boolean atom is ambiguous between a parenthesised comparison operand and
-a parenthesised boolean, so the parser tries the comparison first and
-backtracks.
+Programs share the lexical rules of term text in `declogic.syntax`:
+blanks, newlines and `#` comments to the end of the line are layout, and
+a character that starts no token is an error at its line and column
+before any parse error.  `located_tokens` scans with this module's token
+pattern.  A leading `(` in a boolean atom is ambiguous between a
+parenthesised comparison operand and a parenthesised boolean, so the
+parser tries the comparison first and backtracks.
 """
 from __future__ import annotations
 
 import re
 
-from ..syntax import ParseError, _position
+from ..syntax import LAYOUT, ParseError, _is_name as _is_word, _position, located_tokens
 from .ast import (
     Add,
     AExp,
@@ -70,50 +73,28 @@ KEYWORDS = frozenset(
     }
 )
 
-# Layout (blanks, newlines, `#` comments), then a token: punctuation, an
-# integer or an ASCII-led word in group 1, else any other word, or
-# nothing where an offending character or the end of the text comes next.
-_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*"
-                    r"(?:(:=|==|<=|[;(){}+*-]|\d+|[A-Za-z_]\w*)|(\w*))")
+# An integer or a name (a word led by a letter or `_`), or punctuation.
+_TOKEN = re.compile(
+    LAYOUT + r" ( := | == | <= | [;(){}+*-] | \d+ | \w+ | [^\#] | \Z )",
+    re.VERBOSE)
+_PUNCT = frozenset({":=", "==", "<=", *";(){}+*-"})
 
 
-def _scan(text: str) -> tuple[list[str], list[int]]:
-    r"""Tokens of `text` and their offsets; the empty token is the end.
-
-    `\d` is exactly `str.isdecimal`, and `\w` exactly `str.isalnum` or
-    `_`, but a name must start with a letter or `_`: a word led by another
-    digit or numeral, such as `²`, is an unexpected character.  The end
-    sits where a comment on the last line starts, since comment
-    characters advance no column.
-    """
-    tokens: list[str] = []
-    offsets: list[int] = []
-    for found in _TOKEN.finditer(text):
-        tok = found[1]
-        if tok is None:
-            tok = found[2]
-            if not tok[:1].isalpha():
-                break
-        tokens.append(tok)
-        offsets.append(found.end() - len(tok))
-    offset = found.start(2)
-    if offset < len(text):
-        raise ParseError(f"unexpected character {text[offset]!r}",
-                         *_position(text, offset))
-    comment = text.find("#", text.rfind("\n") + 1)
-    tokens.append("")
-    offsets.append(len(text) if comment < 0 else comment)
-    return tokens, offsets
+def _is_token(tok: str) -> bool:
+    return tok in _PUNCT or tok[0].isdecimal() or _is_word(tok)
 
 
 def _is_name(tok: str) -> bool:
-    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
+    return _is_word(tok) and tok not in KEYWORDS
 
 
 class _Parser:
     def __init__(self, text: str):
+        # Offsets are kept for every token, not found by a rescan on
+        # error, because `parse_batom` backtracks through `ParseError`
+        # and a rescan on every failure would be quadratic.
         self.text = text
-        self.tokens, self.offsets = _scan(text)
+        self.tokens, self.offsets = located_tokens(_TOKEN, text, _is_token)
         self.pos = 0
 
     def peek(self) -> str:

@@ -139,24 +139,30 @@ def enumerate_points(ty: ObjType, model: FiniteModel) -> list:
     """Ordinary points of `ty`, in the documented deterministic order.
 
     Declared carrier order for base types, left-major lexicographic for
-    products, all-left-then-all-right for sums.
+    products, all-left-then-all-right for sums.  A loop, so deep types
+    enumerate too: `Prod` or `Sum` itself joins the last two on `done`.
     """
-    if isinstance(ty, Unit):
-        return [UNIT]
-    if isinstance(ty, Empty):
-        return []
-    if isinstance(ty, Base):
-        if ty.name not in model.carriers:
-            raise UnknownBaseType(f"base type {ty.name!r} has no carrier")
-        return list(model.carriers[ty.name])
-    if isinstance(ty, Prod):
-        return [(a, b)
-                for a in enumerate_points(ty.left, model)
-                for b in enumerate_points(ty.right, model)]
-    if isinstance(ty, Sum):
-        return ([("L", a) for a in enumerate_points(ty.left, model)]
-                + [("R", b) for b in enumerate_points(ty.right, model)])
-    raise TypeError(f"not an object type: {ty!r}")
+    done: list[list] = []
+    todo: list = [ty]
+    while todo:
+        ty = todo.pop()
+        if ty is Prod or ty is Sum:
+            right, left = done.pop(), done.pop()
+            done.append([(a, b) for a in left for b in right] if ty is Prod
+                        else [("L", a) for a in left] + [("R", b) for b in right])
+        elif isinstance(ty, (Prod, Sum)):
+            todo += (type(ty), ty.right, ty.left)
+        elif isinstance(ty, Unit):
+            done.append([UNIT])
+        elif isinstance(ty, Empty):
+            done.append([])
+        elif isinstance(ty, Base):
+            if ty.name not in model.carriers:
+                raise UnknownBaseType(f"base type {ty.name!r} has no carrier")
+            done.append(list(model.carriers[ty.name]))
+        else:
+            raise TypeError(f"not an object type: {ty!r}")
+    return done[0]
 
 
 def _absurd(t, v):
@@ -527,15 +533,12 @@ def parse_model_config(text: str) -> ModelConfig:
     Lines: `type V = {0,1}`, `location x : V`, `exception e : V`.
     Blank lines and `#` comments are skipped.
     """
-    from .syntax import ParseError
+    from .syntax import ParseError, code_lines
 
     carriers: dict[str, tuple] = {}
     locations: dict[str, str] = {}
     exceptions: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, _ in code_lines(text):
         parts = line.split()
         if parts[0] == "type":
             rest = line[len("type"):].strip()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rules import DUAL_RULE, RuleError, PremiseShapeMismatch, UnknownRule, check_rule
-from .syntax import ParseError, parse_at, parse_term, print_term
+from .syntax import ParseError, code_lines, parse_at, parse_term, print_term
 from .terms import DecoratedTerm, Equation, Mode, canonical_key
 from .theory import Theory, _dual_label, dual_symbol_map, dualize_equation
 
@@ -153,14 +153,8 @@ def parse_script(text: str, signature) -> ProofScript:
     terms: dict[str, DecoratedTerm] = {}
     goal: Equation | None = None
     steps: list[ProofStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        line = code.strip()
-        if not line:
-            continue
-        # Every equation body below is a suffix of `line`; this is the
-        # column just past the end of `line`.
-        end_col = len(code) - len(code.lstrip()) + len(line) + 1
+    # Every equation body below is a suffix of `line`.
+    for lineno, line, end_col in code_lines(text):
         if goal is None:
             if not line.startswith("goal "):
                 raise ParseError("expected a goal line first", lineno, 1)

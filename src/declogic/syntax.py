@@ -140,78 +140,57 @@ def _print_leaf(term: DecoratedTerm) -> str:
 # ---------------------------------------------------------------------------
 # Scanning
 #
-# A token is its text, and the end of input is the empty string.  Its
-# kind follows from its first character: a letter or `_` starts a name,
-# a digit or `-` an integer, and `(`, `)`, `,` stand alone.  Any other
-# character is an error, reported before any parse error.
+# Term text and imp programs share one lexical layer, `located_tokens`:
+# `LAYOUT` (blanks, newlines, `#` comments to the end of the line), then
+# one token, or the empty string at the end.  A character that starts
+# no token is an error at its place, before any parse error.  `\d` is
+# exactly `str.isdecimal` and `\w` is `str.isalnum` or `_`, so `int`
+# reads every `\d+`, and a `\w+` led by a numeral such as `²` is no
+# name.  The line formats cut `#` comments with `code_lines`.
 
-# Layout (blanks, newlines, whole `#` comments), then one token, or a
-# character that starts none, or the end of the text.
-_TOKEN = re.compile(r"""
-    [ \t\r\n]* (?: \#[^\n]*(?=\n|\Z) [ \t\r\n]* )*
-    ( [(),] | -?\d+ | [^\W\d]\w* | [^\#] | \Z )
-""", re.VERBOSE)
+LAYOUT = r"[ \t\r\n]* (?: \#[^\n]*(?=\n|\Z) [ \t\r\n]* )*"
 
 
-def _scan(text: str) -> list[str]:
-    """Tokens of `text`; the first empty string is the end of input.
+def located_tokens(pattern: re.Pattern, text: str,
+                   is_token) -> tuple[list[str], list[int]]:
+    """Tokens of `text` and their offsets, ending with the empty token.
 
-    On ASCII text the regex classes are exactly the token rules, so one
-    `findall` scans it.  An offending character stays in as a token,
-    which the parser never accepts; the parse error that follows
-    rescans with `_located_tokens`, which reports the character instead.
-    """
-    if text.isascii():
-        return _TOKEN.findall(text)
-    return _located_tokens(text)[0]
-
-
-def _located_tokens(text: str) -> tuple[list[str], list[int]]:
-    """Tokens and their offsets, one at a time by the exact token rules.
-
-    The end of input sits after trailing blanks but where a trailing
-    comment starts, since comment characters advance no column.
+    Group 1 of each `pattern` match, after `LAYOUT`, is a token, a word
+    or character that `is_token` refuses (the first raises), or the end,
+    which sits where a comment on the last line starts.
     """
     tokens: list[str] = []
     offsets: list[int] = []
-    pos = 0
-    while True:
-        found = _TOKEN.match(text, pos)
-        offset = found.start(1)
-        if offset == found.end(1):
+    for found in pattern.finditer(text):
+        tok = found[1]
+        if not tok:
             break
-        pos = offset + 1 if text[offset] in "()," else _token_end(text, offset)
-        if pos is None:
-            raise ParseError(f"unexpected character {text[offset]!r}",
-                             *_position(text, offset))
-        tokens.append(text[offset:pos])
-        offsets.append(offset)
-    comment = text.find("#", max(pos, text.rfind("\n") + 1))
+        if not is_token(tok):
+            raise ParseError(f"unexpected character {tok[0]!r}",
+                             *_position(text, found.start(1)))
+        tokens.append(tok)
+        offsets.append(found.start(1))
+    comment = text.find("#", text.rfind("\n") + 1)
     tokens.append("")
     offsets.append(len(text) if comment < 0 else comment)
     return tokens, offsets
 
 
-def _token_end(text: str, start: int) -> int | None:
-    """End of the name or integer at `start`, or None if none starts there.
+def code_lines(text: str):
+    """`(lineno, line, end_col)` for each line of `text` that holds code
+    once its `#` comment is cut off: `line` is that code stripped, and a
+    suffix `s` of it starts at column `end_col - len(s)`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        line = code.strip()
+        if line:
+            yield lineno, line, len(code) - len(code.lstrip()) + len(line) + 1
 
-    Names start with a letter or `_` and go on with `str.isalnum`
-    characters; integers are `str.isdecimal` runs, optionally after `-`,
-    so that `int` reads every one.  The regex classes agree with that on
-    ASCII only: a few non-ASCII digits and numerals (such as `²` or `½`)
-    are word characters but no letters, or digits but no decimals.
-    """
-    ch = text[start]
-    end = start + 1
-    if ch.isalpha() or ch == "_":
-        while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-            end += 1
-        return end
-    if ch.isdecimal() or (ch == "-" and end < len(text) and text[end].isdecimal()):
-        while end < len(text) and text[end].isdecimal():
-            end += 1
-        return end
-    return None
+
+# A name starts with a letter or `_`, an integer with a digit or `-`, and
+# `(`, `)`, `,` stand alone.
+_TOKEN = re.compile(LAYOUT + r" ( [(),] | -?\d+ | \w+ | [^\#] | \Z )",
+                    re.VERBOSE)
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -225,8 +204,12 @@ def _is_name(tok: str) -> bool:
 
 
 def _is_int(tok: str) -> bool:
-    # a lone `-` is an offending character left in by `_scan`
+    # a lone `-` is an offending character that `findall` leaves in
     return tok[:1].isdecimal() or (tok[:1] == "-" and len(tok) > 1)
+
+
+def _is_token(tok: str) -> bool:
+    return tok in ("(", ")", ",") or _is_name(tok) or _is_int(tok)
 
 
 _BINARY = {"comp": Comp, "pair": PairSeq, "case": CaseSeq}
@@ -236,8 +219,12 @@ _LEAF_FORMS = frozenset({"op", "id", "bang", "absurd", "const", *_TYPE_PAIRS})
 
 class _Parser:
     def __init__(self, text: str):
+        # `findall` gives the tokens of `located_tokens` up to the first
+        # empty one, unchecked.  The parser accepts no token that
+        # `_is_token` refuses, so a text holding one never parses, and
+        # the rescan in `error_at` reports its character instead.
         self.text = text
-        self.tokens = _scan(text)
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
 
     def peek(self) -> str:
@@ -252,7 +239,7 @@ class _Parser:
     def error_at(self, index: int, message: str) -> ParseError:
         """An error at the token numbered `index`, unless the text holds
         an offending character: rescanning raises that error instead."""
-        offset = _located_tokens(self.text)[1][index]
+        offset = located_tokens(_TOKEN, self.text, _is_token)[1][index]
         return ParseError(message, *_position(self.text, offset))
 
     def fail(self, message: str) -> ParseError:

@@ -445,38 +445,36 @@ def parse_theory(text: str) -> Theory:
     operation of no known family parses fine but cannot be
     instantiated by `build_model`.
     """
-    from .syntax import ParseError, parse_at, parse_term, parse_type
+    from .syntax import ParseError, code_lines, parse_at, parse_term, parse_type
     from .terms import Mode as TermMode
 
     flavor = None
     locations: dict[str, str] = {}
     exceptions: dict[str, str] = {}
     signature: dict[str, OpSymbol] = {}
-    axiom_lines: list[tuple[int, int, str, str]] = []
+    axiom_lines: dict[str, tuple[int, int, str]] = {}
     obs_lines: list[tuple[int, int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        line = code.strip()
-        if not line:
-            continue
-        # `rest` and the bodies below are suffixes of `line`; this is the
-        # column just past the end of `line`.
-        end_col = len(code) - len(code.lstrip()) + len(line) + 1
+    declared = {"location": locations, "exception": exceptions,
+                "op": signature, "axiom": axiom_lines}
+    # `rest` and the bodies below are suffixes of `line`.
+    for lineno, line, end_col in code_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        name = rest.partition(":")[0].strip()
+        if name in declared.get(head, ()):
+            raise ParseError(f"{head} {name!r} declared twice", lineno, 1)
         if head == "theory":
             if rest not in ("states", "exceptions", "combined"):
                 raise ParseError(f"unknown flavor {rest!r}", lineno, 1)
             flavor = rest
         elif head in ("location", "exception"):
-            name, sep, base = rest.partition(":")
-            name, base = name.strip(), base.strip()
+            _, sep, base = rest.partition(":")
+            base = base.strip()
             if not sep or not name.isidentifier() or not base.isidentifier():
                 raise ParseError(f"expected `{head} NAME : TYPE`", lineno, 1)
             (locations if head == "location" else exceptions)[name] = base
         elif head == "op":
             name_part, sep, type_part = rest.partition(":")
-            name = name_part.strip()
             if not sep or not name.isidentifier():
                 raise ParseError("expected `op NAME : SRC -> TGT @ (s,e)`", lineno, 1)
             arrow_part, at, dec_part = type_part.partition("@")
@@ -501,11 +499,11 @@ def parse_theory(text: str) -> Theory:
                          src_col + len(src_text) + len("->")),
                 decoration)
         elif head == "axiom":
-            label, sep, body = rest.partition(":")
+            _, sep, body = rest.partition(":")
             if not sep:
                 raise ParseError("expected `axiom LABEL : MODE LHS = RHS`", lineno, 1)
             body = body.strip()
-            axiom_lines.append((lineno, end_col - len(body), label.strip(), body))
+            axiom_lines[name] = (lineno, end_col - len(body), body)
         elif head == "obs":
             direction, sep, body = rest.partition(":")
             if not sep:
@@ -518,7 +516,7 @@ def parse_theory(text: str) -> Theory:
         raise ParseError("missing `theory` header", 1, 1)
 
     axioms: dict[str, Equation] = {}
-    for lineno, col, label, body in axiom_lines:
+    for label, (lineno, col, body) in axiom_lines.items():
         mode_word, _, eq_text = body.partition(" ")
         if mode_word not in ("weak", "strong"):
             raise ParseError("axiom mode must be weak or strong", lineno, 1)

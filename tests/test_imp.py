@@ -53,7 +53,7 @@ from declogic.imp import (
 )
 from declogic.syntax import ParseError
 from declogic.terms import DecoratedTerm
-from declogic.theory import states_theory
+from declogic.theory import dump_theory, parse_theory, states_theory
 from reference_imp import Machine, reference_verdict, state_of, store_of
 
 LOCATIONS = {"x": "V", "y": "V"}
@@ -298,6 +298,17 @@ def test_theory_reserves_fuel_exception():
     assert FUEL_EXCEPTION in THEORY.exceptions
     with pytest.raises(ParseError):
         parse_command(f"throw {FUEL_EXCEPTION}(0)")
+
+
+def test_theory_dump_reads_back():
+    theory = build_imp_theory({"x": "V"}, {"e": "V"}, {"V": 2})
+    text = dump_theory(theory)
+    parsed = parse_theory(text)
+    assert dump_theory(parsed) == text
+    model = build_model(parsed, default_carriers(parsed))
+    spin = parse_command("while true do { skip }")
+    assert check_equiv(spin, parse_command("skip"), parsed, model,
+                       fuel=2).kind == "fuel-exhausted"
 
 
 @pytest.mark.parametrize(

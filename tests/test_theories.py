@@ -257,6 +257,23 @@ class TestTheoryDump:
         ex = dualize(states_theory({"e": "P"}))
         assert dump_theory(parse_theory(dump_theory(ex))) == dump_theory(ex)
 
+    @pytest.mark.parametrize("head", [
+        "location x ", "exception e ", "op lookup_x ", "axiom st_ax1_x "])
+    def test_repeated_declaration_is_refused(self, head):
+        """A second declaration of a name, even at another type, is an
+        error on its line rather than overriding the first."""
+        both = combine(states_theory({"x": "V"}),
+                       dualize(states_theory({"e": "V"})))
+        lines = dump_theory(both).splitlines()
+        number = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith(head))
+        lines.insert(number, lines[number - 1].replace("V", "W"))
+        with pytest.raises(ParseError) as info:
+            parse_theory("\n".join(lines) + "\n")
+        kind, name = head.split()
+        assert info.value.message == f"{kind} {name!r} declared twice"
+        assert (info.value.line, info.value.col) == (number + 1, 1)
+
     @pytest.mark.parametrize("head, old, new, at, message", [
         ("axiom st_ax2_x_y ", "= comp(op(lookup_y)", "= comp(op((lookup_y)",
          "(lookup_y)", "expected a name"),
