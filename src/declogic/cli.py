@@ -162,12 +162,7 @@ def _cmd_imp_equiv(args: argparse.Namespace) -> int:
                 f"program arithmetic needs carrier 0..{len(values) - 1} "
                 f"for type {base!r}")
     sizes = {base: len(values) for base, values in model_config.carriers.items()}
-    used = set(model_config.locations.values()) | set(model_config.exceptions.values())
-    theory = build_imp_theory(
-        model_config.locations,
-        model_config.exceptions,
-        {base: sizes[base] for base in used},
-    )
+    theory = build_imp_theory(model_config.locations, model_config.exceptions, sizes)
     model = build_model(theory, default_carriers(theory))
     left = parse_command(_read(args.programs[0]))
     right = parse_command(_read(args.programs[1]))

@@ -1,6 +1,6 @@
 """Translate imperative programs into decorated terms.
 
-A command becomes a term from unit to unit over a combined theory of
+A program becomes a term from unit to unit over a combined theory of
 state and exceptions.  The translation is effect-faithful: assignments
 are updates, reads are lookups, `throw` tags a payload, and `try`
 catches with untag.  Loops are unrolled against a fuel budget; running
@@ -11,15 +11,21 @@ Every elaborated command is transparent: fed an exceptional input, it
 returns that input unchanged.  Try blocks need an explicit shield for
 this, because their untags would otherwise catch upstream exceptions.
 
-Handlers see a caught payload by substitution, and each command node is
-built once per value of the binders it reads, so the term is a shared
-graph: a handler reading k binders has |V|^k copies, not |V|^depth.
+Handlers read caught payloads by environment passing.  A command is a
+term Γ -> Γ, where the environment Γ is the product of the payload
+bases bound around it, and a binder read is a projection out of Γ.
+Branches get Γ back through the pure `dist_...` ops, Γ paired with a
+sum to a sum of pairs, so each handler is built once.  Outside every
+handler Γ is unit and nothing is paired with it.
 """
 from __future__ import annotations
 
-from ..model import enum_type
+from dataclasses import replace
+
 from ..terms import (
+    PURE,
     Absurd,
+    Bang,
     CaseSeq,
     Comp,
     Const,
@@ -28,12 +34,16 @@ from ..terms import (
     Inj1,
     Inj2,
     Op,
+    OpSymbol,
     PairSeq,
+    Proj1,
+    Proj2,
+    compose_chain,
     shield,
 )
 from ..theory import Theory, lookup_op, states_theory, tag_op, untag_op, update_op
 from ..theory import combine, dualize, extend_theory
-from ..terms import Decoration, OpSymbol
+from ..syntax import TYPE_KEYWORDS, type_code
 from ..types import EMPTY_T, UNIT_T, Base, ObjType, Prod, Sum
 from .ast import (
     Add,
@@ -43,7 +53,6 @@ from .ast import (
     BExp,
     BFalse,
     BTrue,
-    Clause,
     Command,
     Eq,
     If,
@@ -81,8 +90,8 @@ class UndeclaredException(ElaborationError):
     pass
 
 
-def _check_name(name: str, what: str) -> None:
-    if name in KEYWORDS or not name.isidentifier():
+def _check_name(name: str, what: str, reserved=KEYWORDS) -> None:
+    if name in reserved or not name.isidentifier():
         raise ElaborationError(f"{what} {name!r} is not a usable name")
 
 
@@ -94,10 +103,9 @@ def build_imp_theory(
     """A combined theory equipped for running programs.
 
     `locations` and `exceptions` map names to base type names; `sizes`
-    gives each base a carrier size.  Every base gets modular add, sub
-    and mul, boolean-valued eq and le, and an enumeration operation
-    whose target width records the size, so the size is recoverable
-    from the theory alone.
+    gives each base a carrier size, which the theory records as the
+    carrier 0..size-1.  Every base gets modular add, sub and mul and
+    boolean-valued eq and le.
     """
     if not locations:
         raise ElaborationError("programs need at least one location")
@@ -111,9 +119,9 @@ def build_imp_theory(
     theory = combine(st, ex)
 
     symbols: list[OpSymbol] = []
-    pure = Decoration(0, 0)
     bases = dict.fromkeys(list(locations.values()) + list(exceptions.values()))
     for base in bases:
+        _check_name(base, "base type", TYPE_KEYWORDS)
         if base not in sizes:
             raise ElaborationError(f"no carrier size given for base type {base!r}")
         size = sizes[base]
@@ -122,37 +130,81 @@ def build_imp_theory(
         b = Base(base)
         pair = Prod(b, b)
         for kind in ("add", "sub", "mul"):
-            symbols.append(OpSymbol(f"{kind}_{base}", pair, b, pure))
+            symbols.append(OpSymbol(f"{kind}_{base}", pair, b, PURE))
         for kind in ("eq", "le"):
-            symbols.append(OpSymbol(f"{kind}_{base}", pair, BOOL_T, pure))
-        symbols.append(OpSymbol(f"enum_{base}", b, enum_type(size), pure))
-    return extend_theory(theory, symbols)
-
-
-def carrier_sizes(theory: Theory) -> dict[str, int]:
-    """Carrier sizes recorded in a theory's enumeration operations."""
-    sizes = {}
-    for name, symbol in theory.signature.items():
-        if name.startswith("enum_"):
-            width = 1
-            ty = symbol.target
-            while isinstance(ty, Sum):
-                width += 1
-                ty = ty.right
-            sizes[name[len("enum_"):]] = width
-    if not sizes:
-        raise ElaborationError("theory has no enumeration operations to size carriers from")
-    return sizes
+            symbols.append(OpSymbol(f"{kind}_{base}", pair, BOOL_T, PURE))
+    return replace(extend_theory(theory, symbols),
+                   carriers={base: tuple(range(sizes[base])) for base in bases})
 
 
 def default_carriers(theory: Theory) -> dict[str, tuple]:
-    """Carriers 0..size-1 for every sized base, as the arithmetic needs."""
-    return {base: tuple(range(size)) for base, size in carrier_sizes(theory).items()}
+    """The carriers 0..size-1 that an imp theory records for its bases."""
+    if not theory.carriers:
+        raise ElaborationError("theory records no carriers; build it with build_imp_theory")
+    return dict(theory.carriers)
 
 
-# Binders map caught-value names to (carrier value, base name).  A
-# binder shadows any location with the same name inside its handler.
-_Binders = "dict[str, tuple[int, str]]"
+def dist_symbol(env: ObjType, left: ObjType, right: ObjType) -> OpSymbol:
+    """The pure op from `env` paired with a `left`/`right` sum to the sum of
+    `env` paired with each side, named after its type for models to read."""
+    source = Prod(env, Sum(left, right))
+    return OpSymbol(f"dist_{type_code(source)}", source,
+                    Sum(Prod(env, left), Prod(env, right)), PURE)
+
+
+class _Scope:
+    """The caught values a command can read: one (binder, base, Γ) layer
+    per enclosing clause, outermost first, where Γ is the environment
+    inside that clause.  A later binder shadows an earlier one and any
+    location of the same name."""
+
+    def __init__(self, layers: tuple = ()) -> None:
+        self.layers = layers
+        self.env = layers[-1][2] if layers else UNIT_T
+        self.bases = {name: base for name, base, _ in layers}
+        # down[k] leads from `env` to the Γ of layer k; reads share it.
+        self.down = {len(layers) - 1: []}
+        for k in reversed(range(len(layers) - 1)):
+            up = Proj1(layers[k][2], Base(layers[k + 1][1]))
+            self.down[k] = [compose_chain(self.down[k + 1] + [up], self.env)]
+
+    def read(self, name: str) -> DecoratedTerm:
+        """The projection from `env` to the value that `name` caught."""
+        i = max(k for k, layer in enumerate(self.layers) if layer[0] == name)
+        pick = [Proj2(self.layers[i - 1][2], Base(self.layers[i][1]))] if i else []
+        return compose_chain(self.down[i] + pick, self.env)
+
+
+def _drop(env: ObjType, slot: ObjType) -> DecoratedTerm | None:
+    """The map from `env` paired with a `slot` value (the value alone at
+    unit `env`) back to `env`; None is the identity."""
+    if env != UNIT_T:
+        return Proj1(env, slot)
+    return None if slot == UNIT_T else Bang(slot)
+
+
+def _chain(*factors: DecoratedTerm | None) -> DecoratedTerm:
+    """`factors` composed, innermost first, skipping None (an identity at unit)."""
+    return compose_chain([f for f in factors if f is not None], UNIT_T)
+
+
+def _case(env: ObjType, scrutinee: DecoratedTerm, branches: list) -> DecoratedTerm:
+    """Run `scrutinee` from `env` into a right-nested sum, then the branch
+    for its slot, which reads `env` paired with the slot's value as
+    `_drop` does."""
+    tree = branches[-1]
+    for branch in reversed(branches[:-1]):
+        tree = CaseSeq(branch, tree)
+        if env != UNIT_T:
+            left, right = branch.source.right, tree.on_right.source.right
+            tree = Comp(tree, Op(dist_symbol(env, left, right)))
+    return Comp(tree, scrutinee if env == UNIT_T else PairSeq(Id(env), scrutinee))
+
+
+def _if(env: ObjType, guard: DecoratedTerm, then: DecoratedTerm,
+        other: DecoratedTerm) -> DecoratedTerm:
+    """`then` or `other`, terms from `env`, as the boolean `guard` decides."""
+    return _case(env, guard, [_chain(_drop(env, UNIT_T), branch) for branch in (then, other)])
 
 
 def _first_name(expr: AExp) -> str | None:
@@ -166,21 +218,19 @@ def _first_name(expr: AExp) -> str | None:
     return None
 
 
-def _name_base(name: str, theory: Theory, binders) -> str:
-    if name in binders:
-        return binders[name][1]
-    if name in theory.locations:
-        return theory.locations[name]
-    raise UndeclaredLocation(f"unknown location {name!r}")
+def _name_base(name: str, theory: Theory, scope: _Scope) -> str:
+    base = scope.bases.get(name) or theory.locations.get(name)
+    if base is None:
+        raise UndeclaredLocation(f"unknown location {name!r}")
+    return base
 
 
-def _comparison_base(left: AExp, right: AExp, theory: Theory,
-                     sizes: dict[str, int], binders) -> str:
+def _comparison_base(left: AExp, right: AExp, theory: Theory, scope: _Scope) -> str:
     name = _first_name(left) or _first_name(right)
     if name is not None:
-        return _name_base(name, theory, binders)
-    if len(sizes) == 1:
-        return next(iter(sizes))
+        return _name_base(name, theory, scope)
+    if len(theory.carriers) == 1:
+        return next(iter(theory.carriers))
     raise ElaborationError(
         "cannot infer the value type of a comparison between literals"
     )
@@ -189,8 +239,7 @@ def _comparison_base(left: AExp, right: AExp, theory: Theory,
 _ARITH_KIND = {Add: "add", Sub: "sub", Mul: "mul"}
 
 
-def _aexp(expr: AExp, base: str, theory: Theory,
-          sizes: dict[str, int], binders) -> DecoratedTerm:
+def _aexp(expr: AExp, base: str, theory: Theory, scope: _Scope) -> DecoratedTerm:
     """Iterative, left operands first, so sums of any length elaborate.
     An op name on the stack joins the last two results under that op."""
     done: list[DecoratedTerm] = []
@@ -203,195 +252,119 @@ def _aexp(expr: AExp, base: str, theory: Theory,
         elif type(node) in _ARITH_KIND:
             stack += (f"{_ARITH_KIND[type(node)]}_{base}", node.right, node.left)
         elif isinstance(node, Lit):
-            if not 0 <= node.value < sizes[base]:
+            size = len(theory.carriers[base])
+            if not 0 <= node.value < size:
                 raise ElaborationError(
-                    f"literal {node.value} outside 0..{sizes[base] - 1} for base {base!r}"
+                    f"literal {node.value} outside 0..{size - 1} for base {base!r}"
                 )
-            done.append(Const(node.value, Base(base)))
+            done.append(_chain(_drop(UNIT_T, scope.env), Const(node.value, Base(base))))
         elif isinstance(node, Loc):
-            found = _name_base(node.name, theory, binders)
+            found = _name_base(node.name, theory, scope)
             if found != base:
                 raise ElaborationError(
                     f"{node.name!r} holds {found!r} values where {base!r} is needed"
                 )
-            done.append(Const(binders[node.name][0], Base(base)) if node.name in binders
-                        else lookup_op(theory, node.name))
+            done.append(scope.read(node.name) if node.name in scope.bases else
+                        _chain(_drop(UNIT_T, scope.env), lookup_op(theory, node.name)))
         else:
             raise TypeError(f"not an arithmetic expression: {node!r}")
     return done[0]
 
 
-def _bexp(expr: BExp, theory: Theory, sizes: dict[str, int], binders) -> DecoratedTerm:
-    if isinstance(expr, BTrue):
-        return Inj1(UNIT_T, UNIT_T)
-    if isinstance(expr, BFalse):
-        return Inj2(UNIT_T, UNIT_T)
+def _bexp(expr: BExp, theory: Theory, scope: _Scope) -> DecoratedTerm:
+    if isinstance(expr, (BTrue, BFalse)):
+        inject = Inj1 if isinstance(expr, BTrue) else Inj2
+        return _chain(_drop(UNIT_T, scope.env), inject(UNIT_T, UNIT_T))
     if isinstance(expr, (Eq, Le)):
-        base = _comparison_base(expr.left, expr.right, theory, sizes, binders)
+        base = _comparison_base(expr.left, expr.right, theory, scope)
         kind = "eq" if isinstance(expr, Eq) else "le"
-        left = _aexp(expr.left, base, theory, sizes, binders)
-        right = _aexp(expr.right, base, theory, sizes, binders)
+        left = _aexp(expr.left, base, theory, scope)
+        right = _aexp(expr.right, base, theory, scope)
         return Comp(Op(theory.signature[f"{kind}_{base}"]), PairSeq(left, right))
     if isinstance(expr, Not):
-        inner = _bexp(expr.body, theory, sizes, binders)
+        inner = _bexp(expr.body, theory, scope)
         return Comp(CaseSeq(Inj2(UNIT_T, UNIT_T), Inj1(UNIT_T, UNIT_T)), inner)
     if isinstance(expr, And):
-        left = _bexp(expr.left, theory, sizes, binders)
-        right = _bexp(expr.right, theory, sizes, binders)
-        return Comp(CaseSeq(right, Inj2(UNIT_T, UNIT_T)), left)
+        left = _bexp(expr.left, theory, scope)
+        right = _bexp(expr.right, theory, scope)
+        return _if(scope.env, left, right, _bexp(BFalse(), theory, scope))
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
-def _nested_sum(slots: list[ObjType]) -> ObjType:
-    ty = slots[-1]
-    for left in reversed(slots[:-1]):
-        ty = Sum(left, ty)
-    return ty
-
-
-def _inject(slots: list[ObjType], index: int) -> DecoratedTerm:
-    """Injection of slot `index` into the right-nested sum of `slots`."""
-    if index == len(slots) - 1:
-        term = Id(slots[index])
-    else:
-        term = Inj1(slots[index], _nested_sum(slots[index + 1:]))
-    for k in reversed(range(index)):
-        term = Comp(Inj2(slots[k], _nested_sum(slots[k + 1:])), term)
-    return term
-
-
-def _case_tree(branches: list[DecoratedTerm]) -> DecoratedTerm:
-    tree = branches[-1]
-    for branch in reversed(branches[:-1]):
-        tree = CaseSeq(branch, tree)
-    return tree
-
-
-def _free_names(root: Command, names: dict) -> tuple[str, ...]:
-    """The names `root` reads or assigns and does not bind itself, found
-    bottom-up without recursion and recorded in `names` for every node
-    under `root`, by node identity."""
-    stack = [] if id(root) in names else [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        kids = [kid for value in getattr(node, "__dict__", {}).values()
-                for kid in (value if isinstance(value, tuple) else (value,))
-                if isinstance(kid, (AExp, BExp, Command, Clause))]
-        if not ready:
-            stack.append((node, True))
-            stack += [(kid, False) for kid in kids if id(kid) not in names]
-            continue
-        free = {name for kid in kids for name in names[id(kid)]}
-        if isinstance(node, (Loc, Assign)):
-            free.add(node.name if isinstance(node, Loc) else node.target)
-        elif isinstance(node, Clause):
-            free.discard(node.binder)
-        names[id(node)] = tuple(free)
-    return names[id(root)]
-
-
-def _cmd(cmd: Command, theory: Theory, sizes: dict[str, int],
-         fuel: int, binders, memo: tuple[dict, dict]) -> DecoratedTerm:
-    """`_build`, shared within one `elaborate` call: `memo` holds each
-    node's free names and the terms built, keyed by node identity (a
-    frozen AST node's hash re-walks its subtree) and the values of the
-    binders among those names, the only ones the term depends on."""
-    if not binders:  # outside every handler, each node is built once
-        return _build(cmd, theory, sizes, fuel, binders, memo)
-    names, terms = memo
-    key = (id(cmd), *map(binders.get, _free_names(cmd, names)))
-    if key not in terms:
-        terms[key] = _build(cmd, theory, sizes, fuel, binders, memo)
-    return terms[key]
-
-
-def _build(cmd: Command, theory: Theory, sizes: dict[str, int],
-           fuel: int, binders, memo: tuple[dict, dict]) -> DecoratedTerm:
+def _cmd(cmd: Command, theory: Theory, fuel: int, scope: _Scope) -> DecoratedTerm:
+    """`cmd` as a term from the scope's environment to itself."""
+    env = scope.env
     if isinstance(cmd, Skip):
-        return Id(UNIT_T)
+        return Id(env)
     if isinstance(cmd, Assign):
-        if cmd.target in binders:
+        if cmd.target in scope.bases:
             raise ElaborationError(f"cannot assign to caught value {cmd.target!r}")
         if cmd.target not in theory.locations:
             raise UndeclaredLocation(f"unknown location {cmd.target!r}")
         base = theory.locations[cmd.target]
-        value = _aexp(cmd.expr, base, theory, sizes, binders)
-        return Comp(update_op(theory, cmd.target), value)
+        write = Comp(update_op(theory, cmd.target), _aexp(cmd.expr, base, theory, scope))
+        # The write maps Γ to unit; pairing keeps Γ for what follows.
+        return write if env == UNIT_T else Comp(Proj1(env, UNIT_T), PairSeq(Id(env), write))
     if isinstance(cmd, Seq):
         # A loop over the `;` spine, first halves in program order.
         firsts = []
         while isinstance(cmd, Seq):
-            firsts.append(_cmd(cmd.first, theory, sizes, fuel, binders, memo))
+            firsts.append(_cmd(cmd.first, theory, fuel, scope))
             cmd = cmd.second
-        term = _cmd(cmd, theory, sizes, fuel, binders, memo)
+        term = _cmd(cmd, theory, fuel, scope)
         for first in reversed(firsts):
             term = Comp(term, first)
         return term
     if isinstance(cmd, If):
-        guard = _bexp(cmd.cond, theory, sizes, binders)
-        then_branch = _cmd(cmd.then_branch, theory, sizes, fuel, binders, memo)
-        else_branch = _cmd(cmd.else_branch, theory, sizes, fuel, binders, memo)
-        return Comp(CaseSeq(then_branch, else_branch), guard)
+        guard = _bexp(cmd.cond, theory, scope)
+        then = _cmd(cmd.then_branch, theory, fuel, scope)
+        return _if(env, guard, then, _cmd(cmd.else_branch, theory, fuel, scope))
     if isinstance(cmd, While):
-        guard = _bexp(cmd.cond, theory, sizes, binders)
-        body = _cmd(cmd.body, theory, sizes, fuel, binders, memo)
+        guard = _bexp(cmd.cond, theory, scope)
+        body = _cmd(cmd.body, theory, fuel, scope)
         fuel_base = theory.exceptions[FUEL_EXCEPTION]
         # The innermost round raises before looking at the guard, so a
         # loop needing exactly `fuel` iterations still exhausts.
-        term = Comp(
-            Absurd(UNIT_T),
-            Comp(tag_op(theory, FUEL_EXCEPTION), Const(0, Base(fuel_base))),
-        )
+        term = Comp(Absurd(env), Comp(tag_op(theory, FUEL_EXCEPTION),
+                                      _chain(_drop(UNIT_T, env), Const(0, Base(fuel_base)))))
         for _ in range(fuel):
-            term = Comp(CaseSeq(Comp(term, body), Id(UNIT_T)), guard)
+            term = _if(env, guard, Comp(term, body), Id(env))
         return term
     if isinstance(cmd, Throw):
-        if cmd.exception == FUEL_EXCEPTION or cmd.exception not in theory.exceptions:
-            raise UndeclaredException(f"unknown exception {cmd.exception!r}")
-        base = theory.exceptions[cmd.exception]
-        payload = _aexp(cmd.payload, base, theory, sizes, binders)
-        return Comp(Absurd(UNIT_T), Comp(tag_op(theory, cmd.exception), payload))
+        payload = _aexp(cmd.payload, _exception_base(cmd.exception, theory), theory, scope)
+        return Comp(Absurd(env), Comp(tag_op(theory, cmd.exception), payload))
     if isinstance(cmd, TryCatch):
-        return _try(cmd, theory, sizes, fuel, binders, memo)
+        return _try(cmd, theory, fuel, scope)
     raise TypeError(f"not a command: {cmd!r}")
 
 
-def _try(cmd: TryCatch, theory: Theory, sizes: dict[str, int],
-         fuel: int, binders, memo: tuple[dict, dict]) -> DecoratedTerm:
+def _exception_base(name: str, theory: Theory) -> str:
+    if name == FUEL_EXCEPTION or name not in theory.exceptions:
+        raise UndeclaredException(f"unknown exception {name!r}")
+    return theory.exceptions[name]
+
+
+def _try(cmd: TryCatch, theory: Theory, fuel: int, scope: _Scope) -> DecoratedTerm:
     """Reify the body's outcome into a sum, then dispatch on it.
 
-    Slot 0 is the ordinary outcome; slot k carries the payload of the
-    k-th clause's exception.  Clause 1 reclassifies first, so the first
-    clause naming a raised exception wins.  Handlers see their caught
-    payload by exhaustive substitution: one leaf per carrier value,
-    selected through the base's enumeration operation.  `_cmd` shares a
-    leaf among all copies of the block that agree on what it reads.
-    The whole block is shielded so upstream exceptions bypass its untags.
+    Each clause wraps the sum so far in one whose left side carries the
+    payload its untag catches; the innermost is unit, the ordinary
+    outcome.  Clause 1 catches first, so the first clause naming a raised
+    exception wins.  Each handler reads the environment paired with its
+    payload.  The block is shielded so upstream exceptions bypass it.
     """
-    for clause in cmd.clauses:
-        if (clause.exception == FUEL_EXCEPTION
-                or clause.exception not in theory.exceptions):
-            raise UndeclaredException(f"unknown exception {clause.exception!r}")
-    body = _cmd(cmd.body, theory, sizes, fuel, binders, memo)
-    slots: list[ObjType] = [UNIT_T]
-    slots += [Base(theory.exceptions[c.exception]) for c in cmd.clauses]
-
-    reified = Comp(_inject(slots, 0), body)
-    for index, clause in enumerate(cmd.clauses, start=1):
-        catcher = Comp(_inject(slots, index), untag_op(theory, clause.exception))
-        reified = Comp(CaseSeq(catcher, reified), Inj2(EMPTY_T, UNIT_T))
-
-    branches: list[DecoratedTerm] = [Id(UNIT_T)]
-    for clause in cmd.clauses:
-        base = theory.exceptions[clause.exception]
-        leaves = []
-        for value in range(sizes[base]):
-            bound = {**binders, clause.binder: (value, base)}
-            leaves.append(_cmd(clause.handler, theory, sizes, fuel, bound, memo))
-        tree = _case_tree(leaves)
-        branches.append(Comp(tree, Op(theory.signature[f"enum_{base}"])))
-    dispatch = _case_tree(branches)
-    return shield(Comp(dispatch, reified))
+    slots = [Base(_exception_base(clause.exception, theory)) for clause in cmd.clauses]
+    env = scope.env
+    reified = _chain(_cmd(cmd.body, theory, fuel, scope), _drop(UNIT_T, env))
+    branches = [_chain(_drop(env, UNIT_T))]
+    for clause, slot in zip(cmd.clauses, slots):
+        caught = Comp(Inj1(slot, reified.target), untag_op(theory, clause.exception))
+        passed = Comp(Inj2(slot, reified.target), reified)
+        reified = Comp(CaseSeq(caught, passed), Inj2(EMPTY_T, env))
+        layer = (clause.binder, slot.name, slot if env == UNIT_T else Prod(env, slot))
+        handler = _cmd(clause.handler, theory, fuel, _Scope(scope.layers + (layer,)))
+        branches.insert(0, _chain(handler, _drop(env, slot)))
+    return shield(_case(env, reified, branches))
 
 
 def elaborate(cmd: Command, theory: Theory, fuel: int = 64) -> DecoratedTerm:
@@ -405,7 +378,8 @@ def elaborate(cmd: Command, theory: Theory, fuel: int = 64) -> DecoratedTerm:
     if FUEL_EXCEPTION not in theory.exceptions:
         raise ElaborationError("theory lacks the reserved fuel exception; "
                                "build it with build_imp_theory")
+    default_carriers(theory)
     try:
-        return _cmd(cmd, theory, carrier_sizes(theory), fuel, {}, ({}, {}))
+        return _cmd(cmd, theory, fuel, _Scope())
     except RecursionError:
         raise ElaborationError("program nests too deeply to elaborate") from None

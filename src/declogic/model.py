@@ -49,7 +49,8 @@ from .terms import (
     Proj1,
     Proj2,
 )
-from .types import Base, Empty, ObjType, Prod, Sum, Unit
+from .syntax import TYPE_KEYWORDS, ParseError, code_lines, parse_type_code
+from .types import Base, Empty, ObjType, Prod, Sum, Unit, base_names
 
 
 class _UnitValue:
@@ -346,59 +347,46 @@ def comonad_epsilon(pair):
 # Standard interpretations
 
 
-def enum_slot_value(index: int, size: int):
-    """Value of slot `index` in the right-nested enum type of `size` slots.
-
-    The type is Sum(Unit, Sum(Unit, ... Unit)); slot k wraps k "R" tags
-    around an "L"-tagged unit, except the last slot, whose core is the
-    bare final unit.
-    """
-    if not 0 <= index < size:
-        raise ValueError(f"slot {index} out of range for size {size}")
-    value = UNIT if index == size - 1 else ("L", UNIT)
-    for _ in range(index):
-        value = ("R", value)
-    return value
-
-
-def enum_type(size: int) -> ObjType:
-    """Right-nested sum of `size` unit summands."""
-    from .types import UNIT_T
-
-    if size < 1:
-        raise ValueError("enum carrier must be non-empty")
-    ty: ObjType = UNIT_T
-    for _ in range(size - 1):
-        ty = Sum(UNIT_T, ty)
-    return ty
-
-
 def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
     """Instantiate `theory` over the given carriers.
 
     Each operation `family_arg` is interpreted from its name (lookups
     read location `arg`, updates overwrite it, tags wrap, untags
-    match-or-rethrow, and enum, add, sub, mul, eq and le act on base
-    `arg`).  Tables fill on first use; `len()` counts entries built.
+    match-or-rethrow, add, sub, mul, eq and le act on base `arg`, and
+    `dist_CODE` distributes a pair over a sum of the type spelled CODE by
+    `syntax.type_code`).  Tables fill on first use, and so does
+    `interps`, for ops outside the signature too; `len()` counts entries.
     """
     for base in set(theory.locations.values()) | set(theory.exceptions.values()):
         if base not in carriers:
             raise UnknownBaseType(f"base type {base!r} has no carrier")
+    interps = _Interps()
     model = FiniteModel(
         carriers=dict(carriers),
         locations=dict(theory.locations),
         exceptions=dict(theory.exceptions),
-        interps={},
+        interps=interps,
     )
-    states = frozenset(model.states)
+    interps.model, interps.states = model, frozenset(model.states)
     for name in theory.signature:
-        family = _family(name, model)
-        if family is None:
+        try:
+            interps[name]
+        except KeyError:
             raise MissingInterpretation(
                 f"operation {name!r} has no construction recipe and no "
-                f"explicit interpretation")
-        model.interps[name] = _Table(*family, states)
+                f"explicit interpretation") from None
     return model
+
+
+class _Interps(dict):
+    """Tables by operation name; a missing name gets the table of its family."""
+
+    def __missing__(self, name):
+        family = _family(name, self.model)
+        if family is None:
+            raise KeyError(name)
+        self[name] = table = _Table(*family, self.states)
+        return table
 
 
 class _Table(dict):
@@ -441,18 +429,38 @@ def _family(name: str, model: FiniteModel):
     if kind == "untag" and arg in model.exceptions:
         return (frozenset(model.exceptional_values()).__contains__,
                 lambda v, s: (v.param if v.name == arg else v, s))
+    ty = parse_type_code(arg) if kind == "dist" else None
+    if (isinstance(ty, Prod) and isinstance(ty.right, Sum)
+            and base_names(ty) <= model.carriers.keys()):
+        sets = {base: frozenset(model.carriers[base]) for base in base_names(ty)}
+        return (lambda v: _inhabits(ty, v, sets),
+                lambda v, s: ((v[1][0], (v[0], v[1][1])), s))
     carrier = model.carriers.get(arg)
-    if carrier is None or kind != "enum" and kind not in _ON_PAIRS:
+    if carrier is None or kind not in _ON_PAIRS:
         return None
     size = len(carrier)
-    if kind == "enum":
-        index = {v: i for i, v in enumerate(carrier)}
-        return index.__contains__, lambda v, s: (enum_slot_value(index[v], size), s)
     if kind in ("add", "sub", "mul") and tuple(carrier) != tuple(range(size)):
         raise ModelError(f"arithmetic needs carrier 0..{size - 1}, got {carrier!r}")
     fn, values = _ON_PAIRS[kind], frozenset(carrier)
     return (lambda v: type(v) is tuple and len(v) == 2
             and v[0] in values and v[1] in values), lambda v, s: (fn(*v, size), s)
+
+
+def _inhabits(ty: ObjType, value, sets: dict[str, frozenset]) -> bool:
+    """Whether `value` is an ordinary point of `ty`, where `sets` holds the
+    carriers of the bases in `ty`; a loop, so deep types are checked."""
+    todo = [(ty, value)]
+    while todo:
+        ty, v = todo.pop()
+        pair = type(v) is tuple and len(v) == 2
+        if isinstance(ty, Prod) and pair:
+            todo += ((ty.left, v[0]), (ty.right, v[1]))
+        elif isinstance(ty, Sum) and pair and v[0] in ("L", "R"):
+            todo.append((ty.left if v[0] == "L" else ty.right, v[1]))
+        elif not (v is UNIT if isinstance(ty, Unit)
+                  else isinstance(ty, Base) and v in sets[ty.name]):
+            return False
+    return True
 
 
 def validate_model(model: FiniteModel, theory) -> list[str]:
@@ -533,21 +541,16 @@ def parse_model_config(text: str) -> ModelConfig:
     Lines: `type V = {0,1}`, `location x : V`, `exception e : V`.
     Blank lines and `#` comments are skipped.
     """
-    from .syntax import ParseError, code_lines
-
     carriers: dict[str, tuple] = {}
     locations: dict[str, str] = {}
     exceptions: dict[str, str] = {}
     for lineno, line, _ in code_lines(text):
         parts = line.split()
         if parts[0] == "type":
-            rest = line[len("type"):].strip()
-            if "=" not in rest:
+            name, sep, body = (piece.strip() for piece in line[len("type"):].partition("="))
+            if not sep:
                 raise ParseError("expected `type NAME = {..}`", lineno, 1)
-            name, _, body = rest.partition("=")
-            name = name.strip()
-            body = body.strip()
-            if not name.isidentifier():
+            if not name.isidentifier() or name in TYPE_KEYWORDS:
                 raise ParseError(f"bad type name {name!r}", lineno, 1)
             if name in carriers:
                 raise ParseError(f"type {name!r} declared twice", lineno, 1)
@@ -564,12 +567,9 @@ def parse_model_config(text: str) -> ModelConfig:
                 raise ParseError("carrier values must be distinct", lineno, 1)
             carriers[name] = values
         elif parts[0] in ("location", "exception"):
-            rest = line[len(parts[0]):].strip()
-            if ":" not in rest:
+            name, sep, base = (piece.strip() for piece in line[len(parts[0]):].partition(":"))
+            if not sep:
                 raise ParseError(f"expected `{parts[0]} NAME : TYPE`", lineno, 1)
-            name, _, base = rest.partition(":")
-            name = name.strip()
-            base = base.strip()
             if not name.isidentifier() or not base.isidentifier():
                 raise ParseError(f"bad {parts[0]} declaration", lineno, 1)
             target = locations if parts[0] == "location" else exceptions
@@ -591,4 +591,4 @@ def print_model_config(config: ModelConfig) -> str:
         lines.append(f"location {name} : {base}")
     for name, base in config.exceptions.items():
         lines.append(f"exception {name} : {base}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)

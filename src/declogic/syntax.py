@@ -66,6 +66,25 @@ def print_type(ty: ObjType) -> str:
     raise TypeError(f"not an object type: {ty!r}")
 
 
+_CODE_ESCAPES = {"_": "__", "(": "_a", ",": "_b", ")": "_c"}
+_CODE_UNESCAPES = {code[1]: char for char, code in _CODE_ESCAPES.items()}
+
+
+def type_code(ty: ObjType) -> str:
+    """`print_type(ty)` spelled in identifier characters: spaces dropped,
+    and `_`, `(`, `,` and `)` written as `__`, `_a`, `_b` and `_c`."""
+    return "".join(_CODE_ESCAPES.get(char, char) for char in print_type(ty) if char != " ")
+
+
+def parse_type_code(code: str) -> ObjType | None:
+    """The type that `type_code` spells as `code`, or None if none is."""
+    try:
+        ty = parse_type(re.sub(r"_(.?)", lambda m: _CODE_UNESCAPES.get(m[1], "?"), code))
+    except ParseError:
+        return None
+    return ty if type_code(ty) == code else None
+
+
 def print_value(value: object, ty: ObjType) -> str:
     """Print a carrier value at type `ty`.
 
@@ -179,8 +198,9 @@ def located_tokens(pattern: re.Pattern, text: str,
 def code_lines(text: str):
     """`(lineno, line, end_col)` for each line of `text` that holds code
     once its `#` comment is cut off: `line` is that code stripped, and a
-    suffix `s` of it starts at column `end_col - len(s)`."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    suffix `s` of it starts at column `end_col - len(s)`.  Only a newline
+    ends a line, as in the positions the scanners report."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
         if line:

@@ -11,7 +11,7 @@ interprets it from that name alone, so a theory carries no tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .terms import (
     Absurd,
@@ -76,6 +76,8 @@ class Theory:
     obs_rules: tuple[ObsRule, ...]
     locations: dict[str, str] = field(default_factory=dict)
     exceptions: dict[str, str] = field(default_factory=dict)
+    # Carriers fixed for the bases (imp theories): `type` lines in a dump.
+    carriers: dict[str, tuple] = field(default_factory=dict)
 
     def base_type(self, location_or_exception: str) -> Base:
         if location_or_exception in self.locations:
@@ -352,6 +354,7 @@ def dualize(theory: Theory) -> Theory:
         obs_rules=obs_rules,
         locations=new_locations,
         exceptions=new_exceptions,
+        carriers=dict(theory.carriers),
     )
 
 
@@ -376,6 +379,7 @@ def combine(st: Theory, ex: Theory) -> Theory:
         obs_rules=st.obs_rules + ex.obs_rules,
         locations=dict(st.locations),
         exceptions=dict(ex.exceptions),
+        carriers={**st.carriers, **ex.carriers},
     )
 
 
@@ -387,14 +391,7 @@ def extend_theory(theory: Theory, symbols: list[OpSymbol]) -> Theory:
     signature = dict(theory.signature)
     for symbol in symbols:
         signature[symbol.name] = symbol
-    return Theory(
-        flavor=theory.flavor,
-        signature=signature,
-        axioms=dict(theory.axioms),
-        obs_rules=theory.obs_rules,
-        locations=dict(theory.locations),
-        exceptions=dict(theory.exceptions),
-    )
+    return replace(theory, signature=signature)
 
 
 def theory_from_config(config) -> Theory:
@@ -416,13 +413,12 @@ def theory_from_config(config) -> Theory:
 
 
 def dump_theory(theory: Theory) -> str:
+    from .model import ModelConfig, print_model_config
     from .syntax import print_term, print_type
 
-    lines = [f"theory {theory.flavor}"]
-    for name, base in theory.locations.items():
-        lines.append(f"location {name} : {base}")
-    for name, base in theory.exceptions.items():
-        lines.append(f"exception {name} : {base}")
+    # The `type`, `location` and `exception` lines read as in a model file.
+    config = ModelConfig(theory.carriers, theory.locations, theory.exceptions)
+    lines = [f"theory {theory.flavor}"] + print_model_config(config).splitlines()
     for name, symbol in theory.signature.items():
         lines.append(
             f"op {name} : {print_type(symbol.source)} -> "
@@ -445,12 +441,14 @@ def parse_theory(text: str) -> Theory:
     operation of no known family parses fine but cannot be
     instantiated by `build_model`.
     """
+    from .model import parse_model_config
     from .syntax import ParseError, code_lines, parse_at, parse_term, parse_type
     from .terms import Mode as TermMode
 
     flavor = None
     locations: dict[str, str] = {}
     exceptions: dict[str, str] = {}
+    carriers: dict[str, tuple] = {}
     signature: dict[str, OpSymbol] = {}
     axiom_lines: dict[str, tuple[int, int, str]] = {}
     obs_lines: list[tuple[int, int, str, str]] = []
@@ -464,9 +462,16 @@ def parse_theory(text: str) -> Theory:
         if name in declared.get(head, ()):
             raise ParseError(f"{head} {name!r} declared twice", lineno, 1)
         if head == "theory":
+            if flavor is not None:
+                raise ParseError("second `theory` header", lineno, 1)
             if rest not in ("states", "exceptions", "combined"):
                 raise ParseError(f"unknown flavor {rest!r}", lineno, 1)
             flavor = rest
+        elif head == "type":  # a one-line model file
+            new = parse_at(parse_model_config, line, lineno, 1).carriers
+            if new.keys() & carriers.keys():
+                raise ParseError(f"type {next(iter(new))!r} declared twice", lineno, 1)
+            carriers.update(new)
         elif head in ("location", "exception"):
             _, sep, base = rest.partition(":")
             base = base.strip()
@@ -509,6 +514,8 @@ def parse_theory(text: str) -> Theory:
             if not sep:
                 raise ParseError("expected `obs DIRECTION : TERMS`", lineno, 1)
             body = body.strip()
+            if any(seen[2:] == (direction.strip(), body) for seen in obs_lines):
+                raise ParseError("obs line repeated", lineno, 1)
             obs_lines.append((lineno, end_col - len(body), direction.strip(), body))
         else:
             raise ParseError(f"unknown declaration {head!r}", lineno, 1)
@@ -544,6 +551,7 @@ def parse_theory(text: str) -> Theory:
         obs_rules=tuple(obs_rules),
         locations=locations,
         exceptions=exceptions,
+        carriers=carriers,
     )
 
 

@@ -7,7 +7,7 @@ codes.  A
 100k-statement program must parse, print, elaborate and get a verdict,
 and programs nested deeper than the parser can follow are input errors.
 A 100k-term sum must elaborate, get a verdict and print back, and a
-1500-value carrier must elaborate a handler and enumerate its points.
+handler over a 1500-value carrier must elaborate and get a verdict.
 """
 
 import sys
@@ -25,13 +25,7 @@ from declogic.imp import (
     parse_command,
     print_command,
 )
-from declogic.model import (
-    UNIT,
-    build_model,
-    enum_slot_value,
-    enum_type,
-    enumerate_points,
-)
+from declogic.model import build_model
 from declogic.syntax import parse_term, print_term
 from declogic.terms import canonical_key, typecheck
 from declogic.theory import dualize, dump_theory, parse_theory, states_theory
@@ -160,23 +154,9 @@ def test_long_sum_gets_a_verdict():
 
 
 def test_large_carrier_elaborates():
-    # one handler leaf and one enumeration slot per carrier value
     theory = build_imp_theory({"x": "V"}, {"e": "V"}, {"V": 1500})
-    term = elaborate(parse_command("try { throw e(x) } catch e(v) { x := v }"), theory)
+    catch = parse_command("try { throw e(x) } catch e(v) { x := v }")
+    term = elaborate(catch, theory)
     assert term.source == term.target == UNIT_T
-    # The point enumeration is the oracle.  Comparing nested values with
-    # `==` recurses in C, so they are compared by their `R` depth and tail.
-    points = enumerate_points(enum_type(1500), None)
-    assert len(points) == 1500
-    assert all(_peel(enum_slot_value(k, 1500)) == _peel(points[k])
-               == (k, UNIT if k == 1499 else ("L", UNIT))
-               for k in (0, 1, 1100, 1498, 1499))
-
-
-def _peel(value):
-    """The number of `R` tags around an enumeration value, and what they
-    wrap."""
-    depth = 0
-    while value is not UNIT and value[0] == "R":
-        value, depth = value[1], depth + 1
-    return depth, value
+    model = build_model(theory, default_carriers(theory))
+    assert check_equiv(catch, parse_command("skip"), theory, model).kind == "strong"

@@ -40,9 +40,9 @@ from declogic.imp import (
     Verdict,
     While,
     build_imp_theory,
-    carrier_sizes,
     check_equiv,
     default_carriers,
+    dist_symbol,
     elaborate,
     parse_aexp,
     parse_bexp,
@@ -51,8 +51,8 @@ from declogic.imp import (
     print_bexp,
     print_command,
 )
-from declogic.syntax import ParseError
-from declogic.terms import DecoratedTerm
+from declogic.syntax import ParseError, parse_type_code
+from declogic.terms import DecoratedTerm, Op
 from declogic.theory import dump_theory, parse_theory, states_theory
 from reference_imp import Machine, reference_verdict, state_of, store_of
 
@@ -127,11 +127,35 @@ def test_corpus_matches_reference_pointwise(label, left, right, fuel, expected):
             assert got == _reference_outcome(cmd, state, fuel), (source, state)
 
 
+def _nodes(term):
+    """The distinct nodes of `term`, by identity."""
+    seen = {}
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [child for child in vars(node).values()
+                      if isinstance(child, DecoratedTerm)]
+    return list(seen.values())
+
+
+def _typechecks(term):
+    """Against the signature extended with the distribution ops the
+    term uses, each declared as its name spells."""
+    signature = dict(THEORY.signature)
+    for node in _nodes(term):
+        if isinstance(node, Op) and node.symbol.name.startswith("dist_"):
+            ty = parse_type_code(node.symbol.name[len("dist_"):])
+            symbol = dist_symbol(ty.left, ty.right.left, ty.right.right)
+            signature[symbol.name] = symbol
+    return typecheck(term, signature).ok
+
+
 @pytest.mark.parametrize("label,left,right,fuel,expected", CORPUS, ids=CORPUS_IDS)
 def test_corpus_terms_typecheck(label, left, right, fuel, expected):
     for source in (left, right):
-        term = elaborate(parse_command(source), THEORY, fuel=fuel)
-        assert typecheck(term, THEORY.signature).ok
+        assert _typechecks(elaborate(parse_command(source), THEORY, fuel=fuel))
 
 
 @pytest.mark.parametrize("label,left,right,fuel,expected", CORPUS, ids=CORPUS_IDS)
@@ -288,10 +312,20 @@ def test_command_roundtrip(cmd):
 
 
 def test_theory_records_sizes():
-    assert carrier_sizes(THEORY) == {"V": 4}
-    assert default_carriers(THEORY) == {"V": (0, 1, 2, 3)}
+    assert THEORY.carriers == default_carriers(THEORY) == {"V": (0, 1, 2, 3)}
     wide = build_imp_theory({"x": "V", "w": "W"}, {}, {"V": 2, "W": 3})
-    assert carrier_sizes(wide) == {"V": 2, "W": 3}
+    assert default_carriers(wide) == {"V": (0, 1), "W": (0, 1, 2)}
+    assert default_carriers(parse_theory(dump_theory(wide))) == default_carriers(wide)
+    text = dump_theory(wide)
+    assert "type W = {0,1,2}" in text.splitlines()
+    for extra, message in (("type W = {0}", "type 'W' declared twice"),
+                           ("type U = {0,0}", "carrier values must be distinct")):
+        with pytest.raises(ParseError) as info:
+            parse_theory(text + extra + "\n")
+        assert info.value.message == message
+        assert (info.value.line, info.value.col) == (len(text.splitlines()) + 1, 1)
+    with pytest.raises(ElaborationError, match="records no carriers"):
+        default_carriers(states_theory({"x": "V"}))
 
 
 def test_theory_reserves_fuel_exception():
@@ -320,6 +354,7 @@ def test_theory_dump_reads_back():
         ({"x": "V"}, {FUEL_EXCEPTION: "V"}, {"V": 2}),
         ({"x": "V"}, {}, {}),
         ({"x": "V"}, {}, {"V": 0}),
+        ({"x": "unit"}, {}, {"unit": 2}),
     ],
 )
 def test_build_theory_rejects(locations, exceptions, sizes):
@@ -345,7 +380,7 @@ def test_elaboration_errors(source, error):
 
 def test_first_error_in_program_order():
     """The first error met in program order is the one raised, also
-    down a long `;` chain and inside a handler built once per value."""
+    down a long `;` chain and inside a handler."""
     with pytest.raises(ElaborationError, match="literal 9 outside"):
         elaborate(parse_command("x := 9; z := 1"), THEORY)
     with pytest.raises(UndeclaredLocation, match="'z'"):
@@ -456,6 +491,7 @@ def _scoped_commands(scope=frozenset(), tries=0, depth=3):
 @given(_scoped_commands())
 def test_random_programs_match_reference(cmd):
     term = elaborate(cmd, THEORY, fuel=3)
+    assert _typechecks(term)
     for state in MODEL.states:
         assert eval_term(term, MODEL, UNIT, state) == _reference_outcome(cmd, state, 3)
         for exc in MODEL.exceptional_values():
@@ -468,10 +504,11 @@ def test_random_programs_match_reference(cmd):
     "try { throw f(1) } catch f(w) { if w <= v then { y := 2 } else { skip } }",
 ])
 def test_handler_guards_read_the_binder(handler):
-    """A guard is part of the node it decides, so a handler whose
-    branches do not read the binder is still built once per value."""
+    """A guard in a handler reads the binder through the environment,
+    and its branches get the environment back from the distribution op."""
     cmd = parse_command(f"try {{ throw e(x) }} catch e(v) {{ {handler} }}")
     term = elaborate(cmd, THEORY, fuel=4)
+    assert _typechecks(term) and not typecheck(term, THEORY.signature).ok
     for state in MODEL.states:
         assert eval_term(term, MODEL, UNIT, state) == _reference_outcome(cmd, state, 4)
 
@@ -480,21 +517,12 @@ def test_handler_guards_read_the_binder(handler):
 
 
 def _distinct_nodes(term):
-    seen = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack += [child for child in vars(node).values()
-                      if isinstance(child, DecoratedTerm)]
-    return len(seen)
+    return len(_nodes(term))
 
 
 @pytest.mark.parametrize("binder", ["v{level}", "v"], ids=["distinct", "shadowing"])
 def test_nested_try_size_is_linear_in_depth(binder):
-    """Each handler reads only its own binder, so it is built once per
-    value of that binder, whatever the enclosing handlers caught."""
+    """Each handler reads only its own binder, and is built once."""
     theory = build_imp_theory({"x": "V", "y": "V"}, {"e": "V"}, {"V": 8})
     sizes = []
     for depth in range(1, 7):
@@ -506,3 +534,27 @@ def test_nested_try_size_is_linear_in_depth(binder):
     steps = {after - before for before, after in zip(sizes, sizes[1:])}
     assert len(steps) == 1, sizes
     assert sizes[-1] <= 2000, sizes
+
+
+def test_handler_size_ignores_carrier_size():
+    source = parse_command("try { throw e(x) } catch e(v) { y := v }")
+    sizes = {_distinct_nodes(elaborate(source, build_imp_theory(
+        {"x": "V", "y": "V"}, {"e": "V"}, {"V": size}))) for size in (2, 16, 1500)}
+    assert len(sizes) == 1, sizes
+
+
+def test_nested_handlers_reading_every_binder_grow_linearly():
+    """Every handler reads its own binder, and the innermost one reads
+    them all, so each level reads every binder around it; adding a level
+    adds one handler and one more read."""
+    theory = build_imp_theory({"x": "V", "y": "V"}, {"e": "V"}, {"V": 3})
+    sizes = []
+    for depth in range(1, 7):
+        source = "x := " + " + ".join(f"v{level}" for level in range(depth))
+        for level in reversed(range(depth)):
+            source = f"try {{ throw e(x) }} catch e(v{level}) {{ y := v{level}; {source} }}"
+        sizes.append(_distinct_nodes(elaborate(parse_command(source), theory)))
+    # Steps count from depth 2: one level deep, the environment is the
+    # bare payload, not a pair.
+    steps = {after - before for before, after in zip(sizes[1:], sizes[2:])}
+    assert len(steps) == 1, sizes

@@ -2,7 +2,13 @@
 
 import pytest
 
-from declogic.imp import build_imp_theory, default_carriers, elaborate, parse_command
+from declogic.imp import (
+    build_imp_theory,
+    default_carriers,
+    dist_symbol,
+    elaborate,
+    parse_command,
+)
 from declogic.model import (
     UNIT,
     CarrierMismatch,
@@ -17,8 +23,6 @@ from declogic.model import (
     comonad_delta,
     comonad_epsilon,
     comonad_phi,
-    enum_slot_value,
-    enum_type,
     enumerate_points,
     eval_term,
     parse_model_config,
@@ -369,18 +373,6 @@ class TestComonadHelpers:
                     comonad_phi(comonad_delta)(comonad_delta(pair))
 
 
-class TestEnumEncoding:
-    def test_slots_match_point_order(self, st1):
-        _, model = st1
-        for size in (1, 2, 3, 4):
-            points = enumerate_points(enum_type(size), model)
-            assert points == [enum_slot_value(k, size) for k in range(size)]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            enum_slot_value(3, 3)
-
-
 def forced_copy(model, theory):
     """Plain dicts holding every entry of `model`'s tables; validating
     first fills tables that `build_model` leaves to fill on first use."""
@@ -396,12 +388,31 @@ class TestValidation:
             assert validate_model(model, theory) == []
 
     def test_imp_model_validates(self):
-        # every family: lookup, update, tag, untag, enum, add, sub, mul, eq, le
+        # every family: lookup, update, tag, untag, add, sub, mul, eq, le, dist
         theory = build_imp_theory({"x": "V", "y": "W"}, {"e": "W"}, {"V": 3, "W": 2})
+        V, W = Base("V"), Base("W")
+        theory = extend_theory(theory, [dist_symbol(V, UNIT_T, UNIT_T),
+                                        dist_symbol(Prod(V, W), UNIT_T, Sum(W, V))])
         model = build_model(theory, default_carriers(theory))
         assert validate_model(model, theory) == []
         assert {name.partition("_")[0] for name in model.interps} == {
-            "lookup", "update", "tag", "untag", "enum", "add", "sub", "mul", "eq", "le"}
+            "lookup", "update", "tag", "untag", "add", "sub", "mul", "eq", "le", "dist"}
+
+    def test_dist_tables_refuse_keys_off_their_domain(self):
+        theory = build_imp_theory({"x": "V"}, {}, {"V": 2})
+        model = build_model(theory, default_carriers(theory))
+        dist = Op(dist_symbol(Base("V"), UNIT_T, Base("V")))
+        assert eval_term(dist, model, (1, ("R", 0)), (0,)) == Outcome(("R", (1, 0)), (0,))
+        for value in ((2, ("L", UNIT)), (1, ("R", 2)), (1, ("X", 0)), (1, ("L", 0)), 1):
+            with pytest.raises(KeyError):
+                model.interps[dist.symbol.name][(value, (0,))]
+            with pytest.raises(CarrierMismatch):
+                eval_term(dist, model, value, (0,))
+        for name in ("dist_", "dist_sum_aV_bunit_c", "dist_prod_aV_bunit_c",
+                     "dist_prod_aW_bsum_aunit_bunit_c_c",
+                     "dist_prod_aV_b_Vsum_aunit_bunit_c_c"):
+            with pytest.raises(MissingInterpretation):
+                eval_term(Op(OpSymbol(name, UNIT_T, UNIT_T, PURE)), model, UNIT, (0,))
 
     def test_state_mutation_by_accessor_flagged(self, st1):
         theory, model = st1
@@ -492,6 +503,7 @@ class TestModelConfigFiles:
         "type V = {}",
         "type V = {0,0}",
         "type V = {a,b}",
+        "type unit = {0}",
         "location x : V",
         "exception e : W\ntype W = {0}",
         "type V = {0}\ntype V = {1}",
@@ -501,3 +513,12 @@ class TestModelConfigFiles:
     def test_bad_configs_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_model_config(bad)
+
+    @pytest.mark.parametrize("mark", ["\x0c", "\u2028"])
+    def test_only_newlines_end_lines(self, mark):
+        """Lines are numbered as the term and program scanners number them."""
+        for text, line in ((f"type V = {{0,1}}{mark}location x : V\nlocation y W\n", 1),
+                           (f"type V = {{0,1}}\nlocation x : V{mark}\nlocation y W\n", 3)):
+            with pytest.raises(ParseError) as info:
+                parse_model_config(text)
+            assert (info.value.line, info.value.col) == (line, 1)

@@ -8,9 +8,11 @@ from declogic.syntax import (
     ParseError,
     parse_term,
     parse_type,
+    parse_type_code,
     print_term,
     print_type,
     print_value,
+    type_code,
 )
 from declogic.terms import (
     Absurd,
@@ -41,7 +43,7 @@ SIGNATURE = {s.name: s for s in (
 
 
 def types(max_depth=3):
-    leaves = st.sampled_from([UNIT_T, EMPTY_T, V, W, Base("Long_name2")])
+    leaves = st.sampled_from([UNIT_T, EMPTY_T, V, W, Base("Long_name2"), Base("a__b_")])
     return st.recursive(
         leaves,
         lambda sub: st.tuples(sub, sub).map(lambda p: Prod(*p))
@@ -55,6 +57,8 @@ class TestTypeSyntax:
         printed = print_type(ty)
         assert parse_type(printed) == ty
         assert print_type(parse_type(printed)) == printed
+        code = type_code(ty)
+        assert code.isidentifier() and parse_type_code(code) == ty
 
     def test_fixed_forms(self):
         assert print_type(Prod(UNIT_T, Sum(V, EMPTY_T))) == "prod(unit, sum(V, empty))"

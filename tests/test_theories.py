@@ -2,6 +2,7 @@
 
 import pytest
 
+from declogic.cli import main
 from declogic.model import UNIT, Exc, Outcome, build_model, check_weak_eq, eval_term
 from declogic.syntax import ParseError, print_term
 from declogic.terms import Comp, Const, Decoration, Mode, Op
@@ -273,6 +274,25 @@ class TestTheoryDump:
         kind, name = head.split()
         assert info.value.message == f"{kind} {name!r} declared twice"
         assert (info.value.line, info.value.col) == (number + 1, 1)
+
+    @pytest.mark.parametrize("extra, message", [
+        ("theory exceptions", "second `theory` header"),
+        ("obs states : op(lookup_x)", "obs line repeated"),
+    ])
+    def test_repeated_header_or_obs_line_is_refused(self, extra, message,
+                                                    tmp_path, capsys):
+        text = dump_theory(states_theory({"x": "V"}))
+        assert extra.startswith("theory") or extra in text.splitlines()
+        bad = tmp_path / "bad.theory"
+        bad.write_text(text + extra + "\n")
+        with pytest.raises(ParseError) as info:
+            parse_theory(bad.read_text())
+        assert info.value.message == message
+        assert (info.value.line, info.value.col) == (len(text.splitlines()) + 1, 1)
+        term = tmp_path / "t.term"
+        term.write_text("op(lookup_x)")
+        assert main(["check", str(term), "--theory", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
     @pytest.mark.parametrize("head, old, new, at, message", [
         ("axiom st_ax2_x_y ", "= comp(op(lookup_y)", "= comp(op((lookup_y)",
