@@ -14,6 +14,7 @@ from .model import (
     ModelConfig,
     Outcome,
     build_model,
+    check_both_eq,
     check_strong_eq,
     check_weak_eq,
     enumerate_points,

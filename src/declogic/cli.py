@@ -24,8 +24,7 @@ from .imp import (
 )
 from .model import (
     build_model,
-    check_strong_eq,
-    check_weak_eq,
+    check_both_eq,
     parse_model_config,
     render_counterexample,
 )
@@ -99,8 +98,7 @@ def _law_lines(locations, model, dual: bool):
                 law = dualize_equation(law, symbol_map)
             where = i if j is None else f"{i},{j}"
             prefix = f"{'DUAL ' if dual else ''}LAW {number} @ {where}"
-            weak = check_weak_eq(law.lhs, law.rhs, model)
-            strong = check_strong_eq(law.lhs, law.rhs, model)
+            weak, strong = check_both_eq(law.lhs, law.rhs, model)
             expect_strong = law.mode is Mode.STRONG
             ok = weak is None and ((strong is None) == expect_strong)
             if not ok:

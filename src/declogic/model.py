@@ -26,7 +26,7 @@ value (with its exceptional identity) on ordinary inputs, ignoring the
 final state.  With no locations the state is trivial, so weak equality
 degenerates to agreement on ordinary arguments; with no exceptions it
 degenerates to value agreement.  Both checks scan state-major and
-report the first difference.
+report the first difference; `check_both_eq` gives both from one scan.
 """
 
 from __future__ import annotations
@@ -308,6 +308,36 @@ def check_weak_eq(lhs: DecoratedTerm, rhs: DecoratedTerm,
     on every ordinary input and every state, ignoring final states."""
     inputs = enumerate_points(lhs.source, model)
     return _scan(lhs, rhs, model, inputs, full_outcome=False)
+
+
+def check_both_eq(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel
+                  ) -> tuple[Counterexample | None, Counterexample | None]:
+    """(`check_weak_eq`, `check_strong_eq`) from one state-major scan that
+    evaluates each point once per side.  A weak difference is a strong
+    one too, so the scan stops at the first, and skips the exceptional
+    inputs once the strong verdict is known."""
+    ordinary = enumerate_points(lhs.source, model)
+    exceptional = model.exceptional_values()
+    strong = None
+    for state in model.states:
+        for v in ordinary:
+            a = eval_term(lhs, model, v, state)
+            b = eval_term(rhs, model, v, state)
+            if a != b:
+                cex = Counterexample(v, state, a, b)
+                if strong is None:
+                    strong = cex
+                if a.value != b.value:
+                    return cex, strong
+        if strong is not None:
+            continue
+        for v in exceptional:
+            a = eval_term(lhs, model, v, state)
+            b = eval_term(rhs, model, v, state)
+            if a != b:
+                strong = Counterexample(v, state, a, b)
+                break
+    return None, strong
 
 
 def check_eq(mode, lhs, rhs, model) -> Counterexample | None:

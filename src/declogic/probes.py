@@ -22,6 +22,15 @@ and their weakly-but-not-strongly equal combinations) with random
 terms, bucketed by their full and by their value-only behavior tables
 so that equal pairs of either strength can be drawn directly.
 
+Those tables also answer every model check whose two sides are pool
+members: premises drawn from the buckets, and conclusions that restate
+drawn terms (sym, trans, strong-to-weak, effect, obs).  The tables are
+in the scan order of `check_strong_eq` and `check_weak_eq`, so the
+first differing position is their counterexample.  Any other side (a
+composite a conclusion builds, or an `obs` family premise) is checked
+once, so `check_eq` scans it, stopping at the first difference, rather
+than tabulating it at every point.
+
 Each mirror pair of samplers is written once, as the checkers in
 `declogic.rules` are: in the pair/state reading, run over `STATE` or
 `EXC`, with `_arrow` turning each drawn arrow around on `EXC`.
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -43,8 +52,8 @@ from .model import (
     enumerate_points,
     eval_term,
 )
-from .rules import (EXC, RULES, STATE, Axis, RuleError, _obs_family,
-                    check_rule, dual_name)
+from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
+                    _obs_family, check_rule, dual_name)
 from .terms import Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id, Mode
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
@@ -68,6 +77,8 @@ class ProbeReport:
     rejected: int
     skipped: int
     violations: tuple[ProbeViolation, ...]
+    # Rejections per `SideConditionViolated.condition`, in first-seen order.
+    rejected_by: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -142,14 +153,25 @@ class ProbeContext:
         self._pools: dict[tuple, list[DecoratedTerm]] = {}
         self._strong_classes: dict[tuple, dict] = {}
         self._weak_classes: dict[tuple, dict] = {}
-        self._tables: dict[DecoratedTerm, tuple] = {}
+        self._weak_splits: dict[tuple, list] = {}
+        # By node identity; each entry holds its node, so no id is reused.
+        self._tables: dict[int, tuple] = {}
         self._pairs = [(s, t) for s in self.types for t in self.types]
 
     def tables(self, term: DecoratedTerm) -> tuple:
-        """(full behavior key, value-only behavior key) for one term."""
-        cached = self._tables.get(term)
+        """(full behavior key, value-only behavior key) for one term.
+
+        The full key is the outcome at every state, ordinary input then
+        exceptional input; the value-only key is the value at every
+        state and ordinary input.  Both are in the scan order of
+        `check_strong_eq` and `check_weak_eq`, which lets `check`
+        answer from them.  Only pool members are tabulated: a one-off
+        term is cheaper to scan, since a scan stops at its first
+        difference.
+        """
+        cached = self._tables.get(id(term))
         if cached is not None:
-            return cached
+            return cached[1]
         ordinary = enumerate_points(term.source, self.model)
         exceptional = self.model.exceptional_values()
         strong = []
@@ -162,8 +184,28 @@ class ProbeContext:
             for v in exceptional:
                 strong.append(eval_term(term, self.model, v, state))
         result = (tuple(strong), tuple(weak))
-        self._tables[term] = result
+        self._tables[id(term)] = (term, result)
         return result
+
+    def check(self, eq: Equation) -> Counterexample | None:
+        """`check_eq` on `eq` in this context's model, answered from the
+        behavior tables when both sides are pool members."""
+        lhs, rhs = self._tables.get(id(eq.lhs)), self._tables.get(id(eq.rhs))
+        if lhs is None or rhs is None or eq.lhs.source != eq.rhs.source:
+            return check_eq(eq.mode, eq.lhs, eq.rhs, self.model)
+        (lstrong, lweak), (rstrong, rweak) = lhs[1], rhs[1]
+        strong = eq.mode is Mode.STRONG
+        left, right = (lstrong, rstrong) if strong else (lweak, rweak)
+        if left == right:
+            return None
+        i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+        ordinary = enumerate_points(eq.lhs.source, self.model)
+        exceptional = self.model.exceptional_values()
+        if not strong:  # the same point's position in the full tables
+            i += i // len(ordinary) * len(exceptional)
+        state, at = divmod(i, len(ordinary) + len(exceptional))
+        return Counterexample((ordinary + exceptional)[at],
+                              self.model.states[state], lstrong[i], rstrong[i])
 
     def pool(self, src: ObjType, tgt: ObjType) -> list[DecoratedTerm]:
         key = (src, tgt)
@@ -181,13 +223,18 @@ class ProbeContext:
         pool = list(dict.fromkeys(members))
         strong: dict = defaultdict(list)
         weak: dict = defaultdict(list)
+        # Each weak class split by full behavior, for `weak_only_pair`.
+        splits: dict = defaultdict(lambda: defaultdict(list))
         for t in pool:
             skey, wkey = self.tables(t)
             strong[skey].append(t)
             weak[wkey].append(t)
+            splits[wkey][skey].append(t)
         self._pools[key] = pool
         self._strong_classes[key] = strong
         self._weak_classes[key] = weak
+        self._weak_splits[key] = [list(by_strong.values())
+                                  for by_strong in splits.values()]
         return pool
 
     def rand(self, src: ObjType, tgt: ObjType,
@@ -225,19 +272,12 @@ class ProbeContext:
     def weak_only_pair(self, src: ObjType, tgt: ObjType):
         """A weakly equal pair with different full behavior, else None."""
         self.pool(src, tgt)
-        classes = list(self._weak_classes[(src, tgt)].values())
-        self.rng.shuffle(classes)
-        for cls in classes:
-            if len(cls) < 2:
-                continue
-            by_strong = defaultdict(list)
-            for t in cls:
-                by_strong[self.tables(t)[0]].append(t)
-            keys = list(by_strong)
-            if len(keys) >= 2:
-                k1, k2 = self.rng.sample(keys, 2)
-                return (self.rng.choice(by_strong[k1]),
-                        self.rng.choice(by_strong[k2]))
+        splits = list(self._weak_splits[(src, tgt)])
+        self.rng.shuffle(splits)
+        for groups in splits:
+            if len(groups) >= 2:
+                g1, g2 = self.rng.sample(groups, 2)
+                return self.rng.choice(g1), self.rng.choice(g2)
         return None
 
     def pair_anywhere(self, mode: Mode, prefer_weak_only: bool = False):
@@ -454,13 +494,15 @@ def soundness_probe(rule: str, theory: Theory, model: FiniteModel,
                     drop: frozenset[str] = frozenset(),
                     context: ProbeContext | None = None) -> ProbeReport:
     """Probe one rule; the side conditions named in `drop` count as met,
-    which is how the broken variants are made."""
+    which is how the broken variants are made.  A given `context` must
+    be over `theory` and `model`."""
     sampler = _SAMPLERS.get(rule)
     if sampler is None:
         raise ValueError(f"no sampler for rule {rule!r}")
     ctx = context or ProbeContext(theory, model,
                                   random.Random(f"{seed}:{rule}:{theory.flavor}"))
     accepted = rejected = skipped = 0
+    rejected_by: dict[str, int] = {}
     violations: list[ProbeViolation] = []
     for _ in range(samples):
         candidate = sampler(ctx)
@@ -468,22 +510,23 @@ def soundness_probe(rule: str, theory: Theory, model: FiniteModel,
             skipped += 1
             continue
         premises, conclusion = candidate
-        if any(check_eq(p.mode, p.lhs, p.rhs, model) is not None
-               for p in premises):
+        if any(ctx.check(p) is not None for p in premises):
             skipped += 1
             continue
         try:
             check_rule(rule, conclusion, premises, theory, drop)
-        except RuleError:
+        except RuleError as err:
             rejected += 1
+            if isinstance(err, SideConditionViolated):
+                rejected_by[err.condition] = rejected_by.get(err.condition, 0) + 1
             continue
         accepted += 1
-        cex = check_eq(conclusion.mode, conclusion.lhs, conclusion.rhs, model)
+        cex = ctx.check(conclusion)
         if cex is not None:
             violations.append(ProbeViolation(rule, tuple(premises),
                                              conclusion, cex))
     return ProbeReport(rule, samples, accepted, rejected, skipped,
-                       tuple(violations))
+                       tuple(violations), rejected_by)
 
 
 def probe_all(theory: Theory, model: FiniteModel, samples: int = 200,

@@ -442,7 +442,8 @@ def parse_theory(text: str) -> Theory:
     instantiated by `build_model`.
     """
     from .model import parse_model_config
-    from .syntax import ParseError, code_lines, parse_at, parse_term, parse_type
+    from .syntax import (TYPE_KEYWORDS, ParseError, code_lines, parse_at,
+                         parse_term, parse_type)
     from .terms import Mode as TermMode
 
     flavor = None
@@ -477,6 +478,9 @@ def parse_theory(text: str) -> Theory:
             base = base.strip()
             if not sep or not name.isidentifier() or not base.isidentifier():
                 raise ParseError(f"expected `{head} NAME : TYPE`", lineno, 1)
+            if base in TYPE_KEYWORDS:  # the op lines would read it as that type
+                raise ParseError(f"bad base type name {base!r}", lineno,
+                                 end_col - len(base))
             (locations if head == "location" else exceptions)[name] = base
         elif head == "op":
             name_part, sep, type_part = rest.partition(":")

@@ -192,6 +192,15 @@ def test_decoration_out_of_range_exits_2(write, capsys):
                                        "1 or 2 (line 3, column 27)\n")
 
 
+def test_keyword_base_name_exits_2(write, capsys):
+    theory = write("bad.theory", "theory states\nlocation x : unit\n"
+                   "op lookup_x : unit -> unit @ (1,0)\n")
+    term = write("t.term", "op(lookup_x)")
+    assert main(["check", term, "--theory", theory]) == 2
+    assert capsys.readouterr().err == ("error: bad base type name 'unit' "
+                                       "(line 2, column 14)\n")
+
+
 def test_empty_theory_file_is_input_error(write, capsys):
     empty = write("empty.model", "# nothing here\n")
     assert main(["dualize", "--theory", empty]) == 2

@@ -6,15 +6,21 @@ in semantic_reference confirm the evaluator's pointwise outcomes for
 both sides.
 """
 
+import collections
 import itertools
+import random
 
 import pytest
 
 from semantic_reference import LAW_MODES, single_location_laws, two_location_laws
 
+from declogic import model as model_module
+from declogic.cli import main
+from declogic.generate import GenerationError, random_term, type_pool
 from declogic.model import (
     Outcome,
     build_model,
+    check_both_eq,
     check_strong_eq,
     check_weak_eq,
     enumerate_points,
@@ -165,3 +171,56 @@ class TestCombinedModel:
                 strong = check_strong_eq(dual.lhs, dual.rhs, model)
                 assert (strong is None) == (law.mode is Mode.STRONG), \
                     f"dual law {number} @ {i},{j} in combined model"
+
+
+class TestOneScan:
+    def test_both_verdicts_are_the_single_checks(self):
+        """On random pairs of terms, which mostly differ, and on each
+        term against itself."""
+        st = states_theory({"x": "V", "y": "V"})
+        ex = dualize(states_theory({"e": "V"}))
+        outcomes = collections.Counter()
+        rng = random.Random(4)
+        for theory in (st, ex, combine(st, ex)):
+            model = build_model(theory, {"V": (0, 1)})
+            types = type_pool(theory)
+            for _ in range(150):
+                src, tgt = rng.choice(types), rng.choice(types)
+                try:
+                    f, g = (random_term(rng, theory, model, src, tgt, 3)
+                            for _ in range(2))
+                except GenerationError:
+                    continue
+                for lhs, rhs in ((f, g), (f, f)):
+                    both = check_both_eq(lhs, rhs, model)
+                    assert both == (check_weak_eq(lhs, rhs, model),
+                                    check_strong_eq(lhs, rhs, model))
+                    outcomes[tuple(cex is None for cex in both)] += 1
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 3
+
+    def test_laws_evaluates_each_ordinary_point_once_per_side(
+            self, tmp_path, monkeypatch, capsys):
+        """Every law holds weakly, so each ordinary point of each side is
+        evaluated, and each exactly once."""
+        path = tmp_path / "m.model"
+        path.write_text("type V = {0,1}\nlocation x : V\nlocation y : V\n"
+                        "exception e : V\n")
+        calls = collections.Counter()
+        sides = {}
+        original = model_module.eval_term
+
+        def counting(term, model, value, state):
+            sides[id(term)] = term, model  # kept alive: ids stay unique
+            calls[id(term), value, state] += 1
+            return original(term, model, value, state)
+
+        monkeypatch.setattr(model_module, "eval_term", counting)
+        assert main(["laws", "--model", str(path)]) == 0
+        assert "all law instantiations passed" in capsys.readouterr().out
+        assert set(calls.values()) == {1}
+        # 7 laws at x,y and at y,x, and 4 dual ones at e; two sides each.
+        assert len(sides) == 2 * (7 + 7 + 4)
+        for key, (term, model) in sides.items():
+            ordinary = {(key, v, s) for s in model.states
+                        for v in enumerate_points(term.source, model)}
+            assert ordinary <= calls.keys()

@@ -21,7 +21,9 @@ from declogic.probes import (
     soundness_probe,
 )
 from declogic.rules import DUAL_RULE, RULES, RuleError, check_rule, dual_name
-from declogic.terms import Bang, Comp, Const, Id, Mode, typecheck
+from declogic import model as model_module
+from declogic import probes
+from declogic.terms import Bang, Comp, Const, Equation, Id, Mode, typecheck
 from declogic.theory import (
     TheoryError,
     combine,
@@ -205,6 +207,110 @@ def test_probe_verdicts_are_pinned():
                for rule, r in reports.items()}
         assert got == {rule: triples[i]
                        for rule, triples in PINNED_VERDICTS.items()}, flavor
+
+
+class _ComparingContext(ProbeContext):
+    """A context whose every check is compared with `check_eq`."""
+
+    checks = 0
+
+    def check(self, eq):
+        got = super().check(eq)
+        assert got == check_eq(eq.mode, eq.lhs, eq.rhs, self.model), eq
+        self.checks += 1
+        return got
+
+
+def _counting(monkeypatch, counts, name, owners):
+    original = getattr(owners[0], name)
+
+    def wrapper(*args):
+        counts[name] += 1
+        return original(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("flavor", list(FLAVORS))
+def test_checks_from_tables_agree_with_check_eq(flavor, monkeypatch):
+    """Every premise and conclusion the probe_all draws check, answered
+    from the behavior tables or scanned, gets `check_eq`'s verdict and
+    counterexample."""
+    theory, model = FLAVORS[flavor]
+    counts = {"check_eq": 0}
+    _counting(monkeypatch, counts, "check_eq", [probes])
+    ctx = _ComparingContext(theory, model, random.Random(f"0:{flavor}"))
+    got = {rule: soundness_probe(rule, theory, model, samples=200, seed=0,
+                                 context=ctx)
+           for rule in RULES}
+    i = list(FLAVORS).index(flavor)
+    assert {rule: (r.accepted, r.rejected, r.skipped)
+            for rule, r in got.items()} == \
+        {rule: triples[i] for rule, triples in PINNED_VERDICTS.items()}
+    # Both ways of answering were taken.
+    assert 0 < counts["check_eq"] < ctx.checks / 2
+
+
+@pytest.mark.parametrize("flavor", list(FLAVORS))
+def test_tables_give_check_eq_counterexamples(flavor):
+    """Every pair of pool members, at both strengths, including the
+    pairs that differ, so that each position maps back to its point."""
+    theory, model = FLAVORS[flavor]
+    ctx = ProbeContext(theory, model, random.Random(3))
+    differ = 0
+    for src, tgt in ctx._pairs[:6]:
+        pool = ctx.pool(src, tgt)
+        for f in pool:
+            for g in pool:
+                for mode in Mode:
+                    want = check_eq(mode, f, g, model)
+                    assert ctx.check(Equation(mode, f, g)) == want
+                    differ += want is not None
+    assert differ > 100
+
+
+@pytest.mark.parametrize("name", sorted(UNSOUND_VARIANTS))
+def test_variant_counterexamples_are_check_eq_ones(name):
+    variant = UNSOUND_VARIANTS[name]
+    for flavor in variant.flavors:
+        theory, model = FLAVORS[flavor]
+        report = probe_variant(name, theory, model, samples=200, seed=0)
+        first = report.violations[0]
+        conclusion = first.conclusion
+        assert first.counterexample == check_eq(
+            conclusion.mode, conclusion.lhs, conclusion.rhs, model)
+
+
+# (check_eq, eval_term) calls in probe_all(samples=200, seed=0); the
+# scan of every check took 5144/84694, 5627/35979 and 5237/137284.
+PINNED_WORK = {
+    "states": (1753, 30902),
+    "exceptions": (2163, 14109),
+    "combined": (1811, 49092),
+}
+
+
+@pytest.mark.parametrize("flavor", list(FLAVORS))
+def test_probe_work_is_pinned(flavor, monkeypatch):
+    """Checks between pool members are answered from their tables, not
+    scanned again."""
+    theory, model = FLAVORS[flavor]
+    counts = {"check_eq": 0, "eval_term": 0}
+    _counting(monkeypatch, counts, "check_eq", [probes])
+    _counting(monkeypatch, counts, "eval_term", [probes, model_module])
+    probe_all(theory, model, samples=200, seed=0)
+    assert (counts["check_eq"], counts["eval_term"]) == PINNED_WORK[flavor]
+
+
+def test_rejections_are_counted_per_condition():
+    theory, model = FLAVORS["states"]
+    real = soundness_probe("effect", theory, model, samples=200, seed=0)
+    assert real.rejected_by.get("effect.sides-bounded", 0) > 0
+    assert sum(real.rejected_by.values()) <= real.rejected
+    broken = probe_variant("effect_any_decoration", theory, model,
+                           samples=200, seed=0)
+    assert "effect.sides-bounded" not in broken.rejected_by
 
 
 @pytest.mark.parametrize("flavor", list(FLAVORS))

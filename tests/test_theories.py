@@ -294,6 +294,29 @@ class TestTheoryDump:
         assert main(["check", str(term), "--theory", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
+    @pytest.mark.parametrize("keyword", ["unit", "empty", "prod", "sum"])
+    @pytest.mark.parametrize("head", ["location x", "exception e"])
+    def test_keyword_base_name_is_refused(self, head, keyword, tmp_path,
+                                          capsys):
+        """The op lines of a dump print a base named like a type keyword
+        as that keyword, so they would read back as another type."""
+        both = combine(states_theory({"x": "V"}),
+                       dualize(states_theory({"e": "V"})))
+        lines = dump_theory(both).splitlines()
+        number = lines.index(f"{head} : V") + 1
+        lines[number - 1] = f"{head} : {keyword}"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as info:
+            parse_theory(text)
+        assert info.value.message == f"bad base type name {keyword!r}"
+        assert (info.value.line, info.value.col) == (number, len(head) + 4)
+        bad = tmp_path / "bad.theory"
+        bad.write_text(text)
+        term = tmp_path / "t.term"
+        term.write_text("op(lookup_x)")
+        assert main(["check", str(term), "--theory", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     @pytest.mark.parametrize("head, old, new, at, message", [
         ("axiom st_ax2_x_y ", "= comp(op(lookup_y)", "= comp(op((lookup_y)",
          "(lookup_y)", "expected a name"),
@@ -304,6 +327,7 @@ class TestTheoryDump:
          "decoration levels must be 0, 1 or 2"),
         ("op update_x ", "@ (2,0)", "@ (2,3)", "(2,3)",
          "decoration levels must be 0, 1 or 2"),
+        ("location y ", ": V", ": prod", "prod", "bad base type name 'prod'"),
     ])
     def test_parse_errors_give_file_line_and_column(self, head, old, new, at,
                                                     message):
