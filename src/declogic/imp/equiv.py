@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import Exc, FiniteModel, UNIT, eval_term
+from ..model import Exc, FiniteModel, eval_term, scan_points
 from ..theory import Theory
 from .ast import Command
 from .elaborate import FUEL_EXCEPTION, elaborate
@@ -61,9 +61,9 @@ def check_equiv(
     right = elaborate(second, theory, fuel)
     exhausted = None
     weak_only = None
-    for state in model.states:
-        got_l = eval_term(left, model, UNIT, state)
-        got_r = eval_term(right, model, UNIT, state)
+    for v, state in scan_points(left.source, model, exceptional=False):
+        got_l = eval_term(left, model, v, state)
+        got_r = eval_term(right, model, v, state)
         if _out_of_fuel(got_l.value) or _out_of_fuel(got_r.value):
             if exhausted is None:
                 exhausted = state

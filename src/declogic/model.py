@@ -25,8 +25,10 @@ exceptional) and every state.  Weak equality compares only the result
 value (with its exceptional identity) on ordinary inputs, ignoring the
 final state.  With no locations the state is trivial, so weak equality
 degenerates to agreement on ordinary arguments; with no exceptions it
-degenerates to value agreement.  Both checks scan state-major and
-report the first difference; `check_both_eq` gives both from one scan.
+degenerates to value agreement.  Every check walks the points
+`scan_points` lists, in its one order (state-major; ordinary inputs,
+then exceptional ones), and reports the first difference;
+`check_both_eq` gives both verdicts from one walk.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .terms import (
     Id,
     Inj1,
     Inj2,
+    Mode,
     Op,
     PairSeq,
     Proj1,
@@ -263,8 +266,7 @@ class Counterexample:
     right: Outcome
 
 
-def render_counterexample(cex: Counterexample, model: FiniteModel,
-                          source: ObjType | None = None) -> str:
+def render_counterexample(cex: Counterexample, model: FiniteModel) -> str:
     """Stable one-line rendering: state components by location name,
     then the input (omitted at the unit type, `name(param)` for
     exceptional inputs)."""
@@ -278,99 +280,69 @@ def render_counterexample(cex: Counterexample, model: FiniteModel,
     return ",".join(parts) if parts else "<empty>"
 
 
+def scan_points(source: ObjType, model: FiniteModel,
+                exceptional: bool = True) -> list[tuple]:
+    """The (input, state) points of a check on `source`, in scan order:
+    state-major, and in each state the ordinary inputs (see
+    `enumerate_points`), then, when `exceptional`, the exceptional ones.
+    Every verdict walks this list, so its first difference is the
+    counterexample."""
+    inputs = enumerate_points(source, model)
+    if exceptional:
+        inputs += model.exceptional_values()
+    return [(v, state) for state in model.states for v in inputs]
+
+
 def _scan(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
-          inputs: list, full_outcome: bool) -> Counterexample | None:
-    for state in model.states:
-        for v in inputs:
-            a = eval_term(lhs, model, v, state)
-            b = eval_term(rhs, model, v, state)
-            if full_outcome:
-                same = a == b
-            else:
-                same = a.value == b.value
-            if not same:
-                return Counterexample(v, state, a, b)
+          full_outcome: bool) -> Counterexample | None:
+    for v, state in scan_points(lhs.source, model, exceptional=full_outcome):
+        a = eval_term(lhs, model, v, state)
+        b = eval_term(rhs, model, v, state)
+        if (a != b) if full_outcome else (a.value != b.value):
+            return Counterexample(v, state, a, b)
     return None
 
 
 def check_strong_eq(lhs: DecoratedTerm, rhs: DecoratedTerm,
                     model: FiniteModel) -> Counterexample | None:
     """None when full outcomes coincide on every input (ordinary and
-    exceptional) and every state; otherwise the state-major-first
-    counterexample."""
-    inputs = enumerate_points(lhs.source, model) + model.exceptional_values()
-    return _scan(lhs, rhs, model, inputs, full_outcome=True)
+    exceptional) and every state; otherwise the first counterexample."""
+    return _scan(lhs, rhs, model, full_outcome=True)
 
 
 def check_weak_eq(lhs: DecoratedTerm, rhs: DecoratedTerm,
                   model: FiniteModel) -> Counterexample | None:
     """None when result values (including exceptional identity) agree
     on every ordinary input and every state, ignoring final states."""
-    inputs = enumerate_points(lhs.source, model)
-    return _scan(lhs, rhs, model, inputs, full_outcome=False)
+    return _scan(lhs, rhs, model, full_outcome=False)
 
 
 def check_both_eq(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel
                   ) -> tuple[Counterexample | None, Counterexample | None]:
-    """(`check_weak_eq`, `check_strong_eq`) from one state-major scan that
-    evaluates each point once per side.  A weak difference is a strong
-    one too, so the scan stops at the first, and skips the exceptional
-    inputs once the strong verdict is known."""
-    ordinary = enumerate_points(lhs.source, model)
-    exceptional = model.exceptional_values()
+    """(`check_weak_eq`, `check_strong_eq`) from one walk that evaluates
+    each point once per side.  A weak difference is a strong one too,
+    so the walk stops at the first, and skips the exceptional inputs
+    once the strong verdict is known."""
     strong = None
-    for state in model.states:
-        for v in ordinary:
-            a = eval_term(lhs, model, v, state)
-            b = eval_term(rhs, model, v, state)
-            if a != b:
-                cex = Counterexample(v, state, a, b)
-                if strong is None:
-                    strong = cex
-                if a.value != b.value:
-                    return cex, strong
-        if strong is not None:
+    for v, state in scan_points(lhs.source, model):
+        exceptional = isinstance(v, Exc)
+        if exceptional and strong is not None:
             continue
-        for v in exceptional:
-            a = eval_term(lhs, model, v, state)
-            b = eval_term(rhs, model, v, state)
-            if a != b:
-                strong = Counterexample(v, state, a, b)
-                break
+        a = eval_term(lhs, model, v, state)
+        b = eval_term(rhs, model, v, state)
+        if a != b:
+            cex = Counterexample(v, state, a, b)
+            if strong is None:
+                strong = cex
+            if not exceptional and a.value != b.value:
+                return cex, strong
     return None, strong
 
 
 def check_eq(mode, lhs, rhs, model) -> Counterexample | None:
-    from .terms import Mode
-
     if mode is Mode.STRONG:
         return check_strong_eq(lhs, rhs, model)
     return check_weak_eq(lhs, rhs, model)
-
-
-# ---------------------------------------------------------------------------
-# The state comonad, pointwise.  Used by the structural test suites; the
-# evaluator realizes the same content through its threading rules.
-
-
-def comonad_phi(f):
-    """Functor action: apply `f` to the value, carry the state along."""
-    def mapped(pair):
-        x, s = pair
-        return (f(x), s)
-    return mapped
-
-
-def comonad_delta(pair):
-    """Copy the state into the value so later maps can read it."""
-    x, s = pair
-    return ((x, s), s)
-
-
-def comonad_epsilon(pair):
-    """Discard the state."""
-    x, s = pair
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +480,8 @@ def validate_model(model: FiniteModel, theory) -> list[str]:
         if table is None:
             problems.append(f"{name}: no interpretation")
             continue
-        ordinary = enumerate_points(symbol.source, model)
-        wanted = {(v, s) for v in ordinary for s in model.states}
-        if symbol.decoration.exc >= 2:
-            wanted |= {(ev, s) for ev in exc_values for s in model.states}
+        wanted = set(scan_points(symbol.source, model,
+                                 symbol.decoration.exc >= 2))
         for key in wanted:  # forces a table that fills on first use
             try:
                 table[key]

@@ -24,12 +24,12 @@ so that equal pairs of either strength can be drawn directly.
 
 Those tables also answer every model check whose two sides are pool
 members: premises drawn from the buckets, and conclusions that restate
-drawn terms (sym, trans, strong-to-weak, effect, obs).  The tables are
-in the scan order of `check_strong_eq` and `check_weak_eq`, so the
-first differing position is their counterexample.  Any other side (a
-composite a conclusion builds, or an `obs` family premise) is checked
-once, so `check_eq` scans it, stopping at the first difference, rather
-than tabulating it at every point.
+drawn terms (sym, trans, strong-to-weak, effect, obs).  The tables
+follow the points of `scan_points`, the one order every check walks,
+so the first differing point is the check's counterexample.  Any other
+side (a composite a conclusion builds, or an `obs` family premise) is
+checked once, so `check_eq` scans it, stopping at the first
+difference, rather than tabulating it at every point.
 
 Each mirror pair of samplers is written once, as the checkers in
 `declogic.rules` are: in the pair/state reading, run over `STATE` or
@@ -47,10 +47,12 @@ from typing import Callable
 from .generate import GenerationError, random_term, type_pool
 from .model import (
     Counterexample,
+    Exc,
     FiniteModel,
     check_eq,
     enumerate_points,
     eval_term,
+    scan_points,
 )
 from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
                     _obs_family, check_rule, dual_name)
@@ -161,29 +163,21 @@ class ProbeContext:
     def tables(self, term: DecoratedTerm) -> tuple:
         """(full behavior key, value-only behavior key) for one term.
 
-        The full key is the outcome at every state, ordinary input then
-        exceptional input; the value-only key is the value at every
-        state and ordinary input.  Both are in the scan order of
-        `check_strong_eq` and `check_weak_eq`, which lets `check`
-        answer from them.  Only pool members are tabulated: a one-off
-        term is cheaper to scan, since a scan stops at its first
-        difference.
+        The full key is the outcome at every point of `scan_points`; the
+        value-only key is the value at its ordinary points.  Both follow
+        the order every check walks, which lets `check` answer from
+        them.  Only pool members are tabulated: a one-off term is
+        cheaper to scan, since a scan stops at its first difference.
         """
         cached = self._tables.get(id(term))
         if cached is not None:
             return cached[1]
-        ordinary = enumerate_points(term.source, self.model)
-        exceptional = self.model.exceptional_values()
-        strong = []
-        weak = []
-        for state in self.model.states:
-            for v in ordinary:
-                out = eval_term(term, self.model, v, state)
-                strong.append(out)
-                weak.append(out.value)
-            for v in exceptional:
-                strong.append(eval_term(term, self.model, v, state))
-        result = (tuple(strong), tuple(weak))
+        points = scan_points(term.source, self.model)
+        strong = tuple(eval_term(term, self.model, v, state)
+                       for v, state in points)
+        weak = tuple(out.value for (v, _), out in zip(points, strong)
+                     if not isinstance(v, Exc))
+        result = (strong, weak)
         self._tables[id(term)] = (term, result)
         return result
 
@@ -195,17 +189,13 @@ class ProbeContext:
             return check_eq(eq.mode, eq.lhs, eq.rhs, self.model)
         (lstrong, lweak), (rstrong, rweak) = lhs[1], rhs[1]
         strong = eq.mode is Mode.STRONG
-        left, right = (lstrong, rstrong) if strong else (lweak, rweak)
-        if left == right:
+        if (lstrong == rstrong) if strong else (lweak == rweak):
             return None
-        i = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
-        ordinary = enumerate_points(eq.lhs.source, self.model)
-        exceptional = self.model.exceptional_values()
-        if not strong:  # the same point's position in the full tables
-            i += i // len(ordinary) * len(exceptional)
-        state, at = divmod(i, len(ordinary) + len(exceptional))
-        return Counterexample((ordinary + exceptional)[at],
-                              self.model.states[state], lstrong[i], rstrong[i])
+        for (v, state), a, b in zip(scan_points(eq.lhs.source, self.model),
+                                    lstrong, rstrong):
+            if (a != b) if strong else (not isinstance(v, Exc)
+                                        and a.value != b.value):
+                return Counterexample(v, state, a, b)
 
     def pool(self, src: ObjType, tgt: ObjType) -> list[DecoratedTerm]:
         key = (src, tgt)

@@ -39,9 +39,6 @@ class Decoration:
         shared = _SHARED.get(key)
         return shared if shared is not None else Decoration(*key)
 
-    def leq(self, other: "Decoration") -> bool:
-        return self.state <= other.state and self.exc <= other.exc
-
     def __str__(self) -> str:
         return f"({self.state},{self.exc})"
 

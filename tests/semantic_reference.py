@@ -108,3 +108,28 @@ def two_location_laws(ix, jx):
 # counterexample in some model.
 LAW_MODES = {1: "strong", 2: "strong", 3: "strong", 4: "weak",
              5: "strong", 6: "strong", 7: "strong"}
+
+
+# ---------------------------------------------------------------------------
+# The state comonad, pointwise.  The evaluator realizes the same content
+# through its threading rules; the structural tests check its identities.
+
+
+def comonad_phi(f):
+    """Functor action: apply `f` to the value, carry the state along."""
+    def mapped(pair):
+        x, s = pair
+        return (f(x), s)
+    return mapped
+
+
+def comonad_delta(pair):
+    """Copy the state into the value so later maps can read it."""
+    x, s = pair
+    return ((x, s), s)
+
+
+def comonad_epsilon(pair):
+    """Discard the state."""
+    x, s = pair
+    return x

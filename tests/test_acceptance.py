@@ -29,9 +29,6 @@ from declogic.model import (
     UNIT,
     Exc,
     Outcome,
-    comonad_delta,
-    comonad_epsilon,
-    comonad_phi,
     render_counterexample,
 )
 from declogic.imp import (
@@ -56,6 +53,7 @@ from declogic.theory import (
     states_theory,
 )
 from reference_imp import reference_verdict
+from semantic_reference import comonad_delta, comonad_epsilon, comonad_phi
 import test_imp
 
 

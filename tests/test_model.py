@@ -1,7 +1,11 @@
 """Evaluator, equality oracle, comonad helpers, model files."""
 
+import random
+
 import pytest
 
+from declogic import probes
+from declogic.generate import GenerationError, random_term
 from declogic.imp import (
     build_imp_theory,
     default_carriers,
@@ -12,21 +16,21 @@ from declogic.imp import (
 from declogic.model import (
     UNIT,
     CarrierMismatch,
+    Counterexample,
     Exc,
     MissingInterpretation,
     ModelError,
     Outcome,
     UnknownBaseType,
     build_model,
+    check_both_eq,
     check_strong_eq,
     check_weak_eq,
-    comonad_delta,
-    comonad_epsilon,
-    comonad_phi,
     enumerate_points,
     eval_term,
     parse_model_config,
     print_model_config,
+    scan_points,
     validate_model,
 )
 from declogic.syntax import ParseError
@@ -35,9 +39,11 @@ from declogic.terms import (
     CaseSeq,
     Comp,
     Const,
+    Equation,
     Id,
     Inj1,
     Inj2,
+    Mode,
     Op,
     OpSymbol,
     PURE,
@@ -57,6 +63,7 @@ from declogic.theory import (
     update_op,
 )
 from declogic.types import UNIT_T, Base, Prod, Sum
+from semantic_reference import comonad_delta, comonad_epsilon, comonad_phi
 
 V = Base("V")
 P = Base("P")
@@ -329,6 +336,78 @@ class TestEqualityChecks:
         for law in seven_laws(theory, "x", "y"):
             if check_strong_eq(law.lhs, law.rhs, model) is None:
                 assert check_weak_eq(law.lhs, law.rhs, model) is None
+
+
+def test_scan_points_order():
+    theory = combine(states_theory({"x": "V", "y": "V"}),
+                     dualize(states_theory({"e": "V"})))
+    model = build_model(theory, {"V": (0, 1)})
+    states = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    ordinary = [("L", UNIT), ("R", 0), ("R", 1)]
+    exceptional = [Exc("e", 0), Exc("e", 1)]
+    ty = Sum(UNIT_T, V)
+    assert scan_points(ty, model) == [
+        (v, s) for s in states for v in ordinary + exceptional]
+    assert scan_points(ty, model, exceptional=False) == [
+        (v, s) for s in states for v in ordinary]
+
+
+def first_difference(lhs, rhs, model, strong: bool):
+    """The reference scan, a plain triple loop over every state: its
+    ordinary inputs, then (strong only) its exceptional ones."""
+    kinds = [enumerate_points(lhs.source, model)]
+    if strong:
+        kinds.append(model.exceptional_values())
+    for state in model.states:
+        for inputs in kinds:
+            for v in inputs:
+                a = eval_term(lhs, model, v, state)
+                b = eval_term(rhs, model, v, state)
+                if (a != b) if strong else (a.value != b.value):
+                    return Counterexample(v, state, a, b)
+    return None
+
+
+_XY = states_theory({"x": "V", "y": "V"})
+DIFFERENTIAL = {"states": _XY, "exceptions": dualize(_XY),
+                "combined": combine(_XY, dualize(_XY))}
+
+
+@pytest.mark.parametrize("flavor", list(DIFFERENTIAL))
+def test_every_check_gives_the_reference_counterexample(flavor, monkeypatch):
+    """The three checks and a probe context's table-answered `check`
+    all find the reference scan's first difference."""
+    theory = DIFFERENTIAL[flavor]
+    model = build_model(theory, {"V": (0, 1)})
+    ctx = probes.ProbeContext(theory, model, random.Random(f"scan:{flavor}"))
+
+    def no_scan(*args):
+        raise AssertionError("a check of two tabulated terms scanned")
+
+    monkeypatch.setattr(probes, "check_eq", no_scan)
+    rng = random.Random(f"pairs:{flavor}")
+    shapes = set()
+    for _ in range(300):
+        src, tgt = rng.choice(ctx.types), rng.choice(ctx.types)
+        pool = ctx.pool(src, tgt)
+        if not pool:
+            continue
+        lhs, rhs = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.3:
+            try:
+                rhs = random_term(rng, theory, model, src, tgt, depth=3)
+            except GenerationError:
+                pass
+            ctx.tables(rhs)
+        strong = first_difference(lhs, rhs, model, strong=True)
+        weak = first_difference(lhs, rhs, model, strong=False)
+        assert check_strong_eq(lhs, rhs, model) == strong
+        assert check_weak_eq(lhs, rhs, model) == weak
+        assert check_both_eq(lhs, rhs, model) == (weak, strong)
+        assert ctx.check(Equation(Mode.STRONG, lhs, rhs)) == strong
+        assert ctx.check(Equation(Mode.WEAK, lhs, rhs)) == weak
+        shapes.add((weak is None, strong is None))
+    assert shapes == {(True, True), (True, False), (False, False)}
 
 
 class TestPurityInvariants:
