@@ -5,6 +5,7 @@ construction bug fails at build time, not at replay time.  The overall
 strategy is observational: reduce both sides under every lookup to a
 common weak normal form, then close with the observation rule.  Law 4
 is the axiom itself and stays weak; the others conclude strongly.
+Each script's goal is its law as `seven_laws` states it.
 
 Scripts for the dual (exceptions) laws come from `dualize_script`, not
 from separate constructions.
@@ -22,12 +23,11 @@ from .terms import (
     PairSeq,
     Proj1,
     Proj2,
-    copy_term,
     seq_then,
-    swap_term,
 )
-from .theory import Theory, TheoryError, lookup_op, update_op
-from .types import Base, Prod, UNIT_T
+from .theory import (Theory, TheoryError, law_locations, lookup_op,
+                     seven_laws)
+from .types import Base, UNIT_T
 
 
 class ScriptBuilder:
@@ -104,10 +104,9 @@ def _discard_lemma(b: ScriptBuilder, location: str) -> int:
     return b.effect(weak)
 
 
-def _law1_script(theory: Theory, i: str) -> ProofScript:
+def _law1_script(theory: Theory, goal: Equation, i: str,
+                 j: str | None) -> ProofScript:
     lookup = lookup_op(theory, i)
-    update = update_op(theory, i)
-    goal = Equation(Mode.STRONG, Comp(update, lookup), Id(UNIT_T))
     b = ScriptBuilder(theory, goal)
     ax1 = b.axiom(f"st_ax1_{i}")
     premises = {i: b.subs(ax1, lookup)}
@@ -125,40 +124,26 @@ def _law1_script(theory: Theory, i: str) -> ProofScript:
     return b.script()
 
 
-def _law2_script(theory: Theory, i: str) -> ProofScript:
-    lookup = lookup_op(theory, i)
-    value = lookup.target
-    goal = Equation(Mode.STRONG,
-                    PairSeq(lookup, lookup),
-                    Comp(copy_term(value), lookup))
+def _law2_script(theory: Theory, goal: Equation, i: str,
+                 j: str | None) -> ProofScript:
     b = ScriptBuilder(theory, goal)
-    pushed = b.add("pair-comp", [], Mode.STRONG,
-                   Comp(copy_term(value), lookup),
-                   PairSeq(lookup, lookup))
-    b.sym(pushed)
+    b.sym(b.add("pair-comp", [], Mode.STRONG, goal.rhs, goal.lhs))
     return b.script()
 
 
-def _law4_script(theory: Theory, i: str) -> ProofScript:
-    lookup = lookup_op(theory, i)
-    update = update_op(theory, i)
-    goal = Equation(Mode.WEAK, Comp(lookup, update), Id(lookup.target))
+def _law4_script(theory: Theory, goal: Equation, i: str,
+                 j: str | None) -> ProofScript:
     b = ScriptBuilder(theory, goal)
     b.axiom(f"st_ax1_{i}")
     return b.script()
 
 
-def _law5_script(theory: Theory, i: str, j: str) -> ProofScript:
-    lookup_i = lookup_op(theory, i)
-    lookup_j = lookup_op(theory, j)
+def _law5_script(theory: Theory, goal: Equation, i: str, j: str) -> ProofScript:
+    lookup_i, lookup_j = goal.lhs.first, goal.lhs.second
     v_i, v_j = lookup_i.target, lookup_j.target
-    both = PairSeq(lookup_j, lookup_i)
-    goal = Equation(Mode.STRONG,
-                    PairSeq(lookup_i, lookup_j),
-                    Comp(swap_term(v_j, v_i), both))
+    both = goal.rhs.inner  # the goal's right side is swap . both
     b = ScriptBuilder(theory, goal)
-    pushed = b.add("pair-comp", [], Mode.STRONG,
-                   Comp(swap_term(v_j, v_i), both),
+    pushed = b.add("pair-comp", [], Mode.STRONG, goal.rhs,
                    PairSeq(Comp(Proj2(v_j, v_i), both),
                            Comp(Proj1(v_j, v_i), both)))
     second = b.add("pair-proj-2", [], Mode.STRONG,
@@ -170,8 +155,7 @@ def _law5_script(theory: Theory, i: str, j: str) -> ProofScript:
     return b.script()
 
 
-def _reduce_write_after(b: ScriptBuilder, k: str, written: str, proj,
-                        source) -> int:
+def _reduce_write_after(b: ScriptBuilder, k: str, written: str, proj) -> int:
     """Weakly reduce lookup_k . update_written . proj to its residue.
 
     The residue is `proj` when k is the written location (the read sees
@@ -184,20 +168,21 @@ def _reduce_write_after(b: ScriptBuilder, k: str, written: str, proj,
     ax2 = b.axiom(f"st_ax2_{written}_{k}")
     left = b.subs(ax2, proj)
     narrow = b.unit_weak(Comp(Bang(Base(b.theory.locations[written])), proj),
-                         Bang(source))
+                         Bang(proj.source))
     widened = b.s2w(b.repl(b.effect(narrow), obs_k))
     return b.trans(left, widened)
 
 
-def _reduce_observed_sequence(b: ScriptBuilder, k: str, first, second,
-                              first_loc: str, first_proj,
-                              second_loc: str, second_proj, source) -> int:
+def _reduce_observed_sequence(b: ScriptBuilder, k: str, first, first_loc: str,
+                              second, second_loc: str) -> int:
     """Weakly reduce lookup_k . seq_then(first, second) to a residue.
 
-    `first` and `second` are update_<loc> . <proj> out of `source`.
+    `first` and `second` are update_<loc> . <proj> out of one source.
     The residue is a projection when k is one of the written locations
     and lookup_k . bang otherwise, matching `_reduce_write_after`.
     """
+    first_proj, second_proj = first.inner, second.inner
+    source = first.source
     obs_k = lookup_op(b.theory, k)
     v_k = obs_k.target
     sequenced = seq_then(first, second)
@@ -205,7 +190,7 @@ def _reduce_observed_sequence(b: ScriptBuilder, k: str, first, second,
         "pair-fuse-2", [], Mode.STRONG,
         Comp(obs_k, sequenced),
         Comp(Proj2(UNIT_T, v_k), PairSeq(first, Comp(obs_k, second)))))
-    slot = _reduce_write_after(b, k, second_loc, second_proj, source)
+    slot = _reduce_write_after(b, k, second_loc, second_proj)
     keep_first = b.refl(first)
     paired = b.pair_cong(keep_first, slot)
     outer = b.repl(paired, Proj2(UNIT_T, v_k))
@@ -227,65 +212,46 @@ def _reduce_observed_sequence(b: ScriptBuilder, k: str, first, second,
                           first),
                     obs_k)
     onto_first = b.trans(regrouped, b.s2w(erased))
-    tail = _reduce_write_after(b, k, first_loc, first_proj, source)
+    tail = _reduce_write_after(b, k, first_loc, first_proj)
     return b.trans(onto_first, tail)
 
 
-def _law3_script(theory: Theory, i: str) -> ProofScript:
-    update = update_op(theory, i)
-    v = Base(theory.locations[i])
-    source = Prod(v, v)
-    p1, p2 = Proj1(v, v), Proj2(v, v)
-    first = Comp(update, p1)
-    second = Comp(update, p2)
-    goal = Equation(Mode.STRONG, seq_then(first, second), second)
+def _law3_script(theory: Theory, goal: Equation, i: str,
+                 j: str | None) -> ProofScript:
+    sequenced = goal.lhs.inner  # the goal is seq_then(first, second) = second
+    first, second = sequenced.first, sequenced.second
     b = ScriptBuilder(theory, goal)
     premises = []
     for k in theory.locations:
-        left = _reduce_observed_sequence(b, k, first, second, i, p1, i, p2,
-                                         source)
-        right = _reduce_write_after(b, k, i, p2, source)
+        left = _reduce_observed_sequence(b, k, first, i, second, i)
+        right = _reduce_write_after(b, k, i, second.inner)
         premises.append(b.trans(left, b.sym(right)))
     b.add("obs", premises, Mode.STRONG, goal.lhs, goal.rhs)
     return b.script()
 
 
-def _law6_script(theory: Theory, i: str, j: str) -> ProofScript:
-    update_i = update_op(theory, i)
-    update_j = update_op(theory, j)
-    v_i, v_j = Base(theory.locations[i]), Base(theory.locations[j])
-    source = Prod(v_i, v_j)
-    p1, p2 = Proj1(v_i, v_j), Proj2(v_i, v_j)
-    write_i = Comp(update_i, p1)
-    write_j = Comp(update_j, p2)
-    goal = Equation(Mode.STRONG,
-                    seq_then(write_i, write_j),
-                    seq_then(write_j, write_i))
+def _law6_script(theory: Theory, goal: Equation, i: str, j: str) -> ProofScript:
+    sequenced = goal.lhs.inner  # the left side is seq_then(write_i, write_j)
+    write_i, write_j = sequenced.first, sequenced.second
     b = ScriptBuilder(theory, goal)
     premises = []
     for k in theory.locations:
-        left = _reduce_observed_sequence(b, k, write_i, write_j, i, p1, j, p2,
-                                         source)
-        right = _reduce_observed_sequence(b, k, write_j, write_i, j, p2, i, p1,
-                                          source)
+        left = _reduce_observed_sequence(b, k, write_i, i, write_j, j)
+        right = _reduce_observed_sequence(b, k, write_j, j, write_i, i)
         premises.append(b.trans(left, b.sym(right)))
     b.add("obs", premises, Mode.STRONG, goal.lhs, goal.rhs)
     return b.script()
 
 
-def _law7_script(theory: Theory, i: str, j: str) -> ProofScript:
-    lookup_j = lookup_op(theory, j)
-    update_i = update_op(theory, i)
-    v_i, v_j = Base(theory.locations[i]), Base(theory.locations[j])
-    blind_read = Comp(lookup_j, Bang(v_i))
-    pair = PairSeq(blind_read, update_i)
-    goal = Equation(Mode.STRONG,
-                    Comp(lookup_j, update_i),
-                    Comp(Proj1(v_j, UNIT_T), pair))
+def _law7_script(theory: Theory, goal: Equation, i: str, j: str) -> ProofScript:
+    lookup_j, update_i = goal.lhs.outer, goal.lhs.inner
+    v_j = lookup_j.target
+    pair = goal.rhs.inner  # the goal's right side is proj1 . pair
+    blind_read = pair.first
     b = ScriptBuilder(theory, goal)
     ax2 = b.axiom(f"st_ax2_{i}_{j}")
     kept = b.add("pair-proj-1", [], Mode.WEAK,
-                 Comp(Proj1(v_j, UNIT_T), pair), blind_read)
+                 goal.rhs, blind_read)
     value_sides = b.trans(ax2, b.sym(kept))
     premises = [value_sides]
     for k in theory.locations:
@@ -304,34 +270,21 @@ def _law7_script(theory: Theory, i: str, j: str) -> ProofScript:
     return b.script()
 
 
+_LAW_SCRIPTS = {1: _law1_script, 2: _law2_script, 3: _law3_script,
+                4: _law4_script, 5: _law5_script, 6: _law6_script,
+                7: _law7_script}
+
+
 def law_script(theory: Theory, number: int, i: str | None = None,
                j: str | None = None) -> ProofScript:
-    """A checked proof script for one of the seven state laws."""
-    names = list(theory.locations)
-    if not names:
-        raise TheoryError("the state laws need at least one location")
-    if i is None:
-        i = names[0]
-    if number in (5, 6, 7):
-        if j is None:
-            others = [name for name in names if name != i]
-            if not others:
-                raise TheoryError(f"law {number} needs two locations")
-            j = others[0]
-        if j == i:
-            raise TheoryError(f"law {number} needs two distinct locations")
-    builders = {
-        1: lambda: _law1_script(theory, i),
-        2: lambda: _law2_script(theory, i),
-        3: lambda: _law3_script(theory, i),
-        4: lambda: _law4_script(theory, i),
-        5: lambda: _law5_script(theory, i, j),
-        6: lambda: _law6_script(theory, i, j),
-        7: lambda: _law7_script(theory, i, j),
-    }
-    if number not in builders:
+    """A checked proof script for law `number` of `seven_laws(theory, i, j)`."""
+    if number not in _LAW_SCRIPTS:
         raise TheoryError(f"there is no law {number}")
-    return builders[number]()
+    i, j = law_locations(theory, i, j)
+    laws = seven_laws(theory, i, j)
+    if number > len(laws):
+        raise TheoryError(f"law {number} needs two locations")
+    return _LAW_SCRIPTS[number](theory, laws[number - 1], i, j)
 
 
 def all_law_scripts(theory: Theory) -> dict[str, ProofScript]:

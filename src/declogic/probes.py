@@ -142,6 +142,17 @@ _RANDOMS_PER_POOL = 10
 _RANDOM_DEPTH = 3
 
 
+@dataclass(frozen=True)
+class _Pool:
+    """The terms of one type pair, grouped to draw equal pairs from."""
+
+    members: list[DecoratedTerm]
+    # Members by full behavior (strong) and by values alone (weak).
+    classes: dict[Mode, dict[tuple, list[DecoratedTerm]]]
+    # Each weak class split by full behavior, for `weak_only_pair`.
+    weak_splits: list[list[list[DecoratedTerm]]]
+
+
 class ProbeContext:
     """Shared pools and behavior tables for one theory and model."""
 
@@ -152,10 +163,7 @@ class ProbeContext:
         self.rng = rng
         self.types: list[ObjType] = type_pool(theory)
         self._seeds = _seed_terms(theory, model)
-        self._pools: dict[tuple, list[DecoratedTerm]] = {}
-        self._strong_classes: dict[tuple, dict] = {}
-        self._weak_classes: dict[tuple, dict] = {}
-        self._weak_splits: dict[tuple, list] = {}
+        self._pools: dict[tuple[ObjType, ObjType], _Pool] = {}
         # By node identity; each entry holds its node, so no id is reused.
         self._tables: dict[int, tuple] = {}
         self._pairs = [(s, t) for s in self.types for t in self.types]
@@ -198,8 +206,10 @@ class ProbeContext:
                 return Counterexample(v, state, a, b)
 
     def pool(self, src: ObjType, tgt: ObjType) -> list[DecoratedTerm]:
-        key = (src, tgt)
-        pool = self._pools.get(key)
+        return self._pool_for(src, tgt).members
+
+    def _pool_for(self, src: ObjType, tgt: ObjType) -> _Pool:
+        pool = self._pools.get((src, tgt))
         if pool is not None:
             return pool
         members = [t for t in self._seeds
@@ -210,21 +220,18 @@ class ProbeContext:
                                            src, tgt, _RANDOM_DEPTH))
             except GenerationError:
                 continue
-        pool = list(dict.fromkeys(members))
+        members = list(dict.fromkeys(members))
         strong: dict = defaultdict(list)
         weak: dict = defaultdict(list)
-        # Each weak class split by full behavior, for `weak_only_pair`.
         splits: dict = defaultdict(lambda: defaultdict(list))
-        for t in pool:
+        for t in members:
             skey, wkey = self.tables(t)
             strong[skey].append(t)
             weak[wkey].append(t)
             splits[wkey][skey].append(t)
-        self._pools[key] = pool
-        self._strong_classes[key] = strong
-        self._weak_classes[key] = weak
-        self._weak_splits[key] = [list(by_strong.values())
-                                  for by_strong in splits.values()]
+        pool = self._pools[(src, tgt)] = _Pool(
+            members, {Mode.STRONG: strong, Mode.WEAK: weak},
+            [list(by_strong.values()) for by_strong in splits.values()])
         return pool
 
     def rand(self, src: ObjType, tgt: ObjType,
@@ -247,22 +254,19 @@ class ProbeContext:
 
     def equal_pair(self, src: ObjType, tgt: ObjType, mode: Mode):
         """Two pool members equal at `mode` in the model, else None."""
-        pool = self.pool(src, tgt)
-        if not pool:
+        pool = self._pool_for(src, tgt)
+        if not pool.members:
             return None
-        classes = (self._strong_classes if mode is Mode.STRONG
-                   else self._weak_classes)[(src, tgt)]
-        rich = [cls for cls in classes.values() if len(cls) >= 2]
+        rich = [cls for cls in pool.classes[mode].values() if len(cls) >= 2]
         if rich:
             cls = self.rng.choice(rich)
             return tuple(self.rng.sample(cls, 2))
-        t = self.rng.choice(pool)
+        t = self.rng.choice(pool.members)
         return (t, t)
 
     def weak_only_pair(self, src: ObjType, tgt: ObjType):
         """A weakly equal pair with different full behavior, else None."""
-        self.pool(src, tgt)
-        splits = list(self._weak_splits[(src, tgt)])
+        splits = list(self._pool_for(src, tgt).weak_splits)
         self.rng.shuffle(splits)
         for groups in splits:
             if len(groups) >= 2:
@@ -311,12 +315,10 @@ def _s_sym(ctx):
 def _s_trans(ctx):
     mode = ctx.mode()
     src, tgt = ctx.rng.choice(ctx._pairs)
-    pool = ctx.pool(src, tgt)
-    if not pool:
+    pool = ctx._pool_for(src, tgt)
+    if not pool.members:
         return None
-    classes = (ctx._strong_classes if mode is Mode.STRONG
-               else ctx._weak_classes)[(src, tgt)]
-    cls = ctx.rng.choice(list(classes.values()))
+    cls = ctx.rng.choice(list(pool.classes[mode].values()))
     f, g, h = (ctx.rng.choice(cls) for _ in range(3))
     return ([Equation(mode, f, g), Equation(mode, g, h)],
             Equation(mode, f, h))

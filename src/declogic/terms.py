@@ -12,7 +12,14 @@ pairs whose halves disagree on their source) must be constructible so
 that `typecheck` can report the problems.  Every node caches `source`,
 `target` and `decoration` eagerly at construction, reading only its
 children's cached values, so building deep terms needs no recursion.
-The canonical key is cached lazily instead, never at construction:
+Nodes compare structurally; their types are interned, so the types
+inside them compare by identity.
+
+Terms equal up to associativity and identity laws share a canonical id,
+a small int that `canonical_key` hands out from one table per process:
+two terms get the same id exactly when their structural keys (written
+out in `tests/reference_keys.py`) are equal, so comparing terms that way
+is comparing ints.  The id is cached lazily, never at construction:
 `canonical_key` stores it on a node the first time it is asked for, so
 building terms that are never compared costs nothing extra.
 """
@@ -21,8 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .types import EMPTY_T, UNIT_T, Base, Empty, ObjType, Prod, Sum, Unit
+from .types import EMPTY_T, UNIT_T, ObjType, Prod, Sum
 
 
 @dataclass(frozen=True)
@@ -362,21 +370,7 @@ def shield(term: DecoratedTerm) -> DecoratedTerm:
 
 # ---------------------------------------------------------------------------
 # Canonical form: composition is flattened and identities dropped, so two
-# terms equal modulo associativity and unit laws get the same key.
-
-
-def type_key(ty: ObjType) -> tuple:
-    if isinstance(ty, Unit):
-        return ("unit",)
-    if isinstance(ty, Empty):
-        return ("empty",)
-    if isinstance(ty, Base):
-        return ("base", ty.name)
-    if isinstance(ty, Prod):
-        return ("prod", type_key(ty.left), type_key(ty.right))
-    if isinstance(ty, Sum):
-        return ("sum", type_key(ty.left), type_key(ty.right))
-    raise TypeError(f"not an object type: {ty!r}")
+# terms equal modulo associativity and unit laws get the same id.
 
 
 def chain_factors(term: DecoratedTerm) -> list[DecoratedTerm]:
@@ -397,55 +391,38 @@ def chain_factors(term: DecoratedTerm) -> list[DecoratedTerm]:
     return factors
 
 
-def _leaf_key(node: DecoratedTerm) -> tuple:
-    if isinstance(node, Op):
-        return ("op", node.symbol.name)
-    if isinstance(node, Id):
-        return ("id", type_key(node.at))
-    if isinstance(node, Proj1):
-        return ("proj1", type_key(node.left), type_key(node.right))
-    if isinstance(node, Proj2):
-        return ("proj2", type_key(node.left), type_key(node.right))
-    if isinstance(node, Inj1):
-        return ("inj1", type_key(node.left), type_key(node.right))
-    if isinstance(node, Inj2):
-        return ("inj2", type_key(node.left), type_key(node.right))
-    if isinstance(node, Bang):
-        return ("bang", type_key(node.at))
-    if isinstance(node, Absurd):
-        return ("absurd", type_key(node.at))
-    if isinstance(node, Const):
-        return ("const", _value_key(node.value), type_key(node.at))
-    raise TypeError(f"not a term: {node!r}")
+# What keys a leaf besides its class: an op's name, or its interned types
+# and value.
+_LEAF_FIELDS = {
+    Op: attrgetter("symbol.name"),
+    Id: attrgetter("at"),
+    Proj1: attrgetter("left", "right"),
+    Proj2: attrgetter("left", "right"),
+    Inj1: attrgetter("left", "right"),
+    Inj2: attrgetter("left", "right"),
+    Bang: attrgetter("at"),
+    Absurd: attrgetter("at"),
+    Const: attrgetter("value", "at"),
+}
+
+# Every key met in this process, numbered in order of first use.  A key
+# is a leaf's class and fields, a pair's or case's class and child ids,
+# or the ids of two or more chain factors.
+_IDS: dict[tuple, int] = {}
 
 
-def _value_key(value: object) -> object:
-    from .model import UNIT
+def canonical_key(term: DecoratedTerm) -> int:
+    """Small int identifying `term` up to associativity and identity.
 
-    if value is UNIT:
-        return ("unit-value",)
-    if isinstance(value, tuple):
-        return ("tuple",) + tuple(_value_key(v) for v in value)
-    return ("atom", value)
-
-
-def _chain_key(term: Comp, factors: list[DecoratedTerm]) -> tuple:
-    if not factors:
-        return ("id", type_key(term.source))
-    if len(factors) == 1:
-        return factors[0]._canonical_key
-    return ("chain", tuple(f._canonical_key for f in factors))
-
-
-def canonical_key(term: DecoratedTerm) -> tuple:
-    """Hashable key identifying `term` up to associativity and identity.
-
-    A composite's key lists its factors' keys, innermost first, with
-    identities dropped (an empty chain is the identity at its source).
-    The key is computed the first time it is asked for and stored on the
-    node, as is the key of every factor and pair/case child it needed,
-    so asking again, or for a term built from keyed factors, reuses them.
-    Iterative, so deep terms need no recursion.
+    A composite's id comes from its factors' ids, innermost first, with
+    identities dropped: a chain of one factor has that factor's id, and
+    an empty chain has the id of the identity at its source.  Ids hold for one
+    process, and two terms get the same id exactly when the structural
+    keys of `tests/reference_keys.py` are equal.  The id is computed the
+    first time it is asked for and stored on the node, as is the id of
+    every factor and pair/case child it needed, so asking again, or for a
+    term built from keyed factors, reuses them.  Iterative, so deep terms
+    need no recursion.
     """
     key = term._canonical_key
     if key is not None:
@@ -471,16 +448,23 @@ def canonical_key(term: DecoratedTerm) -> tuple:
             stack += waiting
             continue
         stack.pop()
+        if isinstance(node, Comp) and len(factors) == 1:
+            object.__setattr__(node, "_canonical_key", factors[0]._canonical_key)
+            continue
         if isinstance(node, Comp):
-            key = _chain_key(node, factors)
+            key = (tuple(f._canonical_key for f in factors) if factors
+                   else (Id, node.source))
         elif isinstance(node, PairSeq):
-            key = ("pair", node.first._canonical_key, node.second._canonical_key)
+            key = (PairSeq, node.first._canonical_key, node.second._canonical_key)
         elif isinstance(node, CaseSeq):
-            key = ("case", node.on_left._canonical_key,
+            key = (CaseSeq, node.on_left._canonical_key,
                    node.on_right._canonical_key)
         else:
-            key = _leaf_key(node)
-        object.__setattr__(node, "_canonical_key", key)
+            leaf = _LEAF_FIELDS.get(type(node))
+            if leaf is None:
+                raise TypeError(f"not a term: {node!r}")
+            key = (type(node), leaf(node))
+        object.__setattr__(node, "_canonical_key", _IDS.setdefault(key, len(_IDS)))
     return term._canonical_key
 
 

@@ -158,28 +158,15 @@ def states_theory(locations) -> Theory:
     )
 
 
-LAW_NAMES = {
-    1: "annihilation lookup-update",
-    2: "interaction lookup-lookup",
-    3: "interaction update-update",
-    4: "interaction update-lookup",
-    5: "commutation lookup-lookup",
-    6: "commutation update-update",
-    7: "commutation update-lookup",
-}
-
-
-def seven_laws(theory: Theory, i: str | None = None, j: str | None = None) -> list[Equation]:
-    """The seven state laws for locations `i` and `j` (defaults: the
-    first two declared locations).
-
-    Laws 1, 2, 3, 5, 6, 7 are strong; law 4 is weak only.  With a
-    single location the two-location commutation laws 5, 6, 7 are
-    vacuous and the list has four entries.
-    """
+def law_locations(theory: Theory, i: str | None = None,
+                  j: str | None = None) -> tuple[str, str | None]:
+    """The checked locations `i` and `j` of the seven laws (defaults: the
+    first two declared locations; `j` is None when there is no other)."""
     if theory.flavor != "states":
         raise WrongFlavor("the seven laws are stated over a states theory")
     names = list(theory.locations)
+    if not names:
+        raise TheoryError("the state laws need at least one location")
     if i is None:
         i = names[0]
     if i not in theory.locations:
@@ -191,7 +178,18 @@ def seven_laws(theory: Theory, i: str | None = None, j: str | None = None) -> li
         raise TheoryError("the commutation laws need two distinct locations")
     elif j not in theory.locations:
         raise TheoryError(f"location {j!r} is not declared")
+    return i, j
 
+
+def seven_laws(theory: Theory, i: str | None = None, j: str | None = None) -> list[Equation]:
+    """The seven state laws for locations `i` and `j` (see
+    `law_locations`).
+
+    Laws 1, 2, 3, 5, 6, 7 are strong; law 4 is weak only.  With a
+    single location the two-location commutation laws 5, 6, 7 are
+    vacuous and the list has four entries.
+    """
+    i, j = law_locations(theory, i, j)
     v_i = Base(theory.locations[i])
     lookup_i = lookup_op(theory, i)
     update_i = update_op(theory, i)

@@ -1,45 +1,62 @@
 """Object types for the decorated term calculus.
 
 Types are finite products and sums over named base types, with a unit
-(empty product) and an empty type (empty sum).  They are plain frozen
-dataclasses so they can serve as dict keys and appear inside terms.
+(empty product) and an empty type (empty sum).  Types are interned:
+building a type whose fields are those of an existing type returns that
+same object, so two types are equal exactly when they are the same
+object.  `==` and `hash` are therefore identity, which costs the same
+for a type of any depth.  They are frozen dataclasses without generated
+equality, and serve as dict keys and inside terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+# Every type built in this process, by its class and fields.
+_INTERNED: dict[tuple, "ObjType"] = {}
 
 
 class ObjType:
-    """Base class for object types."""
+    """Base class for object types; equal types are one object."""
 
     __slots__ = ()
 
+    def __new__(cls, *args):
+        key = (cls, *args)
+        ty = _INTERNED.get(key)
+        if ty is None:
+            ty = object.__new__(cls)
+            for f, value in zip(fields(cls), args, strict=True):
+                object.__setattr__(ty, f.name, value)
+            _INTERNED[key] = ty
+        return ty
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Unit(ObjType):
     """The terminal object; one inhabitant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Empty(ObjType):
     """The initial object; no inhabitants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Base(ObjType):
     """A named base type whose carrier is supplied by a finite model."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Prod(ObjType):
     left: ObjType
     right: ObjType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Sum(ObjType):
     left: ObjType
     right: ObjType

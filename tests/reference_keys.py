@@ -1,9 +1,11 @@
 """The canonical key written as plain structural recursion.
 
-This is the definition `declogic.terms.canonical_key` implements
-iteratively and caches on nodes: composition flattened, identities
-dropped, pair and case children keyed the same way.  Nothing is stored,
-so the tests can compare cached keys against a fresh computation.
+This is the definition behind `declogic.terms.canonical_key`:
+composition flattened, identities dropped, pair and case children keyed
+the same way.  Here a key is a nested tuple built afresh on every call,
+with nothing stored.  `canonical_key` instead numbers keys with small
+ints, computed iteratively and cached on nodes, so the tests check that
+two terms get the same id exactly when their keys here are equal.
 """
 
 from declogic.model import UNIT

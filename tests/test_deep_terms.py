@@ -1,9 +1,9 @@
 """Deep terms and programs under the interpreter's default recursion limit.
 
 A 100k-node chain `comp(id(V), comp(id(V), ... op(lookup_x)))` must
-parse, print back to the same text, get a canonical key, dualize, and
+parse, print back to the same text, get a canonical id, dualize, and
 go through the `check` and `prove` subcommands with their normal exit
-codes.  A
+codes, and copies of a 50k-deep nested pair get comparable ids.  A
 100k-statement program must parse, print, elaborate and get a verdict,
 and programs nested deeper than the parser can follow are input errors.
 A 100k-term sum must elaborate, get a verdict and print back, and a
@@ -49,15 +49,17 @@ def default_recursion_limit():
 def test_chain_parses_prints_and_keys():
     term = parse_term(CHAIN, SIGNATURE)
     assert print_term(term) == CHAIN
-    assert canonical_key(term) == ("op", "lookup_x")
+    assert canonical_key(term) == canonical_key(parse_term("op(lookup_x)", SIGNATURE))
     assert typecheck(term, SIGNATURE).ok
 
 
 def test_nested_pairs_parse_print_and_key():
     term = parse_term(NESTED_PAIRS, SIGNATURE)
     assert print_term(term) == NESTED_PAIRS
-    key = canonical_key(term)
-    assert key[0] == "pair" and key[2] == ("op", "lookup_x")
+    # Ids are ints, so comparing those of deep pairs never recurses.
+    assert canonical_key(term) == canonical_key(parse_term(NESTED_PAIRS, SIGNATURE))
+    changed = parse_term(NESTED_PAIRS.replace("id(V)", "id(unit)"), SIGNATURE)
+    assert canonical_key(changed) != canonical_key(term)
 
 
 def test_dualize_deep_axiom():

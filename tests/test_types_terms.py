@@ -32,7 +32,8 @@ from declogic.terms import (
     typecheck,
 )
 from declogic.theory import combine, dualize, states_theory
-from declogic.types import EMPTY_T, UNIT_T, Base, Prod, Sum, base_names, dual_type
+from declogic.types import (EMPTY_T, UNIT_T, Base, Empty, Prod, Sum, Unit,
+                            base_names, dual_type)
 from reference_keys import canonical_key as reference_key
 
 V = Base("V")
@@ -85,6 +86,25 @@ class TestTypes:
     def test_base_names(self):
         assert base_names(Prod(V, Sum(W, UNIT_T))) == {"V", "W"}
         assert base_names(UNIT_T) == frozenset()
+
+    def test_equal_types_are_one_object(self):
+        assert Prod(Base("V"), UNIT_T) is Prod(Base("V"), UNIT_T)
+        assert Sum(V, W) is not Sum(W, V) and Sum(V, W) is not Prod(V, W)
+        for cls in (Unit, Empty, Base, Prod, Sum):
+            assert cls.__eq__ is object.__eq__
+            assert cls.__hash__ is object.__hash__
+
+    def test_deep_types_hash_and_compare(self):
+        def deep(bottom):
+            ty = bottom
+            for _ in range(100_000):
+                ty = Prod(ty, V)
+            return ty
+
+        ty = deep(V)
+        assert ty == deep(V) and hash(ty) == hash(deep(V))
+        assert {ty: "found"}[deep(V)] == "found"
+        assert ty != deep(W)
 
 
 class TestSourcesAndTargets:
@@ -245,15 +265,19 @@ def test_cached_key_matches_reference(rng, depth):
             terms.append(random_term(rng, KEY_THEORY, KEY_MODEL, src, tgt, depth))
         except GenerationError:
             continue
-    for term in terms:
-        expected = reference_key(term)
-        assert canonical_key(term) == expected  # computed and stored
-        assert canonical_key(term) == expected  # read back from the node
-    # Composites of keyed terms read keys stored on their parts.
-    for a in terms:
-        for b in terms:
-            for built in (Comp(b, a), PairSeq(a, b), CaseSeq(b, Comp(a, Id(V)))):
-                assert canonical_key(built) == reference_key(built)
+    # Composites of keyed terms read ids stored on their parts.
+    terms += [built for a in terms for b in terms
+              for built in (Comp(b, a), PairSeq(a, b), CaseSeq(b, Comp(a, Id(V))))]
+    ids = [canonical_key(term) for term in terms]  # computed and stored
+    assert all(isinstance(i, int) for i in ids)
+    assert [canonical_key(term) for term in terms] == ids  # read back
+    # Over every pair of terms, ids are equal exactly when reference keys
+    # are: each reference key has one id, and each id one reference key.
+    id_of, key_of = {}, {}
+    for term, got in zip(terms, ids):
+        want = reference_key(term)
+        assert id_of.setdefault(want, got) == got
+        assert key_of.setdefault(got, want) == want
 
 
 class TestShield:
