@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fuel", 64) < 1:
         parser.error("--fuel must be a positive integer")
-    # Imp parsing and elaboration, and nested types, still recurse.
+    # Only the imp parser and elaborator still recurse.
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     try:
         return args.handler(args)

@@ -1,5 +1,12 @@
 """Concrete syntax for types, terms and literals.
 
+Every form prints as its head, followed by its arguments in parentheses
+when it has any: `terms.FORMS` gives both, and the printer and the parser
+here read it.  A literal takes the form of its type: `()` at unit, an
+integer at a base type, `(a, b)` at a product, and `l(a)` or `r(a)` at a
+sum.  Both walk forms over an explicit stack, so types, literals and
+terms nest to any depth.
+
 The printed form round-trips exactly: parsing the printer's output
 yields a structurally equal term, and printing again yields the same
 string.  Term files may contain `#` line comments and any whitespace.
@@ -9,25 +16,8 @@ from __future__ import annotations
 
 import re
 
-from .terms import (
-    Absurd,
-    Bang,
-    CaseSeq,
-    Comp,
-    Const,
-    DecoratedTerm,
-    Id,
-    Inj1,
-    Inj2,
-    Op,
-    OpSymbol,
-    PairSeq,
-    Proj1,
-    Proj2,
-)
-from .types import EMPTY_T, UNIT_T, Base, Empty, ObjType, Prod, Sum, Unit
-
-TYPE_KEYWORDS = frozenset({"unit", "empty", "prod", "sum"})
+from .terms import FORMS, Const, DecoratedTerm, OpSymbol
+from .types import Base, ObjType, Prod, Sum, Unit
 
 
 class ParseError(ValueError):
@@ -52,18 +42,66 @@ def parse_at(parse, text: str, line: int, col: int, *args):
 # Printing
 
 
+def _print(item) -> str:
+    """The printed form of a term, a type or a literal `(value, type)`.
+    Forms wait on an explicit stack, so any depth prints."""
+    out: list[str] = []
+    stack = [item]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+            continue
+        if cls is tuple:
+            head, args = _literal(*item)
+        else:
+            form = FORMS.get(cls)
+            if form is None:
+                raise TypeError(f"not a term or type: {item!r}")
+            head, get, kinds, _ = form
+            if not kinds:
+                out.append(item.name if head is None else head)
+                continue
+            args = get(item)
+        if not args:
+            out.append(head)
+            continue
+        out.append(head + "(")
+        if len(args) == 2:
+            stack += (")", args[1], ", ", args[0])
+        else:
+            stack += (")", args[0])
+    return "".join(out)
+
+
+def _literal(value, ty: ObjType) -> tuple:
+    """The head of the literal for `value` at `ty`, and its parts as
+    `(value, type)` pairs.  A value that has none raises ValueError, with
+    the type it misses as `at`."""
+    from .model import UNIT
+
+    cls = type(ty)
+    if cls is Unit and value is UNIT:
+        return "()", ()
+    if cls is Base and isinstance(value, int) and not isinstance(value, bool):
+        return str(value), ()
+    if isinstance(value, tuple) and len(value) == 2:
+        # A tagged value is no pair, whatever its parts are.
+        tagged = value[0] in ("L", "R")
+        if cls is Prod and not tagged:
+            return "", ((value[0], ty.left), (value[1], ty.right))
+        if cls is Sum and tagged:
+            return value[0].lower(), ((value[1], ty.left if value[0] == "L" else ty.right),)
+    err = ValueError(f"no literal form for {value!r} at {print_type(ty)}")
+    err.at = ty
+    raise err
+
+
 def print_type(ty: ObjType) -> str:
-    if isinstance(ty, Unit):
-        return "unit"
-    if isinstance(ty, Empty):
-        return "empty"
-    if isinstance(ty, Base):
-        return ty.name
-    if isinstance(ty, Prod):
-        return f"prod({print_type(ty.left)}, {print_type(ty.right)})"
-    if isinstance(ty, Sum):
-        return f"sum({print_type(ty.left)}, {print_type(ty.right)})"
-    raise TypeError(f"not an object type: {ty!r}")
+    if not isinstance(ty, ObjType):
+        raise TypeError(f"not an object type: {ty!r}")
+    return _print(ty)
 
 
 _CODE_ESCAPES = {"_": "__", "(": "_a", ",": "_b", ")": "_c"}
@@ -91,69 +129,14 @@ def print_value(value: object, ty: ObjType) -> str:
     Printing is type-directed, so pairs and tagged sums never collide.
     Base values must be integers; anything else has no literal form.
     """
-    from .model import UNIT
-
-    if isinstance(ty, Unit):
-        if value is UNIT:
-            return "()"
-    elif isinstance(ty, Base):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return str(value)
-    elif isinstance(ty, Prod):
-        if isinstance(value, tuple) and len(value) == 2:
-            return f"({print_value(value[0], ty.left)}, {print_value(value[1], ty.right)})"
-    elif isinstance(ty, Sum):
-        if isinstance(value, tuple) and len(value) == 2 and value[0] in ("L", "R"):
-            if value[0] == "L":
-                return f"l({print_value(value[1], ty.left)})"
-            return f"r({print_value(value[1], ty.right)})"
-    raise ValueError(f"no literal form for {value!r} at {print_type(ty)}")
+    return _print((value, ty))
 
 
 def print_term(term: DecoratedTerm) -> str:
     """The printed form of `term`; iterative, so deep terms print too."""
     if not isinstance(term, DecoratedTerm):
         raise TypeError(f"not a term: {term!r}")
-    out: list[str] = []
-    stack: list = [term]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Comp):
-            out.append("comp(")
-            stack += (")", item.inner, ", ", item.outer)
-        elif isinstance(item, PairSeq):
-            out.append("pair(")
-            stack += (")", item.second, ", ", item.first)
-        elif isinstance(item, CaseSeq):
-            out.append("case(")
-            stack += (")", item.on_right, ", ", item.on_left)
-        else:
-            out.append(_print_leaf(item))
-    return "".join(out)
-
-
-def _print_leaf(term: DecoratedTerm) -> str:
-    if isinstance(term, Id):
-        return f"id({print_type(term.at)})"
-    if isinstance(term, Op):
-        return f"op({term.symbol.name})"
-    if isinstance(term, Proj1):
-        return f"proj1({print_type(term.left)}, {print_type(term.right)})"
-    if isinstance(term, Proj2):
-        return f"proj2({print_type(term.left)}, {print_type(term.right)})"
-    if isinstance(term, Inj1):
-        return f"inj1({print_type(term.left)}, {print_type(term.right)})"
-    if isinstance(term, Inj2):
-        return f"inj2({print_type(term.left)}, {print_type(term.right)})"
-    if isinstance(term, Bang):
-        return f"bang({print_type(term.at)})"
-    if isinstance(term, Absurd):
-        return f"absurd({print_type(term.at)})"
-    if isinstance(term, Const):
-        return f"const({print_value(term.value, term.at)}, {print_type(term.at)})"
-    raise TypeError(f"not a term: {term!r}")
+    return _print(term)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +215,27 @@ def _is_token(tok: str) -> bool:
     return tok in ("(", ")", ",") or _is_name(tok) or _is_int(tok)
 
 
-_BINARY = {"comp": Comp, "pair": PairSeq, "case": CaseSeq}
-_TYPE_PAIRS = {"proj1": Proj1, "proj2": Proj2, "inj1": Inj1, "inj2": Inj2}
-_LEAF_FORMS = frozenset({"op", "id", "bang", "absurd", "const", *_TYPE_PAIRS})
+# The heads that open a form where a term, a type, an op name or a
+# literal is read, each with the form's build and the heads its first
+# and second arguments are read with (None past its arity).  Any other
+# name is a base type where a type is read.  A literal is an integer,
+# `()`, `(a, b)`, `l(a)` or `r(a)`, which builds `("L", a)`.
+_TERMS, _TYPES, _NAMES, _LITERALS = {}, {}, {}, {}
+_KINDS = {"t": _TERMS, "T": _TYPES, "n": _NAMES, "v": _LITERALS}
+
+
+def _opens(build, kinds: str) -> tuple:
+    return (build, *(_KINDS[kind] for kind in kinds), None, None)[:3]
+
+
+_TERMS.update((f.head, _opens(c, f.kinds)) for c, f in FORMS.items()
+              if issubclass(c, DecoratedTerm))
+_TYPES.update((f.head, _opens(c, f.kinds)) for c, f in FORMS.items()
+              if f.head and issubclass(c, ObjType))
+_LITERALS.update({"(": _opens(lambda *pair: pair, "vv"),
+                  "l": _opens(lambda value: ("L", value), "v"),
+                  "r": _opens(lambda value: ("R", value), "v")})
+TYPE_KEYWORDS = frozenset(_TYPES)
 
 
 class _Parser:
@@ -245,16 +246,6 @@ class _Parser:
         # the rescan in `error_at` reports its character instead.
         self.text = text
         self.tokens = _TOKEN.findall(text)
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok:
-            self.pos += 1
-        return tok
 
     def error_at(self, index: int, message: str) -> ParseError:
         """An error at the token numbered `index`, unless the text holds
@@ -262,160 +253,99 @@ class _Parser:
         offset = located_tokens(_TOKEN, self.text, _is_token)[1][index]
         return ParseError(message, *_position(self.text, offset))
 
-    def fail(self, message: str) -> ParseError:
-        return self.error_at(self.pos, message)
-
-    def expect_punct(self, text: str) -> None:
-        if self.tokens[self.pos] != text:
-            raise self.fail(f"expected {text!r}")
-        self.pos += 1
-
-    def expect_ident(self) -> str:
-        tok = self.peek()
-        if not _is_name(tok):
-            raise self.fail("expected a name")
-        self.pos += 1
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        return self.peek() == text
-
-    def expect_eof(self) -> None:
-        if self.peek():
-            raise self.fail("unexpected trailing input")
-
-    # -- types
-
-    def parse_type(self) -> ObjType:
-        name = self.peek()
-        if not _is_name(name):
-            raise self.fail("expected a type")
-        self.pos += 1
-        if name == "unit":
-            return UNIT_T
-        if name == "empty":
-            return EMPTY_T
-        if name in ("prod", "sum"):
-            self.expect_punct("(")
-            left = self.parse_type()
-            self.expect_punct(",")
-            right = self.parse_type()
-            self.expect_punct(")")
-            return Prod(left, right) if name == "prod" else Sum(left, right)
-        return Base(name)
-
-    # -- raw literals (coerced against a type once it is known)
-
-    def parse_raw_literal(self):
-        tok = self.peek()
-        if _is_int(tok):
-            self.advance()
-            return ("int", int(tok))
-        if tok in ("l", "r"):
-            tag = self.advance()
-            self.expect_punct("(")
-            inner = self.parse_raw_literal()
-            self.expect_punct(")")
-            return ("tag", "L" if tag == "l" else "R", inner)
-        if self.at_punct("("):
-            self.advance()
-            if self.at_punct(")"):
-                self.advance()
-                return ("unit",)
-            first = self.parse_raw_literal()
-            self.expect_punct(",")
-            second = self.parse_raw_literal()
-            self.expect_punct(")")
-            return ("pair", first, second)
-        raise self.fail("expected a literal")
-
-    def coerce_literal(self, raw, ty: ObjType, at: int):
-        """The value of `raw` at `ty`; errors point at token `at`."""
-        from .model import UNIT
-
-        if isinstance(ty, Unit) and raw[0] == "unit":
-            return UNIT
-        if isinstance(ty, Base) and raw[0] == "int":
-            return raw[1]
-        if isinstance(ty, Prod) and raw[0] == "pair":
-            return (
-                self.coerce_literal(raw[1], ty.left, at),
-                self.coerce_literal(raw[2], ty.right, at),
-            )
-        if isinstance(ty, Sum) and raw[0] == "tag":
-            side = ty.left if raw[1] == "L" else ty.right
-            return (raw[1], self.coerce_literal(raw[2], side, at))
-        raise self.error_at(at, f"literal does not fit type {print_type(ty)}")
-
-    # -- terms
-
-    def parse_term(self, signature: dict[str, OpSymbol]) -> DecoratedTerm:
-        """One term.  Composite forms wait on an explicit stack of
-        [constructor, first child] entries, so nesting depth is not
-        limited by recursion."""
+    def parse(self, heads: dict, signature: dict[str, OpSymbol]):
+        """The term (`heads` is `_TERMS`) or type (`_TYPES`) that is the
+        whole text.  A form waits on an explicit stack of [build, heads of
+        its second argument, head token, first argument] entries until its
+        arguments are read, so nesting depth is not limited by recursion."""
         tokens = self.tokens
+        pos = 0
         pending: list[list] = []
         while True:
-            at = self.pos
-            head = tokens[at]
-            ctor = _BINARY.get(head)
-            if ctor is None and head not in _LEAF_FORMS and not _is_name(head):
-                raise self.fail("expected a term")
-            self.pos += 1
-            self.expect_punct("(")
-            if ctor is not None:
-                pending.append([ctor, None])
-                continue
-            term = self._parse_leaf_body(head, at, signature)
-            self.expect_punct(")")
-            while pending and pending[-1][1] is not None:
-                ctor, first = pending.pop()
-                term = ctor(first, term)
-                self.expect_punct(")")
-            if not pending:
-                return term
-            pending[-1][1] = term
-            self.expect_punct(",")
+            at = pos
+            tok = tokens[at]
+            pos += 1
+            opened = heads.get(tok)
+            if heads is _TERMS:
+                if opened is None and not _is_name(tok):
+                    raise self.error_at(at, "expected a term")
+                if tokens[pos] != "(":
+                    raise self.error_at(pos, "expected '('")
+                pos += 1
+                if opened is None:
+                    raise self.error_at(at, f"unknown term form {tok!r}")
+            elif heads is _TYPES:
+                if opened is None:
+                    if not _is_name(tok):
+                        raise self.error_at(at, "expected a type")
+                    item = Base(tok)
+                elif opened[1] is None:
+                    item, opened = opened[0](), None
+                elif tokens[pos] != "(":
+                    raise self.error_at(pos, "expected '('")
+                else:
+                    pos += 1
+            elif heads is _NAMES:
+                if not _is_name(tok):
+                    raise self.error_at(at, "expected a name")
+                item = signature.get(tok)
+                if item is None:
+                    raise self.error_at(pending[-1][2],
+                                        f"operation {tok!r} is not declared")
+            elif _is_int(tok):
+                item = int(tok)
+            elif opened is None:
+                raise self.error_at(at, "expected a literal")
+            elif tok == "(" and tokens[pos] == ")":
+                from .model import UNIT
 
-    def _parse_leaf_body(self, head: str, at: int,
-                         signature: dict[str, OpSymbol]) -> DecoratedTerm:
-        """The arguments of the leaf form `head`, whose name is token `at`."""
-        if head == "op":
-            name = self.expect_ident()
-            symbol = signature.get(name)
-            if symbol is None:
-                raise self.error_at(at, f"operation {name!r} is not declared")
-            return Op(symbol)
-        if head == "id":
-            return Id(self.parse_type())
-        ctor = _TYPE_PAIRS.get(head)
-        if ctor is not None:
-            left = self.parse_type()
-            self.expect_punct(",")
-            right = self.parse_type()
-            return ctor(left, right)
-        if head == "bang":
-            return Bang(self.parse_type())
-        if head == "absurd":
-            return Absurd(self.parse_type())
-        if head == "const":
-            lit_at = self.pos
-            raw = self.parse_raw_literal()
-            self.expect_punct(",")
-            ty = self.parse_type()
-            return Const(self.coerce_literal(raw, ty, lit_at), ty)
-        raise self.error_at(at, f"unknown term form {head!r}")
+                pos += 1
+                item, opened = UNIT, None
+            elif tok != "(":
+                if tokens[pos] != "(":
+                    raise self.error_at(pos, "expected '('")
+                pos += 1
+            if opened is not None:
+                build, heads, second = opened
+                pending.append([build, second, at, None])
+                continue
+            # Every form has one or two arguments.
+            while pending:
+                build, second, head_at, first = frame = pending[-1]
+                if second is not None:
+                    if tokens[pos] != ",":
+                        raise self.error_at(pos, "expected ','")
+                    pos += 1
+                    frame[1], frame[3], heads = None, item, second
+                    break
+                pending.pop()
+                if first is None:
+                    item = build(item)
+                else:
+                    if build is Const:
+                        self.check_literal(first, item, head_at + 2)
+                    item = build(first, item)
+                if tokens[pos] != ")":
+                    raise self.error_at(pos, "expected ')'")
+                pos += 1
+            else:
+                if tokens[pos]:
+                    raise self.error_at(pos, "unexpected trailing input")
+                return item
+
+    def check_literal(self, value, ty: ObjType, at: int) -> None:
+        """Raise at token `at` unless `ty` has a literal for `value`.  The
+        printer tells a parsed pair from a parsed `l(a)` or `r(a)`, since
+        no pair starts with a tag."""
+        try:
+            _print((value, ty))
+        except ValueError as err:
+            raise self.error_at(at, f"literal does not fit type {print_type(err.at)}") from None
 
 
 def parse_type(text: str) -> ObjType:
-    parser = _Parser(text)
-    ty = parser.parse_type()
-    parser.expect_eof()
-    return ty
+    return _Parser(text).parse(_TYPES, {})
 
 
 def parse_term(text: str, signature: dict[str, OpSymbol] | None = None) -> DecoratedTerm:
-    parser = _Parser(text)
-    term = parser.parse_term(signature or {})
-    parser.expect_eof()
-    return term
+    return _Parser(text).parse(_TERMS, signature or {})

@@ -29,8 +29,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Callable, NamedTuple
 
-from .types import EMPTY_T, UNIT_T, ObjType, Prod, Sum
+from .types import EMPTY_T, UNIT_T, Base, Empty, ObjType, Prod, Sum, Unit
 
 
 @dataclass(frozen=True)
@@ -224,6 +225,52 @@ class Const(DecoratedTerm):
         self._cache(UNIT_T, self.at, PURE)
 
 
+# ---------------------------------------------------------------------------
+# Forms: the printer and parser in `syntax`, the dualizer in `theory` and
+# the leaf keys of `canonical_key` all read this one table, and each
+# walks nested forms over an explicit stack.
+
+
+class Form(NamedTuple):
+    head: str | None      # printed name; a base type prints as its name
+    args: Callable        # the arguments in printed order, as a tuple
+    kinds: str            # per argument: t term, T type, n op name, v literal
+    mirror: type | None   # the dual form; a constant point has none
+
+
+def _args(*names: str) -> Callable:
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda node: (get(node),)
+    return attrgetter(*names) if names else lambda node: ()
+
+
+_SIDES = _args("left", "right")
+
+# An op's argument is its name, which a signature turns into a symbol.  A
+# constant's value is the literal `(value, at)`, whose form its type
+# gives (see `syntax`).  Composition mirrors with its factors swapped.
+FORMS: dict[type, Form] = {
+    Unit: Form("unit", _args(), "", Empty),
+    Empty: Form("empty", _args(), "", Unit),
+    Base: Form(None, _args(), "", Base),
+    Prod: Form("prod", _SIDES, "TT", Sum),
+    Sum: Form("sum", _SIDES, "TT", Prod),
+    Id: Form("id", _args("at"), "T", Id),
+    Comp: Form("comp", _args("outer", "inner"), "tt", Comp),
+    Op: Form("op", _args("symbol.name"), "n", Op),
+    Proj1: Form("proj1", _SIDES, "TT", Inj1),
+    Proj2: Form("proj2", _SIDES, "TT", Inj2),
+    Inj1: Form("inj1", _SIDES, "TT", Proj1),
+    Inj2: Form("inj2", _SIDES, "TT", Proj2),
+    PairSeq: Form("pair", _args("first", "second"), "tt", CaseSeq),
+    CaseSeq: Form("case", _args("on_left", "on_right"), "tt", PairSeq),
+    Bang: Form("bang", _args("at"), "T", Absurd),
+    Absurd: Form("absurd", _args("at"), "T", Bang),
+    Const: Form("const", lambda c: ((c.value, c.at), c.at), "vT", None),
+}
+
+
 class Mode(enum.Enum):
     WEAK = "weak"
     STRONG = "strong"
@@ -391,22 +438,8 @@ def chain_factors(term: DecoratedTerm) -> list[DecoratedTerm]:
     return factors
 
 
-# What keys a leaf besides its class: an op's name, or its interned types
-# and value.
-_LEAF_FIELDS = {
-    Op: attrgetter("symbol.name"),
-    Id: attrgetter("at"),
-    Proj1: attrgetter("left", "right"),
-    Proj2: attrgetter("left", "right"),
-    Inj1: attrgetter("left", "right"),
-    Inj2: attrgetter("left", "right"),
-    Bang: attrgetter("at"),
-    Absurd: attrgetter("at"),
-    Const: attrgetter("value", "at"),
-}
-
 # Every key met in this process, numbered in order of first use.  A key
-# is a leaf's class and fields, a pair's or case's class and child ids,
+# is a leaf's class and arguments, a pair's or case's class and child ids,
 # or the ids of two or more chain factors.
 _IDS: dict[tuple, int] = {}
 
@@ -460,10 +493,10 @@ def canonical_key(term: DecoratedTerm) -> int:
             key = (CaseSeq, node.on_left._canonical_key,
                    node.on_right._canonical_key)
         else:
-            leaf = _LEAF_FIELDS.get(type(node))
-            if leaf is None:
+            form = FORMS.get(type(node))
+            if form is None:
                 raise TypeError(f"not a term: {node!r}")
-            key = (type(node), leaf(node))
+            key = (type(node), *form.args(node))
         object.__setattr__(node, "_canonical_key", _IDS.setdefault(key, len(_IDS)))
     return term._canonical_key
 

@@ -14,17 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .terms import (
-    Absurd,
+    FORMS,
     Bang,
-    CaseSeq,
     Comp,
-    Const,
     DecoratedTerm,
     Decoration,
     Equation,
     Id,
-    Inj1,
-    Inj2,
     Mode,
     Op,
     OpSymbol,
@@ -35,7 +31,7 @@ from .terms import (
     seq_then,
     swap_term,
 )
-from .types import EMPTY_T, UNIT_T, Base, ObjType, dual_type
+from .types import UNIT_T, Base, ObjType
 
 
 class TheoryError(Exception):
@@ -247,53 +243,47 @@ def _dual_symbol(symbol: OpSymbol) -> OpSymbol:
     )
 
 
-def dualize_term(term: DecoratedTerm, symbol_map: dict[str, OpSymbol]) -> DecoratedTerm:
-    """Reverse the arrow: swap products with sums, pairing with case
-    analysis, projections with injections, and map each operation to
-    its dual symbol.  Constant points have no dual.  Iterative, so
-    terms of any depth dualize."""
-    done: list[DecoratedTerm] = []
-    # (node, None) dualizes `node`; (None, build) joins the last two results.
-    stack: list[tuple] = [(term, None)]
+def dualize_term(term: DecoratedTerm | ObjType,
+                 symbol_map: dict[str, OpSymbol]) -> DecoratedTerm | ObjType:
+    """The mirror of a term or a type, by `FORMS`: products and sums,
+    unit and empty, pairing and case split, projections and injections,
+    and bang and absurd swap, composition swaps its factors, and each
+    operation maps to its dual symbol.  Constant points have no dual.
+    Iterative, so terms and types of any depth dualize."""
+    done: list = []
+    # A node dualizes; a (build, n) entry builds from the last n results.
+    stack: list = [term]
     while stack:
-        node, build = stack.pop()
-        if build is not None:
-            second = done.pop()
-            done.append(build(done.pop(), second))
-        elif isinstance(node, Comp):
-            stack += ((None, Comp), (node.outer, None), (node.inner, None))
-        elif isinstance(node, PairSeq):
-            stack += ((None, CaseSeq), (node.second, None), (node.first, None))
-        elif isinstance(node, CaseSeq):
-            stack += ((None, PairSeq), (node.on_right, None), (node.on_left, None))
+        item = stack.pop()
+        if type(item) is tuple:
+            build, n = item
+            args = done[-n:]
+            del done[-n:]
+            done.append(build(*args))
+            continue
+        cls = type(item)
+        form = FORMS.get(cls)
+        if form is None:
+            raise TypeError(f"not a term or type: {item!r}")
+        if cls is Op:
+            dual = symbol_map.get(item.symbol.name)
+            if dual is None:
+                raise TheoryError(f"operation {item.symbol.name!r} has no dual")
+            done.append(Op(dual))
+        elif form.mirror is None:
+            raise TheoryError("constant points have no dual")
+        elif not form.kinds:
+            done.append(item if form.mirror is cls else form.mirror())
         else:
-            done.append(_dualize_leaf(node, symbol_map))
+            args = form.args(item)
+            stack.append((form.mirror, len(args)))
+            stack += args if cls is Comp else args[::-1]
     return done[0]
 
 
-def _dualize_leaf(term: DecoratedTerm, symbol_map: dict[str, OpSymbol]) -> DecoratedTerm:
-    if isinstance(term, Id):
-        return Id(dual_type(term.at))
-    if isinstance(term, Op):
-        dual = symbol_map.get(term.symbol.name)
-        if dual is None:
-            raise TheoryError(f"operation {term.symbol.name!r} has no dual")
-        return Op(dual)
-    if isinstance(term, Proj1):
-        return Inj1(dual_type(term.left), dual_type(term.right))
-    if isinstance(term, Proj2):
-        return Inj2(dual_type(term.left), dual_type(term.right))
-    if isinstance(term, Inj1):
-        return Proj1(dual_type(term.left), dual_type(term.right))
-    if isinstance(term, Inj2):
-        return Proj2(dual_type(term.left), dual_type(term.right))
-    if isinstance(term, Bang):
-        return Absurd(dual_type(term.at))
-    if isinstance(term, Absurd):
-        return Bang(dual_type(term.at))
-    if isinstance(term, Const):
-        raise TheoryError("constant points have no dual")
-    raise TypeError(f"not a term: {term!r}")
+def dual_type(ty: ObjType) -> ObjType:
+    """Swap products with sums and unit with empty, at any depth."""
+    return dualize_term(ty, {})
 
 
 def dual_symbol_map(theory: Theory) -> dict[str, OpSymbol]:

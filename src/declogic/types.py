@@ -6,7 +6,9 @@ building a type whose fields are those of an existing type returns that
 same object, so two types are equal exactly when they are the same
 object.  `==` and `hash` are therefore identity, which costs the same
 for a type of any depth.  They are frozen dataclasses without generated
-equality, and serve as dict keys and inside terms.
+equality, and serve as dict keys and inside terms.  A type's `repr` is
+its printed form.  Printing, parsing and dualizing walk a type over an
+explicit stack (see `terms.FORMS`), so types nest to any depth.
 """
 
 from __future__ import annotations
@@ -32,31 +34,36 @@ class ObjType:
             _INTERNED[key] = ty
         return ty
 
+    def __repr__(self) -> str:
+        from .syntax import print_type
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+        return print_type(self)
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Unit(ObjType):
     """The terminal object; one inhabitant."""
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Empty(ObjType):
     """The initial object; no inhabitants."""
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Base(ObjType):
     """A named base type whose carrier is supplied by a finite model."""
 
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Prod(ObjType):
     left: ObjType
     right: ObjType
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Sum(ObjType):
     left: ObjType
     right: ObjType
@@ -78,18 +85,3 @@ def base_names(ty: ObjType) -> frozenset[str]:
             stack.append(t.left)
             stack.append(t.right)
     return frozenset(names)
-
-
-def dual_type(ty: ObjType) -> ObjType:
-    """Swap products with sums and unit with empty, recursively."""
-    if isinstance(ty, Unit):
-        return EMPTY_T
-    if isinstance(ty, Empty):
-        return UNIT_T
-    if isinstance(ty, Base):
-        return ty
-    if isinstance(ty, Prod):
-        return Sum(dual_type(ty.left), dual_type(ty.right))
-    if isinstance(ty, Sum):
-        return Prod(dual_type(ty.left), dual_type(ty.right))
-    raise TypeError(f"not an object type: {ty!r}")

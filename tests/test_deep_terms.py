@@ -4,10 +4,13 @@ A 100k-node chain `comp(id(V), comp(id(V), ... op(lookup_x)))` must
 parse, print back to the same text, get a canonical id, dualize, and
 go through the `check` and `prove` subcommands with their normal exit
 codes, and copies of a 50k-deep nested pair get comparable ids.  A
-100k-statement program must parse, print, elaborate and get a verdict,
-and programs nested deeper than the parser can follow are input errors.
-A 100k-term sum must elaborate, get a verdict and print back, and a
-handler over a 1500-value carrier must elaborate and get a verdict.
+100k-deep product type must parse, print, dualize and go through a
+theory dump and `check`, and a constant whose literal and type are both
+that deep must parse and print back.  A 100k-statement program must
+parse, print, elaborate and get a verdict, and programs nested deeper
+than the parser can follow are input errors.  A 100k-term sum must
+elaborate, get a verdict and print back, and a handler over a
+1500-value carrier must elaborate and get a verdict.
 """
 
 import sys
@@ -26,10 +29,11 @@ from declogic.imp import (
     print_command,
 )
 from declogic.model import build_model
-from declogic.syntax import parse_term, print_term
+from declogic.syntax import parse_term, parse_type, print_term, print_type
 from declogic.terms import canonical_key, typecheck
-from declogic.theory import dualize, dump_theory, parse_theory, states_theory
-from declogic.types import UNIT_T
+from declogic.theory import (dual_type, dualize, dump_theory, parse_theory,
+                             states_theory)
+from declogic.types import UNIT_T, Base
 
 DEPTH = 50_000  # compositions; with their identities and the op, 100,001 nodes
 CHAIN = "comp(id(V), " * DEPTH + "op(lookup_x)" + ")" * DEPTH
@@ -60,6 +64,44 @@ def test_nested_pairs_parse_print_and_key():
     assert canonical_key(term) == canonical_key(parse_term(NESTED_PAIRS, SIGNATURE))
     changed = parse_term(NESTED_PAIRS.replace("id(V)", "id(unit)"), SIGNATURE)
     assert canonical_key(changed) != canonical_key(term)
+
+
+DEEP_TYPE = "prod(" * 100_000 + "V" + ", V)" * 100_000
+
+
+def test_deep_type_parses_prints_and_dualizes():
+    ty = parse_type(DEEP_TYPE)
+    assert print_type(ty) == DEEP_TYPE
+    assert repr(ty) == DEEP_TYPE
+    assert parse_type(print_type(ty)) is ty
+    dual = dual_type(ty)
+    assert print_type(dual) == DEEP_TYPE.replace("prod", "sum")
+    assert dual_type(dual) is ty
+
+
+def test_deep_literal_round_trips():
+    literal = "(" * 100_000 + "1" + ", 0)" * 100_000
+    text = f"const({literal}, {DEEP_TYPE})"
+    term = parse_term(text)
+    assert print_term(term) == text
+    assert print_term(parse_term(print_term(term))) == text
+    # No `==` on the value: comparing deep tuples recurses.
+    assert term.value[1] == 0 and term.at.right is Base("V")
+
+
+def test_deep_type_in_a_theory_dump():
+    line = f"op deep : unit -> {DEEP_TYPE} @ (0,0)"
+    dump = dump_theory(parse_theory(dump_theory(states_theory({"x": "V"}))
+                                    + line + "\n"))
+    assert line in dump.splitlines()
+    assert dump_theory(parse_theory(dump)) == dump
+
+
+def test_check_deep_identity(tmp_path, capsys):
+    term = tmp_path / "deep.term"
+    term.write_text(f"id({DEEP_TYPE})")
+    assert main(["check", str(term)]) == 0
+    assert capsys.readouterr().out == f"ok: {DEEP_TYPE} -> {DEEP_TYPE} @ (0,0)\n"
 
 
 def test_dualize_deep_axiom():

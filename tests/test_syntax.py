@@ -140,6 +140,50 @@ class TestTermSyntax:
         assert print_term(t) == "comp(op(update_x), op(lookup_x))"
 
 
+# Malformed inputs and the exact message each gives, place included.
+ERRORS = [
+    (parse_type, "prod(V W)", "expected ',' (line 1, column 8)"),
+    (parse_type, "", "expected a type (line 1, column 1)"),
+    (parse_term, "const((0, l(1)), prod(V, sum(unit, V)))",
+     "literal does not fit type unit (line 1, column 7)"),
+    (parse_term, "const(l(r((1, ()))), sum(sum(V, prod(V, V)), V))",
+     "literal does not fit type V (line 1, column 7)"),
+    (parse_term, "const(l(1), prod(V,V))",
+     "literal does not fit type prod(V, V) (line 1, column 7)"),
+    (parse_term, "const((1, 2), sum(V,V))",
+     "literal does not fit type sum(V, V) (line 1, column 7)"),
+    (parse_term, "const(1, empty)", "literal does not fit type empty (line 1, column 7)"),
+    (parse_term, "const((), V", "literal does not fit type V (line 1, column 7)"),
+    (parse_term, "op(missing)", "operation 'missing' is not declared (line 1, column 1)"),
+    (parse_term, "op(3)", "expected a name (line 1, column 4)"),
+    (parse_term, "op lookup_x", "expected '(' (line 1, column 4)"),
+    (parse_term, "foo(x)", "unknown term form 'foo' (line 1, column 1)"),
+    (parse_term, "unit(V)", "unknown term form 'unit' (line 1, column 1)"),
+    (parse_term, "id(prod(V, ))", "expected a type (line 1, column 12)"),
+    (parse_term, "id(prod V)", "expected '(' (line 1, column 9)"),
+    (parse_term, "id(unit(", "expected ')' (line 1, column 8)"),
+    (parse_term, "const(, V)", "expected a literal (line 1, column 7)"),
+    (parse_term, "const(r(), sum(V, unit))", "expected a literal (line 1, column 9)"),
+    (parse_term, "const(l 1, sum(V, V))", "expected '(' (line 1, column 9)"),
+    (parse_term, "bang(V", "expected ')' (line 1, column 7)"),
+    (parse_term, "const((0, 1, 2), prod(V, V))", "expected ')' (line 1, column 12)"),
+    (parse_term, "id(3)", "expected a type (line 1, column 4)"),
+    (parse_term, "proj1(V W)", "expected ',' (line 1, column 9)"),
+    (parse_term, "comp(op(lookup_x) op(lookup_x))", "expected ',' (line 1, column 19)"),
+    (parse_term, "comp(op(lookup_x), )", "expected a term (line 1, column 20)"),
+    (parse_term, "pair(id(V), id(V)) x", "unexpected trailing input (line 1, column 20)"),
+    (parse_term, "# note\n", "expected a term (line 2, column 1)"),
+    (parse_term, "case(op(lookup_x), id(@))", "unexpected character '@' (line 1, column 23)"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", ERRORS, ids=range(len(ERRORS)))
+def test_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, SIGNATURE) if parse is parse_term else parse(text)
+    assert str(info.value) == message
+
+
 class TestValueLiterals:
     def test_value_forms(self):
         assert print_value(UNIT, UNIT_T) == "()"
@@ -158,3 +202,8 @@ class TestValueLiterals:
             print_value("not-an-int", V)
         with pytest.raises(ValueError):
             print_value((1, 2, 3), Prod(V, V))
+
+    def test_unprintable_value_names_its_innermost_part(self):
+        with pytest.raises(ValueError) as info:
+            print_value((1, "x"), Prod(V, V))
+        assert str(info.value) == "no literal form for 'x' at V"

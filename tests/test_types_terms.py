@@ -31,9 +31,9 @@ from declogic.terms import (
     swap_term,
     typecheck,
 )
-from declogic.theory import combine, dualize, states_theory
+from declogic.theory import combine, dual_type, dualize, states_theory
 from declogic.types import (EMPTY_T, UNIT_T, Base, Empty, Prod, Sum, Unit,
-                            base_names, dual_type)
+                            base_names)
 from reference_keys import canonical_key as reference_key
 
 V = Base("V")
@@ -105,6 +105,11 @@ class TestTypes:
         assert ty == deep(V) and hash(ty) == hash(deep(V))
         assert {ty: "found"}[deep(V)] == "found"
         assert ty != deep(W)
+
+    def test_repr_is_the_printed_form(self):
+        ty = Prod(V, Sum(UNIT_T, EMPTY_T))
+        assert repr(ty) == str(ty) == "prod(V, sum(unit, empty))"
+        assert repr(Id(ty)) == "Id(at=prod(V, sum(unit, empty)))"
 
 
 class TestSourcesAndTargets:
