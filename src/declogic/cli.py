@@ -215,8 +215,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fuel", 64) < 1:
         parser.error("--fuel must be a positive integer")
-    # Only the imp parser and elaborator still recurse.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     try:
         return args.handler(args)
     except (InputError, ParseError, TheoryError, ElaborationError) as err:

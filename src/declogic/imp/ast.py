@@ -8,6 +8,8 @@ a command is the identity on parser output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import Formatter
+from typing import NamedTuple
 
 
 class AExp:
@@ -146,79 +148,110 @@ class TryCatch(Command):
     clauses: tuple[Clause, ...]
 
 
-# Precedence levels for printing: additive 0, multiplicative 1, atom 2.
+# ---------------------------------------------------------------------------
+# Shapes: the printer here and the parser in `parser` read this one table,
+# and both walk nested forms over an explicit stack.
 
-_OPERATORS = {Add: ("+", 0), Sub: ("-", 0), Mul: ("*", 1)}
+
+class Hole(NamedTuple):
+    field: str
+    kind: str   # a arithmetic, b boolean, c command, n name, i integer, * clauses
+    least: int  # an operand binding less tightly prints in parentheses
 
 
-def print_aexp(expr: AExp, prec: int = 0) -> str:
-    """Iterative, so sums of any length print."""
+class Shape(NamedTuple):
+    parts: tuple  # printed text and holes, in order
+    prec: int     # how tightly the form binds; a larger number binds tighter
+
+
+_ATOM = 9  # forms that are neither infix nor prefix bind tightest
+
+
+def _shape(template: str, prec: int = _ATOM, assoc: str = "") -> Shape:
+    """The shape printed as `template`, where `{field:kind}` is a hole.
+
+    An operand at the edge of an infix or prefix form binds at least as
+    tightly as the form, and more tightly on the side the form does not
+    associate to.
+    """
+    parts: list = []
+    for text, field, kind, _ in Formatter().parse(template):
+        if text:
+            parts.append(text)
+        if field is not None:
+            parts.append(Hole(field, kind, 0))
+    for at, side in ((0, "left"), (-1, "right")):
+        if prec < _ATOM and isinstance(parts[at], Hole) and parts[at].kind in "abc":
+            parts[at] = parts[at]._replace(least=prec + (assoc != side))
+    return Shape(tuple(parts), prec)
+
+
+# One precedence scale for every sort, loosest first: `;`, `and`, `not`,
+# the comparisons, `+` and `-`, `*`.  `;` and `and` associate to the
+# right, `+`, `-` and `*` to the left, and a comparison to neither side.
+SHAPES: dict[type, Shape] = {
+    Lit: _shape("{value:i}"),
+    Loc: _shape("{name:n}"),
+    Add: _shape("{left:a} + {right:a}", 4, "left"),
+    Sub: _shape("{left:a} - {right:a}", 4, "left"),
+    Mul: _shape("{left:a} * {right:a}", 5, "left"),
+    BTrue: _shape("true"),
+    BFalse: _shape("false"),
+    Eq: _shape("{left:a} == {right:a}", 3),
+    Le: _shape("{left:a} <= {right:a}", 3),
+    Not: _shape("not {body:b}", 2),
+    And: _shape("{left:b} and {right:b}", 1, "right"),
+    Skip: _shape("skip"),
+    Assign: _shape("{target:n} := {expr:a}"),
+    Seq: _shape("{first:c}; {second:c}", 0, "right"),
+    If: _shape("if {cond:b} then {{ {then_branch:c} }} else {{ {else_branch:c} }}"),
+    While: _shape("while {cond:b} do {{ {body:c} }}"),
+    Throw: _shape("throw {exception:n}({payload:a})"),
+    TryCatch: _shape("try {{ {body:c} }}{clauses:*}"),
+    Clause: _shape(" catch {exception:n}({binder:n}) {{ {handler:c} }}"),
+}
+
+
+def _print(node) -> str:
+    """The printed form of `node`, on one line, blocks always braced.
+    Forms wait on an explicit stack, so any depth prints."""
     out: list[str] = []
-    stack: list = [(expr, prec)]  # and strings, emitted as they are
+    stack: list = [(node, 0)]  # and strings, emitted as they are
     while stack:
         item = stack.pop()
-        node = item if isinstance(item, str) else item[0]
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Lit):
-            out.append(str(node.value))
-        elif isinstance(node, Loc):
-            out.append(node.name)
-        elif type(node) in _OPERATORS:
-            sign, level = _OPERATORS[type(node)]
-            close, open_ = (")", "(") if item[1] > level else ("", "")
-            stack += (close, (node.right, level + 1), f" {sign} ", (node.left, level), open_)
-        else:
-            raise TypeError(f"not an arithmetic expression: {node!r}")
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, least = item
+        shape = SHAPES.get(type(node))
+        if shape is None:
+            raise TypeError(f"not a program form: {node!r}")
+        wrap = shape.prec < least
+        if wrap:
+            stack.append(")")
+        for part in reversed(shape.parts):
+            if type(part) is str:
+                stack.append(part)
+                continue
+            value = getattr(node, part.field)
+            if part.kind in "ni":
+                stack.append(str(value))
+            elif part.kind == "*":
+                stack += ((clause, 0) for clause in reversed(value))
+            else:  # commands take no parentheses
+                stack.append((value, 0 if part.kind == "c" else part.least))
+        if wrap:
+            stack.append("(")
     return "".join(out)
 
 
-# Boolean precedence: conjunction 0, negation 1, atom 2.
+def print_aexp(expr: AExp) -> str:
+    return _print(expr)
 
-def print_bexp(expr: BExp, prec: int = 0) -> str:
-    if isinstance(expr, BTrue):
-        return "true"
-    if isinstance(expr, BFalse):
-        return "false"
-    if isinstance(expr, Eq):
-        return f"{print_aexp(expr.left)} == {print_aexp(expr.right)}"
-    if isinstance(expr, Le):
-        return f"{print_aexp(expr.left)} <= {print_aexp(expr.right)}"
-    if isinstance(expr, Not):
-        text = f"not {print_bexp(expr.body, 2)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(expr, And):
-        text = f"{print_bexp(expr.left, 1)} and {print_bexp(expr.right, 0)}"
-        return f"({text})" if prec > 0 else text
-    raise TypeError(f"not a boolean expression: {expr!r}")
+
+def print_bexp(expr: BExp) -> str:
+    return _print(expr)
 
 
 def print_command(cmd: Command) -> str:
-    """Render a command on a single line, blocks always braced."""
-    if isinstance(cmd, Skip):
-        return "skip"
-    if isinstance(cmd, Assign):
-        return f"{cmd.target} := {print_aexp(cmd.expr)}"
-    if isinstance(cmd, Seq):
-        parts = []
-        while isinstance(cmd, Seq):
-            parts.append(print_command(cmd.first))
-            cmd = cmd.second
-        return "; ".join(parts + [print_command(cmd)])
-    if isinstance(cmd, If):
-        return (
-            f"if {print_bexp(cmd.cond)}"
-            f" then {{ {print_command(cmd.then_branch)} }}"
-            f" else {{ {print_command(cmd.else_branch)} }}"
-        )
-    if isinstance(cmd, While):
-        return f"while {print_bexp(cmd.cond)} do {{ {print_command(cmd.body)} }}"
-    if isinstance(cmd, Throw):
-        return f"throw {cmd.exception}({print_aexp(cmd.payload)})"
-    if isinstance(cmd, TryCatch):
-        arms = "".join(
-            f" catch {c.exception}({c.binder}) {{ {print_command(c.handler)} }}"
-            for c in cmd.clauses
-        )
-        return f"try {{ {print_command(cmd.body)} }}{arms}"
-    raise TypeError(f"not a command: {cmd!r}")
+    return _print(cmd)

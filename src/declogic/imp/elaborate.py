@@ -236,115 +236,105 @@ def _comparison_base(left: AExp, right: AExp, theory: Theory, scope: _Scope) -> 
     )
 
 
-_ARITH_KIND = {Add: "add", Sub: "sub", Mul: "mul"}
-
-
-def _aexp(expr: AExp, base: str, theory: Theory, scope: _Scope) -> DecoratedTerm:
-    """Iterative, left operands first, so sums of any length elaborate.
-    An op name on the stack joins the last two results under that op."""
-    done: list[DecoratedTerm] = []
-    stack: list = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            right = done.pop()
-            done.append(Comp(Op(theory.signature[node]), PairSeq(done.pop(), right)))
-        elif type(node) in _ARITH_KIND:
-            stack += (f"{_ARITH_KIND[type(node)]}_{base}", node.right, node.left)
-        elif isinstance(node, Lit):
-            size = len(theory.carriers[base])
-            if not 0 <= node.value < size:
-                raise ElaborationError(
-                    f"literal {node.value} outside 0..{size - 1} for base {base!r}"
-                )
-            done.append(_chain(_drop(UNIT_T, scope.env), Const(node.value, Base(base))))
-        elif isinstance(node, Loc):
-            found = _name_base(node.name, theory, scope)
-            if found != base:
-                raise ElaborationError(
-                    f"{node.name!r} holds {found!r} values where {base!r} is needed"
-                )
-            done.append(scope.read(node.name) if node.name in scope.bases else
-                        _chain(_drop(UNIT_T, scope.env), lookup_op(theory, node.name)))
-        else:
-            raise TypeError(f"not an arithmetic expression: {node!r}")
-    return done[0]
-
-
-def _bexp(expr: BExp, theory: Theory, scope: _Scope) -> DecoratedTerm:
-    if isinstance(expr, (BTrue, BFalse)):
-        inject = Inj1 if isinstance(expr, BTrue) else Inj2
-        return _chain(_drop(UNIT_T, scope.env), inject(UNIT_T, UNIT_T))
-    if isinstance(expr, (Eq, Le)):
-        base = _comparison_base(expr.left, expr.right, theory, scope)
-        kind = "eq" if isinstance(expr, Eq) else "le"
-        left = _aexp(expr.left, base, theory, scope)
-        right = _aexp(expr.right, base, theory, scope)
-        return Comp(Op(theory.signature[f"{kind}_{base}"]), PairSeq(left, right))
-    if isinstance(expr, Not):
-        inner = _bexp(expr.body, theory, scope)
-        return Comp(CaseSeq(Inj2(UNIT_T, UNIT_T), Inj1(UNIT_T, UNIT_T)), inner)
-    if isinstance(expr, And):
-        left = _bexp(expr.left, theory, scope)
-        right = _bexp(expr.right, theory, scope)
-        return _if(scope.env, left, right, _bexp(BFalse(), theory, scope))
-    raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-def _cmd(cmd: Command, theory: Theory, fuel: int, scope: _Scope) -> DecoratedTerm:
-    """`cmd` as a term from the scope's environment to itself."""
-    env = scope.env
-    if isinstance(cmd, Skip):
-        return Id(env)
-    if isinstance(cmd, Assign):
-        if cmd.target in scope.bases:
-            raise ElaborationError(f"cannot assign to caught value {cmd.target!r}")
-        if cmd.target not in theory.locations:
-            raise UndeclaredLocation(f"unknown location {cmd.target!r}")
-        base = theory.locations[cmd.target]
-        write = Comp(update_op(theory, cmd.target), _aexp(cmd.expr, base, theory, scope))
-        # The write maps Γ to unit; pairing keeps Γ for what follows.
-        return write if env == UNIT_T else Comp(Proj1(env, UNIT_T), PairSeq(Id(env), write))
-    if isinstance(cmd, Seq):
-        # A loop over the `;` spine, first halves in program order.
-        firsts = []
-        while isinstance(cmd, Seq):
-            firsts.append(_cmd(cmd.first, theory, fuel, scope))
-            cmd = cmd.second
-        term = _cmd(cmd, theory, fuel, scope)
-        for first in reversed(firsts):
-            term = Comp(term, first)
-        return term
-    if isinstance(cmd, If):
-        guard = _bexp(cmd.cond, theory, scope)
-        then = _cmd(cmd.then_branch, theory, fuel, scope)
-        return _if(env, guard, then, _cmd(cmd.else_branch, theory, fuel, scope))
-    if isinstance(cmd, While):
-        guard = _bexp(cmd.cond, theory, scope)
-        body = _cmd(cmd.body, theory, fuel, scope)
-        fuel_base = theory.exceptions[FUEL_EXCEPTION]
-        # The innermost round raises before looking at the guard, so a
-        # loop needing exactly `fuel` iterations still exhausts.
-        term = Comp(Absurd(env), Comp(tag_op(theory, FUEL_EXCEPTION),
-                                      _chain(_drop(UNIT_T, env), Const(0, Base(fuel_base)))))
-        for _ in range(fuel):
-            term = _if(env, guard, Comp(term, body), Id(env))
-        return term
-    if isinstance(cmd, Throw):
-        payload = _aexp(cmd.payload, _exception_base(cmd.exception, theory), theory, scope)
-        return Comp(Absurd(env), Comp(tag_op(theory, cmd.exception), payload))
-    if isinstance(cmd, TryCatch):
-        return _try(cmd, theory, fuel, scope)
-    raise TypeError(f"not a command: {cmd!r}")
-
-
 def _exception_base(name: str, theory: Theory) -> str:
     if name == FUEL_EXCEPTION or name not in theory.exceptions:
         raise UndeclaredException(f"unknown exception {name!r}")
     return theory.exceptions[name]
 
 
-def _try(cmd: TryCatch, theory: Theory, fuel: int, scope: _Scope) -> DecoratedTerm:
+_OP_KIND = {Add: "add", Sub: "sub", Mul: "mul", Eq: "eq", Le: "le"}
+_SORT_NAMES = {BExp: "a boolean expression", Command: "a command"}
+
+
+def _open(node, scope: _Scope, sort, theory: Theory, fuel: int):
+    """Check `node`, read in `scope` as `sort` (the base name of an
+    arithmetic operand, else `BExp` or `Command`), and return its term
+    if it has no parts.  Otherwise say how its term is built: a function
+    of its parts' terms, and the parts as entries of the same form, in
+    program order.  A command's term goes from the scope's environment
+    to itself."""
+    if not isinstance(node, AExp if type(sort) is str else sort):
+        raise TypeError(f"not {_SORT_NAMES.get(sort, 'an arithmetic expression')}: {node!r}")
+    env = scope.env
+    cls = type(node)
+    if cls in _OP_KIND:
+        base = _comparison_base(node.left, node.right, theory, scope) if sort is BExp else sort
+        symbol = theory.signature[f"{_OP_KIND[cls]}_{base}"]
+        return (lambda left, right: Comp(Op(symbol), PairSeq(left, right)),
+                ((node.left, scope, base), (node.right, scope, base)))
+    if cls is Lit:
+        size = len(theory.carriers[sort])
+        if not 0 <= node.value < size:
+            raise ElaborationError(
+                f"literal {node.value} outside 0..{size - 1} for base {sort!r}"
+            )
+        return _chain(_drop(UNIT_T, env), Const(node.value, Base(sort)))
+    if cls is Loc:
+        found = _name_base(node.name, theory, scope)
+        if found != sort:
+            raise ElaborationError(
+                f"{node.name!r} holds {found!r} values where {sort!r} is needed"
+            )
+        if node.name in scope.bases:
+            return scope.read(node.name)
+        return _chain(_drop(UNIT_T, env), lookup_op(theory, node.name))
+    if cls is BTrue or cls is BFalse:
+        inject = Inj1 if cls is BTrue else Inj2
+        return _chain(_drop(UNIT_T, env), inject(UNIT_T, UNIT_T))
+    if cls is Not:
+        return (lambda inner: Comp(CaseSeq(Inj2(UNIT_T, UNIT_T), Inj1(UNIT_T, UNIT_T)), inner),
+                ((node.body, scope, BExp),))
+    if cls is And:
+        return (lambda left, right, false: _if(env, left, right, false),
+                ((node.left, scope, BExp), (node.right, scope, BExp), (BFalse(), scope, BExp)))
+    if cls is Skip:
+        return Id(env)
+    if cls is Assign:
+        if node.target in scope.bases:
+            raise ElaborationError(f"cannot assign to caught value {node.target!r}")
+        if node.target not in theory.locations:
+            raise UndeclaredLocation(f"unknown location {node.target!r}")
+
+        def assign(value):
+            write = Comp(update_op(theory, node.target), value)
+            # The write maps Γ to unit; pairing keeps Γ for what follows.
+            return write if env == UNIT_T else Comp(Proj1(env, UNIT_T), PairSeq(Id(env), write))
+        return assign, ((node.expr, scope, theory.locations[node.target]),)
+    if cls is Seq:
+        return (lambda first, second: Comp(second, first),
+                ((node.first, scope, Command), (node.second, scope, Command)))
+    if cls is If:
+        return (lambda guard, then, other: _if(env, guard, then, other),
+                ((node.cond, scope, BExp), (node.then_branch, scope, Command),
+                 (node.else_branch, scope, Command)))
+    if cls is While:
+        def loop(guard, body):
+            fuel_base = theory.exceptions[FUEL_EXCEPTION]
+            # The innermost round raises before looking at the guard, so a
+            # loop needing exactly `fuel` iterations still exhausts.
+            term = Comp(Absurd(env), Comp(tag_op(theory, FUEL_EXCEPTION),
+                                          _chain(_drop(UNIT_T, env), Const(0, Base(fuel_base)))))
+            for _ in range(fuel):
+                term = _if(env, guard, Comp(term, body), Id(env))
+            return term
+        return loop, ((node.cond, scope, BExp), (node.body, scope, Command))
+    if cls is Throw:
+        payload_base = _exception_base(node.exception, theory)
+        return (lambda payload: Comp(Absurd(env), Comp(tag_op(theory, node.exception), payload)),
+                ((node.payload, scope, payload_base),))
+    # A `try`: each handler reads Γ paired with its clause's payload.
+    slots = [Base(_exception_base(clause.exception, theory)) for clause in node.clauses]
+    handlers = tuple(
+        (clause.handler, _Scope(scope.layers + ((clause.binder, slot.name,
+                                                 slot if env == UNIT_T else Prod(env, slot)),)),
+         Command)
+        for clause, slot in zip(node.clauses, slots))
+    return (lambda body, *terms: _try(node, env, slots, body, terms, theory),
+            ((node.body, scope, Command),) + handlers)
+
+
+def _try(node: TryCatch, env: ObjType, slots: list, body: DecoratedTerm,
+         handlers: tuple, theory: Theory) -> DecoratedTerm:
     """Reify the body's outcome into a sum, then dispatch on it.
 
     Each clause wraps the sum so far in one whose left side carries the
@@ -353,16 +343,12 @@ def _try(cmd: TryCatch, theory: Theory, fuel: int, scope: _Scope) -> DecoratedTe
     exception wins.  Each handler reads the environment paired with its
     payload.  The block is shielded so upstream exceptions bypass it.
     """
-    slots = [Base(_exception_base(clause.exception, theory)) for clause in cmd.clauses]
-    env = scope.env
-    reified = _chain(_cmd(cmd.body, theory, fuel, scope), _drop(UNIT_T, env))
+    reified = _chain(body, _drop(UNIT_T, env))
     branches = [_chain(_drop(env, UNIT_T))]
-    for clause, slot in zip(cmd.clauses, slots):
+    for clause, slot, handler in zip(node.clauses, slots, handlers):
         caught = Comp(Inj1(slot, reified.target), untag_op(theory, clause.exception))
         passed = Comp(Inj2(slot, reified.target), reified)
         reified = Comp(CaseSeq(caught, passed), Inj2(EMPTY_T, env))
-        layer = (clause.binder, slot.name, slot if env == UNIT_T else Prod(env, slot))
-        handler = _cmd(clause.handler, theory, fuel, _Scope(scope.layers + (layer,)))
         branches.insert(0, _chain(handler, _drop(env, slot)))
     return shield(_case(env, reified, branches))
 
@@ -379,7 +365,22 @@ def elaborate(cmd: Command, theory: Theory, fuel: int = 64) -> DecoratedTerm:
         raise ElaborationError("theory lacks the reserved fuel exception; "
                                "build it with build_imp_theory")
     default_carriers(theory)
-    try:
-        return _cmd(cmd, theory, fuel, _Scope())
-    except RecursionError:
-        raise ElaborationError("program nests too deeply to elaborate") from None
+    # Post-order over an explicit stack, so programs nest to any depth.
+    # An entry of two is a build that waits for its parts' terms.
+    done: list[DecoratedTerm] = []
+    stack: list[tuple] = [(cmd, _Scope(), Command)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 2:
+            build, count = entry
+            parts = done[len(done) - count:]
+            del done[len(done) - count:]
+            done.append(build(*parts))
+        else:
+            opened = _open(*entry, theory, fuel)
+            if isinstance(opened, DecoratedTerm):
+                done.append(opened)
+            else:
+                stack.append((opened[0], len(opened[1])))
+                stack += reversed(opened[1])
+    return done[0]

@@ -17,67 +17,41 @@ Grammar, with `;` and `and` associating to the right:
     aterm    ::= afactor ("*" afactor)*
     afactor  ::= int | name | "(" aexp ")"
 
+The keywords, holes, precedences and associativities come from
+`ast.SHAPES`.  One loop reads every form over an explicit stack, and an
+operator-precedence step (Pratt, "Top Down Operator Precedence", 1973)
+lets an infix operator take the operand just read as its left side, for
+arithmetic, booleans and `;` alike, so programs nest to any depth.
+
 Programs share the lexical rules of term text in `declogic.syntax`:
 blanks, newlines and `#` comments to the end of the line are layout, and
 a character that starts no token is an error at its line and column
 before any parse error.  `located_tokens` scans with this module's token
-pattern.  A leading `(` in a boolean atom is ambiguous between a
-parenthesised comparison operand and a parenthesised boolean, so the
-parser tries the comparison first and backtracks.
+pattern.  A `(` where a boolean is read may open a whole boolean or the
+arithmetic operand of a comparison.  Its contents are read as either
+sort, and the sort they come out as decides: an arithmetic operand must
+be followed by `)` and go on to a comparison.  No input is read twice.
 """
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from ..syntax import LAYOUT, ParseError, _is_name as _is_word, _position, located_tokens
-from .ast import (
-    Add,
-    AExp,
-    And,
-    Assign,
-    BExp,
-    BFalse,
-    BTrue,
-    Clause,
-    Command,
-    Eq,
-    If,
-    Le,
-    Lit,
-    Loc,
-    Mul,
-    Not,
-    Seq,
-    Skip,
-    Sub,
-    Throw,
-    TryCatch,
-    While,
-)
-
-KEYWORDS = frozenset(
-    {
-        "skip",
-        "if",
-        "then",
-        "else",
-        "while",
-        "do",
-        "throw",
-        "try",
-        "catch",
-        "true",
-        "false",
-        "not",
-        "and",
-    }
-)
+from .ast import SHAPES, AExp, BExp, Clause, Command, Hole
 
 # An integer or a name (a word led by a letter or `_`), or punctuation.
 _TOKEN = re.compile(
     LAYOUT + r" ( := | == | <= | [;(){}+*-] | \d+ | \w+ | [^\#] | \Z )",
     re.VERBOSE)
 _PUNCT = frozenset({":=", "==", "<=", *";(){}+*-"})
+
+# Each form's parts as tokens and holes.
+_PARTS = {cls: tuple(token for part in shape.parts
+                     for token in (part.split() if type(part) is str else (part,)))
+          for cls, shape in SHAPES.items()}
+KEYWORDS = frozenset(part for parts in _PARTS.values() for part in parts
+                     if type(part) is str and part.isalpha())
 
 
 def _is_token(tok: str) -> bool:
@@ -88,184 +62,128 @@ def _is_name(tok: str) -> bool:
     return _is_word(tok) and tok not in KEYWORDS
 
 
-class _Parser:
-    def __init__(self, text: str):
-        # Offsets are kept for every token, not found by a rescan on
-        # error, because `parse_batom` backtracks through `ParseError`
-        # and a rescan on every failure would be quadratic.
-        self.text = text
-        self.tokens, self.offsets = located_tokens(_TOKEN, text, _is_token)
-        self.pos = 0
+class _Infix(NamedTuple):
+    cls: type
+    parts: tuple
+    left: str  # the sort of its left operand
+    sort: str  # the sort it builds
+    prec: int
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message,
-                          *_position(self.text, self.offsets[self.pos]))
+# Each form's sort; the forms that start an operand in a slot of each
+# kind, by a keyword, `i` for an integer or `n` for a name; and the infix
+# forms by their operator.  A boolean may start with the arithmetic
+# operand of a comparison, and `?` is the inside of a parenthesis where a
+# boolean is read, which holds either sort.
+_SORT = {cls: sort for cls in SHAPES
+         for sort, base in (("a", AExp), ("b", BExp), ("c", Command)) if issubclass(cls, base)}
+_STARTS: dict[str, dict] = {kind: {} for kind in "abc?"}
+_INFIX: dict[str, _Infix] = {}
+for _cls, _sort in _SORT.items():
+    _first = _PARTS[_cls][0]
+    if type(_first) is Hole and _first.kind in "abc":
+        _INFIX[_PARTS[_cls][1]] = _Infix(_cls, _PARTS[_cls], _first.kind, _sort,
+                                         SHAPES[_cls].prec)
+        continue
+    for _kind in {"a": "ab?", "b": "b?", "c": "c"}[_sort]:
+        _STARTS[_kind][_first if type(_first) is str else _first.kind] = _cls
+_PARENS = {kind: (Hole("", inner, 0), ")") for kind, inner in (("a", "a"), ("b", "?"), ("?", "?"))}
+_NAMES = {"exception": "an exception name", "binder": "a binder name"}
 
-    def take(self, text: str) -> bool:
-        if self.tokens[self.pos] == text:
-            self.pos += 1
-            return True
-        return False
 
-    def expect(self, text: str) -> None:
-        if not self.take(text):
-            raise self.fail(f"expected {text!r}")
+def _parse(text: str, kind: str):
+    """The form of sort `kind` that is the whole text.
 
-    def expect_name(self, what: str) -> str:
-        tok = self.peek()
-        if not _is_name(tok):
-            raise self.fail(f"expected {what}")
-        self.pos += 1
-        return tok
+    A form waits on an explicit stack of [class, parts, index of its next
+    part, values read, kind of its slot, least precedence of its slot]
+    entries until its parts are read; a parenthesis is such an entry
+    without a class.  An operand read for a slot either becomes the left
+    side of the infix operator that follows it or fills the slot.
+    """
+    tokens, offsets = located_tokens(_TOKEN, text, _is_token)
 
-    # -- arithmetic
+    def fail(at: int, message: str) -> ParseError:
+        return ParseError(message, *_position(text, offsets[at]))
 
-    def parse_aexp(self) -> AExp:
-        expr = self.parse_aterm()
-        while True:
-            if self.take("+"):
-                expr = Add(expr, self.parse_aterm())
-            elif self.take("-"):
-                expr = Sub(expr, self.parse_aterm())
+    pos = 0
+    value = None
+    pending: list[list] = [[None, (Hole("", kind, 0),), 0, [], kind, 0]]
+    while True:
+        frame = pending[-1]
+        tok = tokens[pos]
+        if value is not None:
+            op = _INFIX.get(tok)
+            sort = _SORT.get(type(value))
+            if op and op.left == sort and op.prec >= least and (kind != "a" or op.sort == "a"):
+                pending.append([op.cls, op.parts, 2, [value], kind, least])
+                pos += 1
+            elif sort == "a" and (kind == "b" or kind == "?" and tok != ")"):
+                raise fail(pos, "expected '==' or '<='")
+            elif kind == "*":
+                frame[3][-1].append(value)
             else:
-                return expr
-
-    def parse_aterm(self) -> AExp:
-        expr = self.parse_afactor()
-        while self.take("*"):
-            expr = Mul(expr, self.parse_afactor())
-        return expr
-
-    def parse_afactor(self) -> AExp:
-        tok = self.peek()
-        if tok[:1].isdecimal():
-            self.pos += 1
-            return Lit(int(tok))
-        if _is_name(tok):
-            self.pos += 1
-            return Loc(tok)
-        if self.take("("):
-            expr = self.parse_aexp()
-            self.expect(")")
-            return expr
-        raise self.fail("expected an arithmetic expression")
-
-    # -- boolean
-
-    def parse_bexp(self) -> BExp:
-        left = self.parse_bnot()
-        if self.take("and"):
-            return And(left, self.parse_bexp())
-        return left
-
-    def parse_bnot(self) -> BExp:
-        if self.take("not"):
-            return Not(self.parse_bnot())
-        return self.parse_batom()
-
-    def parse_batom(self) -> BExp:
-        if self.take("true"):
-            return BTrue()
-        if self.take("false"):
-            return BFalse()
-        if self.peek() == "(":
-            # Ambiguous: the parenthesis may open a comparison operand
-            # or a whole boolean.  Try the comparison, then backtrack.
-            mark = self.pos
-            try:
-                return self.parse_comparison()
-            except ParseError:
-                self.pos = mark
-            self.expect("(")
-            inner = self.parse_bexp()
-            self.expect(")")
-            return inner
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> BExp:
-        left = self.parse_aexp()
-        if self.take("=="):
-            return Eq(left, self.parse_aexp())
-        if self.take("<="):
-            return Le(left, self.parse_aexp())
-        raise self.fail("expected '==' or '<='")
-
-    # -- commands
-
-    def parse_command(self) -> Command:
-        firsts = [self.parse_simple()]
-        while self.take(";"):
-            firsts.append(self.parse_simple())
-        cmd = firsts.pop()
-        for first in reversed(firsts):
-            cmd = Seq(first, cmd)
-        return cmd
-
-    def parse_block(self) -> Command:
-        self.expect("{")
-        body = self.parse_command()
-        self.expect("}")
-        return body
-
-    def parse_simple(self) -> Command:
-        if self.take("skip"):
-            return Skip()
-        if self.take("if"):
-            cond = self.parse_bexp()
-            self.expect("then")
-            then_branch = self.parse_block()
-            self.expect("else")
-            else_branch = self.parse_block()
-            return If(cond, then_branch, else_branch)
-        if self.take("while"):
-            cond = self.parse_bexp()
-            self.expect("do")
-            return While(cond, self.parse_block())
-        if self.take("throw"):
-            name = self.expect_name("an exception name")
-            self.expect("(")
-            payload = self.parse_aexp()
-            self.expect(")")
-            return Throw(name, payload)
-        if self.take("try"):
-            body = self.parse_block()
-            clauses = []
-            while self.take("catch"):
-                exc = self.expect_name("an exception name")
-                self.expect("(")
-                binder = self.expect_name("a binder name")
-                self.expect(")")
-                clauses.append(Clause(exc, binder, self.parse_block()))
-            if not clauses:
-                raise self.fail("expected at least one catch clause")
-            return TryCatch(body, tuple(clauses))
-        target = self.expect_name("a command")
-        self.expect(":=")
-        return Assign(target, self.parse_aexp())
-
-
-def _parse_all(text: str, rule) -> object:
-    parser = _Parser(text)
-    try:
-        result = rule(parser)
-    except RecursionError:
-        raise parser.fail("input nests too deeply to parse") from None
-    if parser.peek():
-        raise parser.fail("unexpected trailing input")
-    return result
+                frame[3].append(value)
+                frame[2] += 1
+            value = None
+            continue
+        parts, i = frame[1], frame[2]
+        if i == len(parts):
+            pending.pop()
+            value = frame[0](*frame[3]) if frame[0] else frame[3][0]
+            if not pending:
+                if tok:
+                    raise fail(pos, "unexpected trailing input")
+                return value
+            kind, least = frame[4], frame[5]
+            continue
+        part = parts[i]
+        if type(part) is str:
+            if tok != part:
+                raise fail(pos, f"expected {part!r}")
+            frame[2] += 1
+        elif part.kind == "n":
+            if not _is_name(tok):
+                raise fail(pos, f"expected {_NAMES[part.field]}")
+            frame[3].append(tok)
+            frame[2] += 1
+        elif part.kind == "*":  # one or more catch clauses
+            values = frame[3]
+            if type(values[-1]) is not list:
+                values.append([])
+            if tok == "catch":
+                pending.append([Clause, _PARTS[Clause], 1, [], "*", 0])
+            elif values[-1]:
+                values[-1] = tuple(values[-1])
+                frame[2] += 1
+                continue
+            else:
+                raise fail(pos, "expected at least one catch clause")
+        else:  # an operand: a parenthesis, or the start of a form
+            kind, least = part.kind, part.least
+            if tok == "(" and kind != "c":
+                pending.append([None, _PARENS[kind], 0, [], kind, least])
+            else:
+                key = "i" if tok[:1].isdecimal() else "n" if _is_name(tok) else tok
+                start = _STARTS[kind].get(key)
+                if start is None:
+                    raise fail(pos, "expected a command" if kind == "c"
+                               else "expected an arithmetic expression")
+                first = [int(tok)] if key == "i" else [tok] if key == "n" else []
+                if len(_PARTS[start]) == 1:  # a leaf, read whole
+                    value = start(*first)
+                else:
+                    pending.append([start, _PARTS[start], 1, first, kind, least])
+        pos += 1
 
 
 def parse_command(text: str) -> Command:
     """Parse a complete program; trailing input is an error."""
-    return _parse_all(text, _Parser.parse_command)
+    return _parse(text, "c")
 
 
 def parse_aexp(text: str) -> AExp:
-    return _parse_all(text, _Parser.parse_aexp)
+    return _parse(text, "a")
 
 
 def parse_bexp(text: str) -> BExp:
-    return _parse_all(text, _Parser.parse_bexp)
+    return _parse(text, "b")

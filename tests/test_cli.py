@@ -1,5 +1,7 @@
 """Exit codes and report lines of the command-line interface."""
 
+import sys
+
 import pytest
 
 from declogic.cli import main
@@ -140,6 +142,18 @@ def test_imp_equiv_verdicts_and_exits(write, capsys):
     spin = [write("g.imp", "while true do { skip }"), write("h.imp", "skip")]
     assert main(["imp-equiv", *spin, "--model", model, "--fuel", "3"]) == 1
     assert "fuel" in capsys.readouterr().out
+
+
+def test_main_leaves_the_recursion_limit(write, capsys):
+    model = write("m.model", COMBINED_MODEL)
+    programs = [write("a.imp", "x := 1"), write("b.imp", "x := 1")]
+    limit = sys.getrecursionlimit()
+    try:
+        assert main(["imp-equiv", *programs, "--model", model]) == 0
+        assert main(["laws", "--model", model]) == 0
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_imp_equiv_rejects_bad_models(write, capsys):

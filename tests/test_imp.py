@@ -256,6 +256,39 @@ def test_parse_errors(source):
         parse_command(source)
 
 
+@pytest.mark.parametrize("source,message,line,col", [
+    ("skip; ", "expected a command", 1, 7),
+    ("x 1", "expected ':='", 1, 3),
+    ("if x == 0 then skip", "expected '{'", 1, 16),
+    ("while x <= 1 { skip }", "expected 'do'", 1, 14),
+    ("throw e(x", "expected ')'", 1, 10),
+    ("x := (x + 1", "expected ')'", 1, 12),
+    ("if x == (y == 1) then { skip } else { skip }", "expected ')'", 1, 12),
+    ("if x then { skip } else { skip }", "expected '==' or '<='", 1, 6),
+    ("if not x and y == 0 then { skip } else { skip }", "expected '==' or '<='", 1, 10),
+    ("if (x == 0 and y) then { skip } else { skip }", "expected '==' or '<='", 1, 17),
+    ("x := true", "expected an arithmetic expression", 1, 6),
+    ("if x == 0 and not then { skip } else { skip }",
+     "expected an arithmetic expression", 1, 19),
+    ("if (x + ) == 0 then { skip } else { skip }", "expected an arithmetic expression", 1, 9),
+    ("x := 1;\n  y := ", "expected an arithmetic expression", 2, 8),
+    ("throw 1(0)", "expected an exception name", 1, 7),
+    ("try { skip } catch 2(v) { skip }", "expected an exception name", 1, 20),
+    ("try { skip } catch e(1) { skip }", "expected a binder name", 1, 22),
+    ("try { skip }", "expected at least one catch clause", 1, 13),
+    ("skip }", "unexpected trailing input", 1, 6),
+    ("x := x == 1", "unexpected trailing input", 1, 8),
+    ("if x == y == 0 then { skip } else { skip }", "expected 'then'", 1, 11),
+    ("if (x == 0) + 1 == 2 then { skip } else { skip }", "expected 'then'", 1, 13),
+    ("x := 1 ?", "unexpected character '?'", 1, 8),
+    ("x := 1 # ?\ny := ²", "unexpected character '²'", 2, 6),
+])
+def test_parse_error_positions(source, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_command(source)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
 _NAMES = st.sampled_from(["x", "y", "v", "w"])
 _AEXPS = st.recursive(
     st.builds(Lit, st.integers(0, 3)) | st.builds(Loc, _NAMES),

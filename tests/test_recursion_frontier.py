@@ -8,17 +8,8 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "declogic"
 
-# `random_term` recurses at most `depth` times.  The imp front end still
-# recurses on nested programs.
-ALLOWED = {
-    "generate.random_term",
-    "imp.ast.print_bexp",
-    "imp.ast.print_command",
-    "imp.elaborate._bexp",
-    "imp.elaborate._cmd",
-    "imp.parser._Parser.parse_bexp",
-    "imp.parser._Parser.parse_bnot",
-}
+# `random_term` recurses at most `depth` times.
+ALLOWED = {"generate.random_term"}
 
 
 def _calls_itself(func, method: bool) -> bool:
