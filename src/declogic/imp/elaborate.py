@@ -162,16 +162,19 @@ class _Scope:
         self.layers = layers
         self.env = layers[-1][2] if layers else UNIT_T
         self.bases = {name: base for name, base, _ in layers}
-        # down[k] leads from `env` to the Γ of layer k; reads share it.
+        # down[k] leads from `env` to the Γ of layer k.  It is built from
+        # down[k + 1] on the first read at layer k or further out, and kept,
+        # so reads share it and the keys run from min(down) to the last.
         self.down = {len(layers) - 1: []}
-        for k in reversed(range(len(layers) - 1)):
-            up = Proj1(layers[k][2], Base(layers[k + 1][1]))
-            self.down[k] = [compose_chain(self.down[k + 1] + [up], self.env)]
 
     def read(self, name: str) -> DecoratedTerm:
         """The projection from `env` to the value that `name` caught."""
-        i = max(k for k, layer in enumerate(self.layers) if layer[0] == name)
-        pick = [Proj2(self.layers[i - 1][2], Base(self.layers[i][1]))] if i else []
+        layers = self.layers
+        i = max(k for k, layer in enumerate(layers) if layer[0] == name)
+        for k in reversed(range(i, min(self.down))):
+            up = Proj1(layers[k][2], Base(layers[k + 1][1]))
+            self.down[k] = [compose_chain(self.down[k + 1] + [up], self.env)]
+        pick = [Proj2(layers[i - 1][2], Base(layers[i][1]))] if i else []
         return compose_chain(self.down[i] + pick, self.env)
 
 

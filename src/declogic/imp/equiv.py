@@ -61,7 +61,7 @@ def check_equiv(
     right = elaborate(second, theory, fuel)
     exhausted = None
     weak_only = None
-    for v, state in scan_points(left.source, model, exceptional=False):
+    for v, state in scan_points(left.source, model, False, (left, right)):
         got_l = eval_term(left, model, v, state)
         got_r = eval_term(right, model, v, state)
         if _out_of_fuel(got_l.value) or _out_of_fuel(got_r.value):

@@ -29,6 +29,17 @@ degenerates to value agreement.  Every check walks the points
 `scan_points` lists, in its one order (state-major; ordinary inputs,
 then exceptional ones), and reports the first difference;
 `check_both_eq` gives both verdicts from one walk.
+
+A check walks only the live states: those whose locations outside both
+sides' footprint (the locations their `lookup_x` and `update_x` ops
+name) hold their carrier's first value.  That is exact.  Neither side
+reads or writes such a location, so changing it in the initial state
+changes it alike in both final states and nothing else, and the set of
+differing points is closed under that change.  Its first point in
+state-major order then holds the first value there, and so do the first
+point that raises and the first state a loop runs out of fuel from.
+Probe tables and `validate_model`, which compare whole tables point by
+point, walk every state.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .terms import (
+    FORMS,
     Absurd,
     Bang,
     CaseSeq,
@@ -126,6 +138,9 @@ class FiniteModel:
         object.__setattr__(
             self, "location_index",
             {name: i for i, name in enumerate(self.locations)})
+        # The live states of `scan_points`, by the frozenset of location
+        # indices a check reads or writes.
+        object.__setattr__(self, "_live", {})
 
     def exceptional_values(self) -> list[Exc]:
         values = []
@@ -280,22 +295,84 @@ def render_counterexample(cex: Counterexample, model: FiniteModel) -> str:
     return ",".join(parts) if parts else "<empty>"
 
 
-def scan_points(source: ObjType, model: FiniteModel,
-                exceptional: bool = True) -> list[tuple]:
+def scan_points(source: ObjType, model: FiniteModel, exceptional: bool = True,
+                terms: tuple[DecoratedTerm, ...] | None = None) -> list[tuple]:
     """The (input, state) points of a check on `source`, in scan order:
     state-major, and in each state the ordinary inputs (see
     `enumerate_points`), then, when `exceptional`, the exceptional ones.
     Every verdict walks this list, so its first difference is the
-    counterexample."""
+    counterexample.
+
+    Given the two `terms` of a check, only their live states are listed
+    (see the module docstring), which gives every check the verdict and
+    the first difference of a walk over all states.  Without them it
+    lists every state, which tables compared point by point need."""
     inputs = enumerate_points(source, model)
     if exceptional:
         inputs += model.exceptional_values()
-    return [(v, state) for state in model.states for v in inputs]
+    states = model.states if terms is None else _live_states(model, terms)
+    return [(v, state) for state in states for v in inputs]
+
+
+# The children of each term node with two, for the footprint walk.
+_BRANCHES = {kind: form.args for kind, form in FORMS.items() if form.kinds == "tt"}
+
+
+def _live_states(model: FiniteModel, terms) -> tuple:
+    """`model.states` with every location outside the footprint of
+    `terms` held at its carrier's first value, in state order.
+
+    The footprint is the set of locations that the `lookup_x` and
+    `update_x` ops in `terms` name, found by a walk over the nodes by
+    identity (elaborated terms share them).  An op is known by its name
+    and by its table as it stands, which the walk never fills in, so it
+    neither builds a table nor raises for an op that no point reaches.
+    The decoration never narrows the footprint: a theory file may
+    declare a lookup pure.  An op whose table `build_model` did not
+    make may read any location, so it keeps every state.
+    """
+    index, interps = model.location_index, model.interps
+    # With one location, a side that its decoration says may touch the
+    # state all but always names it, so the walk is spared: keeping every
+    # state is exact, however the ops are declared.
+    if not index or len(index) == 1 and any(t.decoration.state for t in terms):
+        return model.states
+    ours = interps.states if getattr(interps, "model", None) is model else None
+    found: set[int] = set()
+    seen: set[int] = set()
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        branches = _BRANCHES.get(type(t))
+        if branches is not None:
+            if id(t) not in seen:
+                seen.add(id(t))
+                todo += branches(t)
+        elif type(t) is Op:
+            name = t.symbol.name
+            table = interps.get(name)
+            if table is not None and not (type(table) is _Table
+                                          and table.states is ours):
+                return model.states
+            family, _, arg = name.partition("_")
+            if family in ("lookup", "update") and arg in index:
+                found.add(index[arg])
+                if len(found) == len(index):
+                    return model.states
+    key = frozenset(found)
+    states = model._live.get(key)
+    if states is None:
+        fixed = [(i, model.carriers[base][0])
+                 for i, base in enumerate(model.locations.values()) if i not in key]
+        states = tuple(s for s in model.states
+                       if all(s[i] == first for i, first in fixed))
+        model._live[key] = states
+    return states
 
 
 def _scan(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
           full_outcome: bool) -> Counterexample | None:
-    for v, state in scan_points(lhs.source, model, exceptional=full_outcome):
+    for v, state in scan_points(lhs.source, model, full_outcome, (lhs, rhs)):
         a = eval_term(lhs, model, v, state)
         b = eval_term(rhs, model, v, state)
         if (a != b) if full_outcome else (a.value != b.value):
@@ -324,7 +401,7 @@ def check_both_eq(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel
     so the walk stops at the first, and skips the exceptional inputs
     once the strong verdict is known."""
     strong = None
-    for v, state in scan_points(lhs.source, model):
+    for v, state in scan_points(lhs.source, model, True, (lhs, rhs)):
         exceptional = isinstance(v, Exc)
         if exceptional and strong is not None:
             continue

@@ -22,6 +22,7 @@ from declogic.terms import (
     CaseSeq,
     Comp,
     Const,
+    DecoratedTerm,
     Id,
     Inj1,
     Inj2,
@@ -105,3 +106,28 @@ def _case_split(on_left, on_right):
 
 def reference_outcome(term, model, value, state) -> Outcome:
     return Outcome(*denote(term, model)(value, state))
+
+
+def named_locations(*terms):
+    """The locations that a lookup or update in `terms` names, by name."""
+    names = set()
+    for term in terms:
+        if isinstance(term, Op):
+            family, _, arg = term.symbol.name.partition("_")
+            if family in ("lookup", "update"):
+                names.add(arg)
+        elif isinstance(term, (Comp, PairSeq, CaseSeq)):
+            names |= named_locations(*(child for child in vars(term).values()
+                                       if isinstance(child, DecoratedTerm)))
+    return names
+
+
+def live_states(model, *terms):
+    """The states of `model` in which every location that `terms` do not
+    name holds its carrier's first value, in state order: the states a
+    check of `terms` walks when every table is one `build_model` made."""
+    named = named_locations(*terms)
+    return [state for state in model.states
+            if all(value == model.carriers[base][0]
+                   for (name, base), value in zip(model.locations.items(), state)
+                   if name not in named)]

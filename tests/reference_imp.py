@@ -152,9 +152,12 @@ def state_of(model, store):
     return tuple(store[name] for name in model.locations)
 
 
-def reference_verdict(machine, model, first, second, fuel):
-    """Equivalence verdict computed entirely by the direct interpreter."""
-    exhausted = weak = False
+def reference_check(machine, model, first, second, fuel):
+    """(verdict, state) computed entirely by the direct interpreter over
+    every state: the first state where results differ, else the first
+    one a loop ran out of fuel from, else the first one where only final
+    states differ; no state for a strong verdict."""
+    exhausted = weak = None
     for state in model.states:
         store = store_of(model, state)
         results = [machine.run(cmd, store, fuel) for cmd in (first, second)]
@@ -165,14 +168,21 @@ def reference_verdict(machine, model, first, second, fuel):
             else:
                 keys.append(("exc", result[1], result[2], state_of(model, result[3])))
         if any(key[1] == FUEL_EXCEPTION for key in keys):
-            exhausted = True
+            if exhausted is None:
+                exhausted = state
             continue
         if keys[0][:3] != keys[1][:3]:
-            return "not-equal"
+            return "not-equal", state
         if keys[0][3] != keys[1][3]:
-            weak = True
-    if exhausted:
-        return "fuel-exhausted"
-    if weak:
-        return "weak"
-    return "strong"
+            if weak is None:
+                weak = state
+    if exhausted is not None:
+        return "fuel-exhausted", exhausted
+    if weak is not None:
+        return "weak", weak
+    return "strong", None
+
+
+def reference_verdict(machine, model, first, second, fuel):
+    """Equivalence verdict computed entirely by the direct interpreter."""
+    return reference_check(machine, model, first, second, fuel)[0]

@@ -7,6 +7,7 @@ each other on every initial state.
 """
 
 import functools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -51,10 +52,13 @@ from declogic.imp import (
     print_bexp,
     print_command,
 )
-from declogic.syntax import ParseError, parse_type_code
-from declogic.terms import DecoratedTerm, Op
+from declogic.syntax import ParseError, parse_type_code, print_term
+from declogic.terms import DecoratedTerm, Op, Proj1, canonical_key, compose_chain
+from declogic.types import Base
 from declogic.theory import dump_theory, parse_theory, states_theory
 from reference_imp import Machine, reference_verdict, state_of, store_of
+
+elaborate_module = sys.modules["declogic.imp.elaborate"]
 
 LOCATIONS = {"x": "V", "y": "V"}
 EXCEPTIONS = {"e": "V", "f": "V"}
@@ -592,3 +596,52 @@ def test_nested_handlers_reading_every_binder_grow_linearly():
     # bare payload, not a pair.
     steps = {after - before for before, after in zip(sizes[1:], sizes[2:])}
     assert len(steps) == 1, sizes
+
+
+class _EagerScope(elaborate_module._Scope):
+    """A scope that builds the projection chain to every enclosing
+    layer when it opens, whether a read uses it or not."""
+
+    def __init__(self, layers=()):
+        super().__init__(layers)
+        for k in reversed(range(len(layers) - 1)):
+            up = Proj1(layers[k][2], Base(layers[k + 1][1]))
+            self.down[k] = [compose_chain(self.down[k + 1] + [up], self.env)]
+
+
+def _nested_handlers(depth):
+    """`depth` nested handlers, each reading its own binder, the outermost
+    one and the one halfway out, and the innermost reading every binder."""
+    source = "x := " + " + ".join(f"v{level}" for level in range(depth))
+    for level in reversed(range(depth)):
+        source = (f"try {{ throw e(x) }} catch e(v{level}) "
+                  f"{{ y := v{level} + v0 * v{level // 2}; {source} }}")
+    return source
+
+
+def test_projection_chains_built_on_first_read_give_the_same_terms(monkeypatch):
+    """Scopes build a chain only when a read needs it, and the terms are
+    those of scopes that build every chain at once, by printed form and
+    by canonical id; a handler that reads only its own binder builds no
+    chain."""
+    programs = [source for _, left, right, *_ in CORPUS for source in (left, right)]
+    programs += [_nested_handlers(depth) for depth in (1, 2, 5, 12)]
+    lazy = [elaborate(parse_command(source), THEORY, fuel=4) for source in programs]
+    monkeypatch.setattr(elaborate_module, "_Scope", _EagerScope)
+    for source, term in zip(programs, lazy):
+        eager = elaborate(parse_command(source), THEORY, fuel=4)
+        assert print_term(term) == print_term(eager), source
+        assert canonical_key(term) == canonical_key(eager), source
+
+
+def test_nested_handlers_build_chains_in_linear_time(monkeypatch):
+    """400 nested handlers that each read their own binder."""
+    calls = []
+    original = elaborate_module.compose_chain
+    monkeypatch.setattr(elaborate_module, "compose_chain",
+                        lambda *args: calls.append(1) or original(*args))
+    source = "skip"
+    for _ in range(400):
+        source = f"try {{ throw e(x) }} catch e(v) {{ y := v; {source} }}"
+    elaborate(parse_command(source), THEORY)
+    assert len(calls) <= 5 * 400

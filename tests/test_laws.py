@@ -12,8 +12,10 @@ import random
 
 import pytest
 
+from reference_eval import live_states
 from semantic_reference import LAW_MODES, single_location_laws, two_location_laws
 
+from declogic import cli
 from declogic import model as model_module
 from declogic.cli import main
 from declogic.generate import GenerationError, random_term, type_pool
@@ -200,27 +202,42 @@ class TestOneScan:
 
     def test_laws_evaluates_each_ordinary_point_once_per_side(
             self, tmp_path, monkeypatch, capsys):
-        """Every law holds weakly, so each ordinary point of each side is
-        evaluated, and each exactly once."""
+        """Every law holds weakly, so each ordinary point of each side's
+        live states is evaluated, each exactly once, and no point outside
+        them: a law at one location never varies the other."""
         path = tmp_path / "m.model"
         path.write_text("type V = {0,1}\nlocation x : V\nlocation y : V\n"
                         "exception e : V\n")
         calls = collections.Counter()
         sides = {}
         original = model_module.eval_term
+        check = cli.check_both_eq
 
         def counting(term, model, value, state):
-            sides[id(term)] = term, model  # kept alive: ids stay unique
             calls[id(term), value, state] += 1
             return original(term, model, value, state)
 
+        def pairing(lhs, rhs, model):
+            # kept alive: ids stay unique
+            sides[id(lhs)] = sides[id(rhs)] = lhs, rhs, model
+            return check(lhs, rhs, model)
+
         monkeypatch.setattr(model_module, "eval_term", counting)
+        monkeypatch.setattr(cli, "check_both_eq", pairing)
         assert main(["laws", "--model", str(path)]) == 0
         assert "all law instantiations passed" in capsys.readouterr().out
         assert set(calls.values()) == {1}
         # 7 laws at x,y and at y,x, and 4 dual ones at e; two sides each.
         assert len(sides) == 2 * (7 + 7 + 4)
-        for key, (term, model) in sides.items():
-            ordinary = {(key, v, s) for s in model.states
-                        for v in enumerate_points(term.source, model)}
+        live, sizes = set(), set()
+        for key, (lhs, rhs, model) in sides.items():
+            states = live_states(model, lhs, rhs)
+            sizes.add(len(states))
+            ordinary = {(key, v, s) for s in states
+                        for v in enumerate_points(lhs.source, model)}
             assert ordinary <= calls.keys()
+            live |= ordinary | {(key, v, s) for s in states
+                                for v in model.exceptional_values()}
+        assert calls.keys() <= live
+        # Dual laws name no location, and some laws name only one.
+        assert sizes == {1, 2, 4}

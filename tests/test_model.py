@@ -1,13 +1,16 @@
 """Evaluator, equality oracle, comonad helpers, model files."""
 
+import collections
 import random
 
 import pytest
 
+import test_imp
 from declogic import probes
-from declogic.generate import GenerationError, random_term
+from declogic.generate import GenerationError, random_term, type_pool
 from declogic.imp import (
     build_imp_theory,
+    check_equiv,
     default_carriers,
     dist_symbol,
     elaborate,
@@ -18,6 +21,7 @@ from declogic.model import (
     CarrierMismatch,
     Counterexample,
     Exc,
+    FiniteModel,
     MissingInterpretation,
     ModelError,
     Outcome,
@@ -63,6 +67,8 @@ from declogic.theory import (
     update_op,
 )
 from declogic.types import UNIT_T, Base, Prod, Sum
+from reference_eval import named_locations
+from reference_imp import Machine, reference_check
 from semantic_reference import comonad_delta, comonad_epsilon, comonad_phi
 
 V = Base("V")
@@ -408,6 +414,112 @@ def test_every_check_gives_the_reference_counterexample(flavor, monkeypatch):
         assert ctx.check(Equation(Mode.WEAK, lhs, rhs)) == weak
         shapes.add((weak is None, strong is None))
     assert shapes == {(True, True), (True, False), (False, False)}
+
+
+_XYZ = states_theory({"x": "V", "y": "V", "z": "V"})
+_E = dualize(states_theory({"e": "V"}))
+LIVE = {"states": _XYZ, "combined": combine(_XYZ, _E),
+        "single": combine(states_theory({"x": "V"}), _E)}
+
+
+def _entries(model):
+    return {(name, key) for name, table in model.interps.items() for key in table}
+
+
+@pytest.mark.parametrize("flavor", list(LIVE))
+def test_live_scans_give_the_full_scan_verdicts(flavor):
+    """On random terms that name none to all of the locations, the
+    checks, which walk only the live states, find the first difference
+    of the scan over every state, and build no table or entry it would
+    not."""
+    theory = LIVE[flavor]
+    carriers = {"V": (0, 1)}
+    maker = build_model(theory, carriers)
+    rng = random.Random(f"live:{flavor}")
+    types = type_pool(theory)
+    named, shapes = collections.Counter(), set()
+    for _ in range(300):
+        src, tgt = rng.choice(types), rng.choice(types)
+        try:
+            lhs, rhs = (random_term(rng, theory, maker, src, tgt, 3)
+                        for _ in range(2))
+        except GenerationError:
+            continue
+        live, full = build_model(theory, carriers), build_model(theory, carriers)
+        strong = first_difference(lhs, rhs, full, strong=True)
+        weak = first_difference(lhs, rhs, full, strong=False)
+        assert check_strong_eq(lhs, rhs, live) == strong
+        assert check_weak_eq(lhs, rhs, live) == weak
+        assert check_both_eq(lhs, rhs, live) == (weak, strong)
+        assert live.interps.keys() <= full.interps.keys()
+        assert _entries(live) <= _entries(full)
+        named[len(named_locations(lhs, rhs))] += 1
+        shapes.add((weak is None, strong is None))
+    assert set(named) == set(range(len(theory.locations) + 1))
+    assert shapes == {(True, True), (True, False), (False, False)}
+
+
+def test_equiv_gets_the_reference_verdict_and_state():
+    """With a third location, which no corpus program names, each pair
+    gets the verdict and the first state of the direct interpreter's
+    run over every state."""
+    locations = {**test_imp.LOCATIONS, "z": "V"}
+    theory = build_imp_theory(locations, test_imp.EXCEPTIONS, test_imp.SIZES)
+    model = build_model(theory, default_carriers(theory))
+    machine = Machine(locations, test_imp.EXCEPTIONS, test_imp.SIZES)
+    for label, left, right, fuel, _ in test_imp.CORPUS:
+        first, second = parse_command(left), parse_command(right)
+        verdict = check_equiv(first, second, theory, model, fuel=fuel)
+        assert (verdict.kind, verdict.state) == \
+            reference_check(machine, model, first, second, fuel), label
+
+
+def test_state_reading_tables_of_unknown_make_keep_every_state():
+    """An op whose table `build_model` did not make may read any
+    location, whatever its name or decoration says; a lookup is known by
+    its name, even where its theory declares it pure."""
+    theory = states_theory({"x": "V", "y": "V"})
+    model = build_model(theory, {"V": (0, 1)})
+    peek = Op(OpSymbol("peek", UNIT_T, V, PURE))
+    reads_y = {(UNIT, s): (s[1], s) for s in model.states}
+    hand = FiniteModel(carriers=model.carriers, locations=model.locations,
+                       exceptions={}, interps={"peek": reads_y})
+    model.interps["peek"] = reads_y
+    pure_lookup = Op(OpSymbol("lookup_y", UNIT_T, V, PURE))
+    zero = Const(0, V)
+    for m, lhs, states in ((hand, peek, model.states),
+                           (model, peek, model.states),
+                           (model, pure_lookup, [(0, 0), (0, 1)])):
+        assert scan_points(UNIT_T, m, True, (lhs, zero)) == \
+            [(UNIT, s) for s in states]
+        assert check_weak_eq(lhs, zero, m).state == (0, 1)
+        assert check_both_eq(lhs, zero, m)[0].state == (0, 1)
+    one = build_model(states_theory({"y": "V"}), {"V": (0, 1)})
+    assert check_weak_eq(pure_lookup, zero, one).state == (1,)
+
+
+def test_listing_live_states_builds_no_table():
+    """The footprint walk reads tables as they stand: an op that no point
+    reaches, here one whose table cannot be built, neither gets a table
+    nor raises."""
+    theory = LIVE["combined"]
+    model = build_model(theory, {"V": (0, 1), "W": (1, 2)})
+    W = Base("W")
+    never = Comp(Op(OpSymbol("add_W", Prod(W, W), W, PURE)),
+                 PairSeq(Const(1, W), Const(2, W)))
+    lhs, rhs = (PairSeq(Comp(tag_op(theory, "e"), lookup_op(theory, name)), never)
+                for name in ("y", "x"))
+    before = _entries(model), set(model.interps)
+    points = scan_points(UNIT_T, model, True, (lhs, rhs))
+    assert [s for v, s in points if v is UNIT] == \
+        [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    assert (_entries(model), set(model.interps)) == before
+    cex = check_strong_eq(lhs, rhs, model)
+    assert (cex.state, cex.left.value, cex.right.value) == \
+        ((0, 1, 0), Exc("e", 1), Exc("e", 0))
+    assert "add_W" not in model.interps
+    with pytest.raises(ModelError):
+        model.interps["add_W"]
 
 
 class TestPurityInvariants:
