@@ -29,7 +29,7 @@ from .model import (
     render_counterexample,
 )
 from .proofs import check_script, parse_script
-from .syntax import ParseError, code_lines, parse_term
+from .syntax import ParseError, parse_term
 from .terms import Mode, typecheck
 from .theory import (
     TheoryError,
@@ -37,7 +37,7 @@ from .theory import (
     dualize,
     dualize_equation,
     dump_theory,
-    parse_theory,
+    load_theory,
     seven_laws,
     states_theory,
     theory_from_config,
@@ -56,16 +56,6 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {err.strerror or err}") from None
 
 
-def _load_theory(path: str):
-    """A theory from either a theory dump or a model description."""
-    text = _read(path)
-    for _, line, _ in code_lines(text):
-        if line.split()[0] == "theory":
-            return parse_theory(text)
-        return theory_from_config(parse_model_config(text))
-    raise InputError(f"{path} declares nothing")
-
-
 def _load_model(path: str):
     config = parse_model_config(_read(path))
     theory = theory_from_config(config)
@@ -75,7 +65,7 @@ def _load_model(path: str):
 def _cmd_check(args: argparse.Namespace) -> int:
     signature = None
     if args.theory is not None:
-        signature = _load_theory(args.theory).signature
+        signature = load_theory(_read(args.theory)).signature
     term = parse_term(_read(args.term_file), signature)
     report = typecheck(term, signature)
     print(report.describe())
@@ -134,7 +124,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    theory = _load_theory(args.theory)
+    theory = load_theory(_read(args.theory))
     script = parse_script(_read(args.script), theory.signature)
     report = check_script(script, theory)
     if args.verbosity:
@@ -145,7 +135,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
-    theory = _load_theory(args.theory)
+    theory = load_theory(_read(args.theory))
     sys.stdout.write(dump_theory(dualize(theory)))
     return 0
 

@@ -64,7 +64,7 @@ from .terms import (
     Proj1,
     Proj2,
 )
-from .syntax import TYPE_KEYWORDS, ParseError, code_lines, parse_type_code
+from .syntax import ParseError, parse_type_code, print_lines, read_lines
 from .types import Base, Empty, ObjType, Prod, Sum, Unit, base_names
 
 
@@ -612,60 +612,28 @@ class ModelConfig:
     exceptions: dict[str, str]
 
 
-def parse_model_config(text: str) -> ModelConfig:
-    """Parse a model description.
+# The record each model line form fills (see `syntax.LINE_FORMS`).
+MODEL_FIELDS = {"type": "carriers", "location": "locations", "exception": "exceptions"}
 
-    Lines: `type V = {0,1}`, `location x : V`, `exception e : V`.
-    Blank lines and `#` comments are skipped.
-    """
-    carriers: dict[str, tuple] = {}
-    locations: dict[str, str] = {}
-    exceptions: dict[str, str] = {}
-    for lineno, line, _ in code_lines(text):
-        parts = line.split()
-        if parts[0] == "type":
-            name, sep, body = (piece.strip() for piece in line[len("type"):].partition("="))
-            if not sep:
-                raise ParseError("expected `type NAME = {..}`", lineno, 1)
-            if not name.isidentifier() or name in TYPE_KEYWORDS:
-                raise ParseError(f"bad type name {name!r}", lineno, 1)
-            if name in carriers:
-                raise ParseError(f"type {name!r} declared twice", lineno, 1)
-            if not (body.startswith("{") and body.endswith("}")):
-                raise ParseError("carrier must be {v0,v1,...}", lineno, 1)
-            items = [piece.strip() for piece in body[1:-1].split(",") if piece.strip()]
-            if not items:
-                raise ParseError("carrier must be non-empty", lineno, 1)
-            try:
-                values = tuple(int(piece) for piece in items)
-            except ValueError:
-                raise ParseError("carrier values must be integers", lineno, 1) from None
-            if len(set(values)) != len(values):
-                raise ParseError("carrier values must be distinct", lineno, 1)
-            carriers[name] = values
-        elif parts[0] in ("location", "exception"):
-            name, sep, base = (piece.strip() for piece in line[len(parts[0]):].partition(":"))
-            if not sep:
-                raise ParseError(f"expected `{parts[0]} NAME : TYPE`", lineno, 1)
-            if not name.isidentifier() or not base.isidentifier():
-                raise ParseError(f"bad {parts[0]} declaration", lineno, 1)
-            target = locations if parts[0] == "location" else exceptions
-            if name in target:
-                raise ParseError(f"{parts[0]} {name!r} declared twice", lineno, 1)
-            if base not in carriers:
-                raise ParseError(f"type {base!r} not declared", lineno, 1)
-            target[name] = base
-        else:
-            raise ParseError(f"unknown declaration {parts[0]!r}", lineno, 1)
-    return ModelConfig(carriers=carriers, locations=locations, exceptions=exceptions)
+
+def parse_model_config(text: str) -> ModelConfig:
+    """Parse a model description: `type V = {0,1}`, `location x : V` and
+    `exception e : V` lines, with `#` comments."""
+    return config_from_lines(read_lines(text, "model"))
+
+
+def config_from_lines(lines, bases_declared: bool = True) -> ModelConfig:
+    """The description of model lines read by `read_lines`.  With
+    `bases_declared`, a base type is declared before it is used."""
+    config = ModelConfig({}, {}, {})
+    for lineno, head, (name, value) in lines:
+        if bases_declared and head != "type" and value not in config.carriers:
+            raise ParseError(f"type {value!r} not declared", lineno, 1)
+        getattr(config, MODEL_FIELDS[head])[name] = value
+    return config
 
 
 def print_model_config(config: ModelConfig) -> str:
-    lines = []
-    for name, values in config.carriers.items():
-        lines.append(f"type {name} = {{{','.join(str(v) for v in values)}}}")
-    for name, base in config.locations.items():
-        lines.append(f"location {name} : {base}")
-    for name, base in config.exceptions.items():
-        lines.append(f"exception {name} : {base}")
-    return "".join(line + "\n" for line in lines)
+    """The model file of `config`, or the model lines of a theory."""
+    return print_lines((head, item) for head, field in MODEL_FIELDS.items()
+                       for item in getattr(config, field).items())

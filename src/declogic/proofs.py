@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rules import DUAL_RULE, RuleError, PremiseShapeMismatch, UnknownRule, check_rule
-from .syntax import ParseError, code_lines, parse_at, parse_term, print_term
-from .terms import DecoratedTerm, Equation, Mode, canonical_key
+# `parse_term` stays bound here, where perfbench traces term parses.
+from .syntax import ParseError, parse_term, print_lines, read_lines  # noqa: F401
+from .terms import Equation, Mode, canonical_key
 from .theory import Theory, _dual_label, dual_symbol_map, dualize_equation
 
 
@@ -130,17 +131,11 @@ def dualize_script(script: ProofScript, theory: Theory) -> ProofScript:
 
 
 def print_script(script: ProofScript) -> str:
-    lines = [_print_equation("goal", script.goal)]
-    for number, step in enumerate(script.steps, start=1):
-        premises = ", ".join(str(p) for p in step.premises)
-        head = f"step {number}: {step.rule} [{premises}] |- "
-        lines.append(head + _print_equation("", step.conclusion).lstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _print_equation(prefix: str, eq: Equation) -> str:
-    body = f"{eq.mode.value} {print_term(eq.lhs)} = {print_term(eq.rhs)}"
-    return f"{prefix} {body}" if prefix else body
+    return print_lines([
+        ("goal", (script.goal,)),
+        *(("step", (number, step.rule, step.premises, step.conclusion))
+          for number, step in enumerate(script.steps, start=1)),
+    ])
 
 
 def parse_script(text: str, signature) -> ProofScript:
@@ -150,86 +145,20 @@ def parse_script(text: str, signature) -> ProofScript:
     term, so their canonical keys are computed once too.  Parse errors
     give the script line and the column within it.
     """
-    terms: dict[str, DecoratedTerm] = {}
-    goal: Equation | None = None
-    steps: list[ProofStep] = []
-    # Every equation body below is a suffix of `line`.
-    for lineno, line, end_col in code_lines(text):
+    goal, steps = None, []
+    for lineno, head, values in read_lines(text, "script", signature, {}):
         if goal is None:
-            if not line.startswith("goal "):
+            if head != "goal":
                 raise ParseError("expected a goal line first", lineno, 1)
-            body = line[len("goal "):]
-            goal = _parse_equation(body, signature, lineno,
-                                   end_col - len(body), terms)
-            continue
-        if not line.startswith("step "):
+            goal = values[0]
+        elif head != "step":
             raise ParseError("expected a step line", lineno, 1)
-        rest = line[len("step "):]
-        head, sep, rest = rest.partition(":")
-        if not sep or not head.strip().isdecimal():
-            raise ParseError("expected 'step <number>:'", lineno, 1)
-        number = int(head)
-        if number != len(steps) + 1:
-            raise ParseError(f"steps must be numbered in order, expected "
-                             f"{len(steps) + 1}", lineno, 1)
-        rest = rest.strip()
-        open_b = rest.find("[")
-        close_b = rest.find("]")
-        if open_b < 0 or close_b < open_b:
-            raise ParseError("expected '[premises]'", lineno, 1)
-        rule = rest[:open_b].strip()
-        if not rule:
-            raise ParseError("missing rule name", lineno, 1)
-        premises = _parse_premises(rest[open_b + 1:close_b], lineno)
-        tail = rest[close_b + 1:].strip()
-        for turnstile in ("|-", "⊢"):
-            if tail.startswith(turnstile):
-                tail = tail[len(turnstile):].strip()
-                break
         else:
-            raise ParseError("expected '|-' after premises", lineno, 1)
-        conclusion = _parse_equation(tail, signature, lineno,
-                                     end_col - len(tail), terms)
-        steps.append(ProofStep(rule, premises, conclusion))
+            number, rule, premises, conclusion = values
+            if number != len(steps) + 1:
+                raise ParseError(f"steps must be numbered in order, expected "
+                                 f"{len(steps) + 1}", lineno, 1)
+            steps.append(ProofStep(rule, premises, conclusion))
     if goal is None:
         raise ParseError("script has no goal line", 1, 1)
     return ProofScript(goal, tuple(steps))
-
-
-def _parse_premises(body: str, lineno: int) -> tuple[int | str, ...]:
-    body = body.strip()
-    if not body:
-        return ()
-    premises: list[int | str] = []
-    for piece in body.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise ParseError("empty premise", lineno, 1)
-        premises.append(int(piece) if piece.isdecimal() else piece)
-    return tuple(premises)
-
-
-def _parse_equation(body: str, signature, lineno: int, col: int,
-                    terms: dict[str, DecoratedTerm]) -> Equation:
-    """`body` starts at column `col` of line `lineno`; `terms` maps side
-    texts already parsed in this script to their terms."""
-    mode_word, _, rest = body.partition(" ")
-    try:
-        mode = Mode(mode_word)
-    except ValueError:
-        raise ParseError(f"expected 'weak' or 'strong', got {mode_word!r}",
-                         lineno, 1) from None
-    sides = rest.split(" = ")
-    if len(sides) != 2:
-        raise ParseError("expected '<lhs> = <rhs>'", lineno, 1)
-    col += len(mode_word) + 1
-    parsed = []
-    for side in sides:
-        side_text = side.strip()
-        term = terms.get(side_text)
-        if term is None:
-            term = parse_at(parse_term, side, lineno, col, signature)
-            terms[side_text] = term
-        parsed.append(term)
-        col += len(side) + len(" = ")
-    return Equation(mode, parsed[0], parsed[1])

@@ -10,13 +10,17 @@ terms nest to any depth.
 The printed form round-trips exactly: parsing the printer's output
 yields a structurally equal term, and printing again yields the same
 string.  Term files may contain `#` line comments and any whitespace.
+
+Model files, theory dumps and proof scripts are line formats, each line
+form described once in `LINE_FORMS` for `read_lines` and `print_lines`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .terms import FORMS, Const, DecoratedTerm, OpSymbol
+from .terms import (FORMS, Const, DecoratedTerm, Decoration, Equation, Mode,
+                    OpSymbol)
 from .types import Base, ObjType, Prod, Sum, Unit
 
 
@@ -148,7 +152,7 @@ def print_term(term: DecoratedTerm) -> str:
 # no token is an error at its place, before any parse error.  `\d` is
 # exactly `str.isdecimal` and `\w` is `str.isalnum` or `_`, so `int`
 # reads every `\d+`, and a `\w+` led by a numeral such as `²` is no
-# name.  The line formats cut `#` comments with `code_lines`.
+# name.  The line formats cut `#` comments in `read_lines`.
 
 LAYOUT = r"[ \t\r\n]* (?: \#[^\n]*(?=\n|\Z) [ \t\r\n]* )*"
 
@@ -176,18 +180,6 @@ def located_tokens(pattern: re.Pattern, text: str,
     tokens.append("")
     offsets.append(len(text) if comment < 0 else comment)
     return tokens, offsets
-
-
-def code_lines(text: str):
-    """`(lineno, line, end_col)` for each line of `text` that holds code
-    once its `#` comment is cut off: `line` is that code stripped, and a
-    suffix `s` of it starts at column `end_col - len(s)`.  Only a newline
-    ends a line, as in the positions the scanners report."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        code = raw.split("#", 1)[0]
-        line = code.strip()
-        if line:
-            yield lineno, line, len(code) - len(code.lstrip()) + len(line) + 1
 
 
 # A name starts with a letter or `_`, an integer with a digit or `-`, and
@@ -349,3 +341,227 @@ def parse_type(text: str) -> ObjType:
 
 def parse_term(text: str, signature: dict[str, OpSymbol] | None = None) -> DecoratedTerm:
     return _Parser(text).parse(_TERMS, signature or {})
+
+
+# ---------------------------------------------------------------------------
+# Line formats
+#
+# A line holds one form: its head word, then the rest of the form's
+# template.  The holes of a template are the placeholders of `_HOLES`.
+# The text between two holes stands as written, blanks around its words
+# optional, and a hole runs up to the first character of that text.  A
+# form whose first hole is a NAME, BASE or LABEL declares that name, and
+# a file declares it once.  `#` starts a comment, and only a newline ends
+# a line, as in the positions the scanners report.
+
+LINE_FORMS = {
+    # head: (template, the formats that accept the form)
+    "type": ("type BASE = {..}", ("model", "theory")),
+    "location": ("location NAME : BASE", ("model", "theory")),
+    "exception": ("exception NAME : BASE", ("model", "theory")),
+    "theory": ("theory FLAVOR", ("theory",)),
+    "op": ("op NAME : SRC -> TGT @ (s,e)", ("theory",)),
+    "axiom": ("axiom LABEL : MODE LHS = RHS", ("theory",)),
+    "obs": ("obs DIRECTION : TERMS", ("theory",)),
+    "goal": ("goal MODE LHS = RHS", ("script",)),
+    "step": ("step N: RULE [PREMISES] |- MODE LHS = RHS", ("script",)),
+}
+
+
+FLAVORS = ("states", "exceptions", "combined")
+_MODES = {mode.value: mode for mode in Mode}
+
+
+def _word(ok, message: str, value=None):
+    """The reader of a one-word hole: `text`, or `value(text)`, if `ok(text)`."""
+    def read(text: str, signature, sides):
+        if not ok(text):
+            raise ParseError(message.format(text), 1, 1)
+        return text if value is None else value(text)
+    return read
+
+
+def _items(text: str, first: int = 1) -> list[str]:
+    """The stripped items of the comma list `text` at column `first`; a
+    blank text has none, and a blank item is an error at its column."""
+    items = list(map(str.strip, text.split(","))) if text and not text.isspace() else []
+    if "" in items:
+        raise ParseError("empty list item", 1, _item_column(text, items.index(""), first))
+    return items
+
+
+def _item_column(text: str, k: int, first: int) -> int:
+    """The column of item `k` of `text`: of its first non-blank, or its end."""
+    parts = text.split(",")
+    return first + sum(map(len, parts[:k + 1])) + k - len(parts[k].lstrip())
+
+
+def _terms(text: str, signature, sides) -> tuple[DecoratedTerm, ...]:
+    if not _items(text):
+        raise ParseError("expected a term", 1, 1)
+    pieces: list[list] = []
+    col = depth = 0
+    for part in text.split(","):
+        if depth:  # the comma before `part` sits inside parentheses
+            pieces[-1][1] += "," + part
+        else:
+            pieces.append([col + 1, part])
+        col += len(part) + 1
+        depth += part.count("(") - part.count(")")
+    return tuple(parse_at(parse_term, piece, 1, at, signature) for at, piece in pieces)
+
+
+def _carrier(text: str, signature, sides) -> tuple[int, ...]:
+    if text[:1] + text[-1:] != "{}":
+        raise ParseError("carrier must be {v0,v1,...}", 1, 1)
+    values: dict[int, None] = {}
+    for k, item in enumerate(_items(text[1:-1], 2)):
+        try:
+            problem = "distinct" if int(item) in values else ""
+        except ValueError:
+            problem = "integers"
+        if problem:
+            raise ParseError(f"carrier values must be {problem}", 1,
+                             _item_column(text[1:-1], k, 2))
+        values[int(item)] = None
+    if not values:
+        raise ParseError("carrier must be non-empty", 1, 1)
+    return tuple(values)
+
+
+def _decoration(text: str, signature, sides) -> Decoration:
+    try:
+        state, exc = map(int, text[1:-1].split(",")) if text[:1] + text[-1:] == "()" else ()
+    except ValueError:
+        raise ParseError("decoration must look like (1,0)", 1, 1) from None
+    if not (0 <= state <= 2 and 0 <= exc <= 2):
+        raise ParseError("decoration levels must be 0, 1 or 2", 1, 1)
+    return Decoration(state, exc)
+
+
+def _equation(text: str, signature, sides) -> Equation:
+    mode_word, _, rest = text.partition(" ")
+    mode = _MODES.get(mode_word)
+    if mode is None:
+        raise ParseError(f"expected 'weak' or 'strong', got {mode_word!r}", 1, 1)
+    lhs, eq, rhs = rest.partition("=")
+    if not eq:
+        raise ParseError("expected '<lhs> = <rhs>'", 1, 1)
+    col = len(text) - len(rest) + 1
+    return Equation(mode, _side(lhs, col, signature, sides),
+                    _side(rhs, col + len(lhs) + 1, signature, sides))
+
+
+def _side(text: str, col: int, signature, sides) -> DecoratedTerm:
+    key = text.strip()
+    term = sides.get(key)
+    if term is None:
+        term = sides[key] = parse_at(parse_term, text, 1, col, signature)
+    return term
+
+
+# placeholder: (read, print).  `read(text, signature, sides)` gives the
+# value of a hole's stripped text or raises a ParseError placed in it; op
+# names resolve in `signature`, and equation sides share terms in `sides`.
+_HOLES = {
+    "NAME": (_word(str.isidentifier, "bad name {!r}"), str),
+    # An op line would read a base named like a type keyword as that type.
+    "BASE": (_word(lambda text: text.isidentifier() and text not in TYPE_KEYWORDS,
+                   "bad base type name {!r}"), str),
+    "LABEL": (lambda text, signature, sides: text, str),
+    "RULE": (_word(bool, "expected a name"), str),
+    "N": (_word(str.isdecimal, "bad number {!r}", int), str),
+    "FLAVOR": (_word(FLAVORS.__contains__, "unknown flavor {!r}"), str),
+    "DIRECTION": (_word(FLAVORS[:2].__contains__, "unknown obs direction {!r}"), str),
+    "SRC": (lambda text, signature, sides: parse_type(text), print_type),
+    "(s,e)": (_decoration, str),
+    "{..}": (_carrier, lambda values: "{" + ",".join(map(str, values)) + "}"),
+    "PREMISES": (lambda text, signature, sides: tuple(
+        [int(ref) if ref.isdecimal() else ref for ref in _items(text)]),
+                 lambda refs: ", ".join(map(str, refs))),
+    "TERMS": (_terms, lambda terms: ", ".join(map(print_term, terms))),
+    "MODE LHS = RHS": (_equation, lambda eq: f"{eq.mode.value} {print_term(eq.lhs)} "
+                                             f"= {print_term(eq.rhs)}"),
+}
+_HOLES["TGT"] = _HOLES["SRC"]
+_PLACEHOLDER = re.compile(
+    "(" + "|".join(map(re.escape, sorted(_HOLES, key=len, reverse=True))) + ")")
+
+
+def _line_form(template: str) -> tuple:
+    """The template's pieces and holes, alternating, its pattern after the
+    head, the holes' readers, and whether it holds terms or declares a name."""
+    parts = _PLACEHOLDER.split(template)
+    holes = parts[1::2]
+    pattern = "".join(
+        f"([^{re.escape(after.strip()[0])}]*)" + r"\s*".join(
+            r"(?:\|-|⊢)" if word == "|-" else re.escape(word) for word in after.split())
+        if after.strip() else "(.*)"
+        for after in parts[2::2])
+    return (parts, re.compile(pattern), [_HOLES[hole][0] for hole in holes],
+            bool({"TERMS", "MODE LHS = RHS"} & set(holes)),
+            holes[0] in ("NAME", "BASE", "LABEL"))
+
+
+_LINE_FORMS = {head: _line_form(template) for head, (template, _) in LINE_FORMS.items()}
+_FORMATS = {fmt: {head: _LINE_FORMS[head] for head, (_, fmts) in LINE_FORMS.items() if fmt in fmts}
+            for fmt in ("model", "theory", "script")}
+
+
+def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None,
+               sides: dict[str, DecoratedTerm] | None = None):
+    """`(lineno, head, values)` for each line of `text`, a file in format
+    `fmt`, with one value for each hole of the line's form.  In a format
+    with `op` lines, a line that holds terms comes after every line that
+    holds none, so its terms may use the ops the caller has put in
+    `signature` from any `op` line.  Equal side texts of equations share
+    one term throughout `sides` if it is given, else within their line."""
+    forms = _FORMATS[fmt]
+    later: list | None = [] if "op" in forms else None
+    lines = enumerate(text.split("\n"), start=1)
+    declared: set[tuple[str, str]] = set()
+    while lines:
+        for lineno, raw in lines:
+            code = raw.split("#", 1)[0]
+            line = code.strip()
+            if not line:
+                continue
+            head = line.split(None, 1)[0]
+            form = forms.get(head)
+            if form is None:
+                raise ParseError(f"unknown declaration {head!r}", lineno, 1)
+            found = form[1].fullmatch(line, len(head))
+            if found is None:
+                raise ParseError(f"expected `{LINE_FORMS[head][0]}`", lineno, 1)
+            if form[3] and later is not None:
+                later.append((lineno, raw))
+                continue
+            if form[4]:
+                name = (head, found[1].strip())
+                if name in declared:
+                    raise ParseError(f"{head} {name[1]!r} declared twice", lineno, 1)
+                declared.add(name)
+            shared = {} if sides is None else sides
+            values: list = []
+            try:
+                for part, read in zip(found.groups(), form[2]):
+                    values.append(read(part.strip(), signature, shared))
+            except ParseError as err:
+                hole = len(values) + 1
+                part = found[hole]
+                col = len(code) - len(code.lstrip()) + found.start(hole) - len(part.lstrip())
+                raise ParseError(err.message, lineno, col + len(part) + err.col) from None
+            yield lineno, head, tuple(values)
+        lines, later = later, None
+
+
+def print_lines(lines) -> str:
+    """The text of `(head, values)` lines, the inverse of `read_lines`."""
+    out: list[str] = []
+    for head, values in lines:
+        parts = _LINE_FORMS[head][0]
+        out.append(parts[0])
+        for hole, value, after in zip(parts[1::2], values, parts[2::2]):
+            out += (_HOLES[hole][1](value), after)
+        out.append("\n")
+    return "".join(out)

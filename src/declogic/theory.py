@@ -401,24 +401,15 @@ def theory_from_config(config) -> Theory:
 
 
 def dump_theory(theory: Theory) -> str:
-    from .model import ModelConfig, print_model_config
-    from .syntax import print_term, print_type
+    from .model import print_model_config
+    from .syntax import print_lines
 
-    # The `type`, `location` and `exception` lines read as in a model file.
-    config = ModelConfig(theory.carriers, theory.locations, theory.exceptions)
-    lines = [f"theory {theory.flavor}"] + print_model_config(config).splitlines()
-    for name, symbol in theory.signature.items():
-        lines.append(
-            f"op {name} : {print_type(symbol.source)} -> "
-            f"{print_type(symbol.target)} @ {symbol.decoration}")
-    for label, eq in theory.axioms.items():
-        lines.append(
-            f"axiom {label} : {eq.mode.value} "
-            f"{print_term(eq.lhs)} = {print_term(eq.rhs)}")
-    for rule in theory.obs_rules:
-        observers = ", ".join(print_term(obs) for obs in rule.observers)
-        lines.append(f"obs {rule.direction} : {observers}")
-    return "\n".join(lines) + "\n"
+    return print_lines([("theory", (theory.flavor,))]) + print_model_config(theory) + print_lines([
+        *(("op", (name, symbol.source, symbol.target, symbol.decoration))
+          for name, symbol in theory.signature.items()),
+        *(("axiom", item) for item in theory.axioms.items()),
+        *(("obs", (rule.direction, rule.observers)) for rule in theory.obs_rules),
+    ])
 
 
 def parse_theory(text: str) -> Theory:
@@ -429,139 +420,42 @@ def parse_theory(text: str) -> Theory:
     operation of no known family parses fine but cannot be
     instantiated by `build_model`.
     """
-    from .model import parse_model_config
-    from .syntax import (TYPE_KEYWORDS, ParseError, code_lines, parse_at,
-                         parse_term, parse_type)
-    from .terms import Mode as TermMode
+    return _read_theory(text, model_file=False)
 
-    flavor = None
-    locations: dict[str, str] = {}
-    exceptions: dict[str, str] = {}
-    carriers: dict[str, tuple] = {}
-    signature: dict[str, OpSymbol] = {}
-    axiom_lines: dict[str, tuple[int, int, str]] = {}
-    obs_lines: list[tuple[int, int, str, str]] = []
-    declared = {"location": locations, "exception": exceptions,
-                "op": signature, "axiom": axiom_lines}
-    # `rest` and the bodies below are suffixes of `line`.
-    for lineno, line, end_col in code_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        name = rest.partition(":")[0].strip()
-        if name in declared.get(head, ()):
-            raise ParseError(f"{head} {name!r} declared twice", lineno, 1)
+
+def load_theory(text: str) -> Theory:
+    """The theory of a theory dump, or `theory_from_config` of a model
+    file: a text is a dump exactly when it has a `theory` line."""
+    return _read_theory(text, model_file=True)
+
+
+def _read_theory(text: str, model_file: bool) -> Theory:
+    from .model import config_from_lines
+    from .syntax import ParseError, read_lines
+    from .terms import canonical_key
+
+    flavor, signature, axioms, obs_rules, model = None, {}, {}, {}, []
+    for lineno, head, values in read_lines(text, "theory", signature):
         if head == "theory":
             if flavor is not None:
                 raise ParseError("second `theory` header", lineno, 1)
-            if rest not in ("states", "exceptions", "combined"):
-                raise ParseError(f"unknown flavor {rest!r}", lineno, 1)
-            flavor = rest
-        elif head == "type":  # a one-line model file
-            new = parse_at(parse_model_config, line, lineno, 1).carriers
-            if new.keys() & carriers.keys():
-                raise ParseError(f"type {next(iter(new))!r} declared twice", lineno, 1)
-            carriers.update(new)
-        elif head in ("location", "exception"):
-            _, sep, base = rest.partition(":")
-            base = base.strip()
-            if not sep or not name.isidentifier() or not base.isidentifier():
-                raise ParseError(f"expected `{head} NAME : TYPE`", lineno, 1)
-            if base in TYPE_KEYWORDS:  # the op lines would read it as that type
-                raise ParseError(f"bad base type name {base!r}", lineno,
-                                 end_col - len(base))
-            (locations if head == "location" else exceptions)[name] = base
-        elif head == "op":
-            name_part, sep, type_part = rest.partition(":")
-            if not sep or not name.isidentifier():
-                raise ParseError("expected `op NAME : SRC -> TGT @ (s,e)`", lineno, 1)
-            arrow_part, at, dec_part = type_part.partition("@")
-            if not at or "->" not in arrow_part:
-                raise ParseError("expected `op NAME : SRC -> TGT @ (s,e)`", lineno, 1)
-            src_text, _, tgt_text = arrow_part.partition("->")
-            src_col = end_col - len(rest) + len(name_part) + 1
-            dec_text = dec_part.strip()
-            if not (dec_text.startswith("(") and dec_text.endswith(")")):
-                raise ParseError("decoration must look like (1,0)", lineno, 1)
-            try:
-                state_text, exc_text = dec_text[1:-1].split(",")
-                decoration = Decoration(int(state_text), int(exc_text))
-            except ValueError:
-                raise ParseError("decoration must look like (1,0)", lineno, 1) from None
-            if not (0 <= decoration.state <= 2 and 0 <= decoration.exc <= 2):
-                raise ParseError("decoration levels must be 0, 1 or 2",
-                                 lineno, end_col - len(dec_text))
-            signature[name] = OpSymbol(
-                name, parse_at(parse_type, src_text, lineno, src_col),
-                parse_at(parse_type, tgt_text, lineno,
-                         src_col + len(src_text) + len("->")),
-                decoration)
-        elif head == "axiom":
-            _, sep, body = rest.partition(":")
-            if not sep:
-                raise ParseError("expected `axiom LABEL : MODE LHS = RHS`", lineno, 1)
-            body = body.strip()
-            axiom_lines[name] = (lineno, end_col - len(body), body)
+            flavor = values[0]
         elif head == "obs":
-            direction, sep, body = rest.partition(":")
-            if not sep:
-                raise ParseError("expected `obs DIRECTION : TERMS`", lineno, 1)
-            body = body.strip()
-            if any(seen[2:] == (direction.strip(), body) for seen in obs_lines):
+            rule = ObsRule(*values)
+            key = (rule.direction, *map(canonical_key, rule.observers))
+            if key in obs_rules:
                 raise ParseError("obs line repeated", lineno, 1)
-            obs_lines.append((lineno, end_col - len(body), direction.strip(), body))
+            obs_rules[key] = rule
+        elif head == "op":
+            signature[values[0]] = OpSymbol(*values)
+        elif head == "axiom":
+            axioms[values[0]] = values[1]
         else:
-            raise ParseError(f"unknown declaration {head!r}", lineno, 1)
+            model.append((lineno, head, values))
     if flavor is None:
-        raise ParseError("missing `theory` header", 1, 1)
-
-    axioms: dict[str, Equation] = {}
-    for label, (lineno, col, body) in axiom_lines.items():
-        mode_word, _, eq_text = body.partition(" ")
-        if mode_word not in ("weak", "strong"):
-            raise ParseError("axiom mode must be weak or strong", lineno, 1)
-        lhs_text, sep, rhs_text = eq_text.partition(" = ")
-        if not sep:
-            raise ParseError("axiom body must be `LHS = RHS`", lineno, 1)
-        col += len(mode_word) + 1
-        axioms[label] = Equation(
-            TermMode(mode_word),
-            parse_at(parse_term, lhs_text, lineno, col, signature),
-            parse_at(parse_term, rhs_text, lineno,
-                     col + len(lhs_text) + len(" = "), signature))
-    obs_rules = []
-    for lineno, col, direction, body in obs_lines:
-        if direction not in ("states", "exceptions"):
-            raise ParseError(f"unknown obs direction {direction!r}", lineno, 1)
-        observers = tuple(
-            parse_at(parse_term, piece, lineno, col + offset, signature)
-            for offset, piece in _split_top_level(body))
-        obs_rules.append(ObsRule(direction, observers))
-    return Theory(
-        flavor=flavor,
-        signature=signature,
-        axioms=axioms,
-        obs_rules=tuple(obs_rules),
-        locations=locations,
-        exceptions=exceptions,
-        carriers=carriers,
-    )
-
-
-def _split_top_level(text: str) -> list[tuple[int, str]]:
-    """Split on commas not nested inside parentheses; each piece comes
-    with its offset in `text`."""
-    pieces = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append((start, text[start:i]))
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        pieces.append((start, text[start:]))
-    return pieces
+        if not model_file or signature or axioms or obs_rules:
+            raise ParseError("missing `theory` header", 1, 1)
+        return theory_from_config(config_from_lines(model))
+    config = config_from_lines(model, bases_declared=False)
+    return Theory(flavor, signature, axioms, tuple(obs_rules.values()),
+                  config.locations, config.exceptions, config.carriers)

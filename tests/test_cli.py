@@ -218,4 +218,5 @@ def test_keyword_base_name_exits_2(write, capsys):
 def test_empty_theory_file_is_input_error(write, capsys):
     empty = write("empty.model", "# nothing here\n")
     assert main(["dualize", "--theory", empty]) == 2
-    assert "declares nothing" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: the model declares neither locations nor exceptions\n")

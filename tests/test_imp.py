@@ -355,12 +355,12 @@ def test_theory_records_sizes():
     assert default_carriers(parse_theory(dump_theory(wide))) == default_carriers(wide)
     text = dump_theory(wide)
     assert "type W = {0,1,2}" in text.splitlines()
-    for extra, message in (("type W = {0}", "type 'W' declared twice"),
-                           ("type U = {0,0}", "carrier values must be distinct")):
+    for extra, message, col in (("type W = {0}", "type 'W' declared twice", 1),
+                                ("type U = {0,0}", "carrier values must be distinct", 13)):
         with pytest.raises(ParseError) as info:
             parse_theory(text + extra + "\n")
         assert info.value.message == message
-        assert (info.value.line, info.value.col) == (len(text.splitlines()) + 1, 1)
+        assert (info.value.line, info.value.col) == (len(text.splitlines()) + 1, col)
     with pytest.raises(ElaborationError, match="records no carriers"):
         default_carriers(states_theory({"x": "V"}))
 

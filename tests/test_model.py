@@ -708,8 +708,12 @@ class TestModelConfigFiles:
     @pytest.mark.parametrize("mark", ["\x0c", "\u2028"])
     def test_only_newlines_end_lines(self, mark):
         """Lines are numbered as the term and program scanners number them."""
-        for text, line in ((f"type V = {{0,1}}{mark}location x : V\nlocation y W\n", 1),
-                           (f"type V = {{0,1}}\nlocation x : V{mark}\nlocation y W\n", 3)):
+        for text, line, col, message in (
+                (f"type V = {{0,1}}{mark}location x : V\nlocation y W\n", 1, 10,
+                 "carrier must be {v0,v1,...}"),
+                (f"type V = {{0,1}}\nlocation x : V{mark}\nlocation y W\n", 3, 1,
+                 "expected `location NAME : BASE`")):
             with pytest.raises(ParseError) as info:
                 parse_model_config(text)
-            assert (info.value.line, info.value.col) == (line, 1)
+            assert info.value.message == message
+            assert (info.value.line, info.value.col) == (line, col)

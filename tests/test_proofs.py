@@ -516,7 +516,8 @@ def test_parse_rejects_non_decimal_step_number():
             "step ²: refl [] |- weak id(unit) = id(unit)\n")
     with pytest.raises(ParseError) as info:
         parse_script(text, ST1.signature)
-    assert (info.value.line, info.value.col) == (2, 1)
+    assert info.value.message == "bad number '²'"
+    assert (info.value.line, info.value.col) == (2, 6)
 
 
 def test_parse_accepts_unicode_turnstile_and_comments():
