@@ -411,6 +411,10 @@ def _terms(text: str, signature, sides) -> tuple[DecoratedTerm, ...]:
     return tuple(parse_at(parse_term, piece, 1, at, signature) for at, piece in pieces)
 
 
+def _premises(text: str, signature, sides) -> tuple[int | str, ...]:
+    return tuple([int(ref) if ref.isdecimal() else ref for ref in _items(text)]) if text else ()
+
+
 def _carrier(text: str, signature, sides) -> tuple[int, ...]:
     if text[:1] + text[-1:] != "{}":
         raise ParseError("carrier must be {v0,v1,...}", 1, 1)
@@ -448,16 +452,15 @@ def _equation(text: str, signature, sides) -> Equation:
     if not eq:
         raise ParseError("expected '<lhs> = <rhs>'", 1, 1)
     col = len(text) - len(rest) + 1
-    return Equation(mode, _side(lhs, col, signature, sides),
-                    _side(rhs, col + len(lhs) + 1, signature, sides))
-
-
-def _side(text: str, col: int, signature, sides) -> DecoratedTerm:
-    key = text.strip()
-    term = sides.get(key)
-    if term is None:
-        term = sides[key] = parse_at(parse_term, text, 1, col, signature)
-    return term
+    terms = []
+    for side in (lhs, rhs):
+        key = side.strip()
+        term = sides.get(key)
+        if term is None:
+            term = sides[key] = parse_at(parse_term, side, 1, col, signature)
+        terms.append(term)
+        col += len(side) + 1
+    return Equation(mode, *terms)
 
 
 # placeholder: (read, print).  `read(text, signature, sides)` gives the
@@ -476,9 +479,7 @@ _HOLES = {
     "SRC": (lambda text, signature, sides: parse_type(text), print_type),
     "(s,e)": (_decoration, str),
     "{..}": (_carrier, lambda values: "{" + ",".join(map(str, values)) + "}"),
-    "PREMISES": (lambda text, signature, sides: tuple(
-        [int(ref) if ref.isdecimal() else ref for ref in _items(text)]),
-                 lambda refs: ", ".join(map(str, refs))),
+    "PREMISES": (_premises, lambda refs: ", ".join(map(str, refs))),
     "TERMS": (_terms, lambda terms: ", ".join(map(print_term, terms))),
     "MODE LHS = RHS": (_equation, lambda eq: f"{eq.mode.value} {print_term(eq.lhs)} "
                                              f"= {print_term(eq.rhs)}"),

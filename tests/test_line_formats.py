@@ -164,6 +164,15 @@ def test_model_lines_read_alike_in_both_formats(fmt):
     assert read.carriers == {"V": (0, 1), "W": (0, 2)}
 
 
+@pytest.fixture
+def write_files(tmp_path):
+    def write(*files):
+        for name, text in files:
+            (tmp_path / name).write_text(text)
+        return [str(tmp_path / name) for name, _ in files]
+    return write
+
+
 def test_a_theory_line_anywhere_makes_a_dump(write_files, capsys):
     """`--theory` reads a file as a dump exactly when it has a `theory` line."""
     theory, term = write_files(("late.theory", "type V = {0,1}\n" + ST_DUMP),
@@ -177,15 +186,6 @@ def test_a_theory_line_anywhere_makes_a_dump(write_files, capsys):
     half, = write_files(("half.theory", ST_DUMP.replace("theory states\n", "")))
     assert main(["check", term, "--theory", half]) == 2
     assert capsys.readouterr().err == "error: missing `theory` header (line 1, column 1)\n"
-
-
-@pytest.fixture
-def write_files(tmp_path):
-    def write(*files):
-        for name, text in files:
-            (tmp_path / name).write_text(text)
-        return [str(tmp_path / name) for name, _ in files]
-    return write
 
 
 def test_an_empty_observer_family_is_refused(write_files, capsys):
@@ -203,8 +203,8 @@ def test_an_empty_observer_family_is_refused(write_files, capsys):
 
 
 def test_an_empty_list_item_is_refused_and_dumps_read_back(write_files, capsys):
-    """An empty item used to be dropped: a trailing comma repeated the obs
-    rule, whose dump then did not read back, and `{0,,1}` read as `{0,1}`."""
+    """A blank item is an error: a trailing comma must not repeat an obs
+    rule into a dump that does not read back, nor `{0,,1}` read as `{0,1}`."""
     with pytest.raises(ParseError) as info:
         parse_theory(ST_DUMP + "obs states : op(lookup_x),\n")
     assert (info.value.message, info.value.line, info.value.col) == (
@@ -245,7 +245,7 @@ def test_readme_lists_every_line_form():
 
 
 def test_an_axiom_label_is_any_text():
-    """As before the shared reader, a label may be empty or hold blanks."""
+    """A label may be empty or hold blanks, and such a dump reads back."""
     text = ST_DUMP + "axiom  : weak id(V) = id(V)\naxiom a b : weak id(V) = id(V)\n"
     theory = parse_theory(text)
     assert list(theory.axioms)[-2:] == ["", "a b"]
