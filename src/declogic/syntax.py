@@ -381,19 +381,18 @@ def _word(ok, message: str, value=None):
     return read
 
 
-def _items(text: str, first: int = 1) -> list[str]:
-    """The stripped items of the comma list `text` at column `first`; a
-    blank text has none, and a blank item is an error at its column."""
-    items = list(map(str.strip, text.split(","))) if text and not text.isspace() else []
-    if "" in items:
-        raise ParseError("empty list item", 1, _item_column(text, items.index(""), first))
+def _items(text: str, first: int = 1) -> list:
+    """The stripped items of the comma list `text` at column `first`, a
+    decimal one as its int; a blank text has none, and a blank item is an
+    error at its column."""
+    items: list = []
+    for part in text.split(",") if text and not text.isspace() else ():
+        item = part.strip()
+        if not item:
+            raise ParseError("empty list item", 1, first + len(part))
+        items.append(int(item) if item.isdecimal() else item)
+        first += len(part) + 1
     return items
-
-
-def _item_column(text: str, k: int, first: int) -> int:
-    """The column of item `k` of `text`: of its first non-blank, or its end."""
-    parts = text.split(",")
-    return first + sum(map(len, parts[:k + 1])) + k - len(parts[k].lstrip())
 
 
 def _terms(text: str, signature, sides) -> tuple[DecoratedTerm, ...]:
@@ -411,26 +410,19 @@ def _terms(text: str, signature, sides) -> tuple[DecoratedTerm, ...]:
     return tuple(parse_at(parse_term, piece, 1, at, signature) for at, piece in pieces)
 
 
-def _premises(text: str, signature, sides) -> tuple[int | str, ...]:
-    return tuple([int(ref) if ref.isdecimal() else ref for ref in _items(text)]) if text else ()
-
-
 def _carrier(text: str, signature, sides) -> tuple[int, ...]:
     if text[:1] + text[-1:] != "{}":
         raise ParseError("carrier must be {v0,v1,...}", 1, 1)
-    values: dict[int, None] = {}
-    for k, item in enumerate(_items(text[1:-1], 2)):
-        try:
-            problem = "distinct" if int(item) in values else ""
-        except ValueError:
-            problem = "integers"
-        if problem:
-            raise ParseError(f"carrier values must be {problem}", 1,
-                             _item_column(text[1:-1], k, 2))
-        values[int(item)] = None
+    items = _items(text[1:-1], 2)
+    try:
+        values = tuple(map(int, items))
+    except ValueError:
+        raise ParseError("carrier values must be integers", 1, 1) from None
+    if len(set(values)) != len(values):
+        raise ParseError("carrier values must be distinct", 1, 1)
     if not values:
         raise ParseError("carrier must be non-empty", 1, 1)
-    return tuple(values)
+    return values
 
 
 def _decoration(text: str, signature, sides) -> Decoration:
@@ -479,7 +471,8 @@ _HOLES = {
     "SRC": (lambda text, signature, sides: parse_type(text), print_type),
     "(s,e)": (_decoration, str),
     "{..}": (_carrier, lambda values: "{" + ",".join(map(str, values)) + "}"),
-    "PREMISES": (_premises, lambda refs: ", ".join(map(str, refs))),
+    "PREMISES": (lambda text, signature, sides: tuple(_items(text)),
+                 lambda refs: ", ".join(map(str, refs))),
     "TERMS": (_terms, lambda terms: ", ".join(map(print_term, terms))),
     "MODE LHS = RHS": (_equation, lambda eq: f"{eq.mode.value} {print_term(eq.lhs)} "
                                              f"= {print_term(eq.rhs)}"),
@@ -552,7 +545,7 @@ def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None
                 part = found[hole]
                 col = len(code) - len(code.lstrip()) + found.start(hole) - len(part.lstrip())
                 raise ParseError(err.message, lineno, col + len(part) + err.col) from None
-            yield lineno, head, tuple(values)
+            yield lineno, head, values
         lines, later = later, None
 
 

@@ -15,12 +15,12 @@ METRICS = {metric["name"] for metric in SPEC["end_to_end"] + SPEC["per_layer"]}
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
 def test_bench_file_names_only_defined_workloads_and_metrics(path):
     bench = json.loads(path.read_text())
-    assert set(bench["sides"]) == {"parent", "change"}
-    for side in bench["sides"].values():
-        assert len(side["commit"]) == 40 and side["source_lines"] > 0
+    for commit, about in bench["commits"].items():
+        assert len(commit) == 40 and about["side"] in ("parent", "change")
+        assert about["source_lines"] > 0
     assert bench["runs"]
     for run in bench["runs"]:
-        assert run["side"] in bench["sides"]
+        assert bench["commits"][run["commit"]]["side"] == run["side"]
         assert run["workload"] in WORKLOADS
         assert isinstance(run["seed"], int) and run["seconds"] > 0
         assert run["result"]["metrics"].keys() <= METRICS

@@ -356,7 +356,7 @@ def test_theory_records_sizes():
     text = dump_theory(wide)
     assert "type W = {0,1,2}" in text.splitlines()
     for extra, message, col in (("type W = {0}", "type 'W' declared twice", 1),
-                                ("type U = {0,0}", "carrier values must be distinct", 13)):
+                                ("type U = {0,0}", "carrier values must be distinct", 10)):
         with pytest.raises(ParseError) as info:
             parse_theory(text + extra + "\n")
         assert info.value.message == message

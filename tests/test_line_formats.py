@@ -72,8 +72,8 @@ ERRORS = [
     (MODEL_FORMS, "type W = { }", "carrier must be non-empty", 1, 10),
     (MODEL_FORMS, "type W = {0,,1}", "empty list item", 1, 13),
     (MODEL_FORMS, "type W = {0, 1,}", "empty list item", 1, 16),
-    (MODEL_FORMS, "type W = {0, a}", "carrier values must be integers", 1, 14),
-    (MODEL_FORMS, "type W = {0,1,0}", "carrier values must be distinct", 1, 15),
+    (MODEL_FORMS, "type W = {0, a}", "carrier values must be integers", 1, 10),
+    (MODEL_FORMS, "type W = {0,1,0}", "carrier values must be distinct", 1, 10),
     (("theory",), "op f : V -> V @ 0,0", "decoration must look like (1,0)", 1, 17),
     (("theory",), "op f : V -> V @ (0,3)",
      "decoration levels must be 0, 1 or 2", 1, 17),
