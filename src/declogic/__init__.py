@@ -4,6 +4,14 @@ Decorated terms carry effect upper bounds instead of effect-widened
 types; finite models decide strong and weak equality exhaustively; a
 small proof checker validates equational derivations; an imperative
 frontend compiles while-programs with throw/try-catch down to terms.
+
+`import declogic` loads the checker core: types, terms, syntax,
+theories, models, rules, proofs, term generation and probes.  The
+imperative frontend `declogic.imp` and the law derivations
+(`ScriptBuilder`, `all_law_scripts`, `law_script`) load on first use.
+The core stays eager because benchmark tracing wraps functions by the
+module that binds them, and a module first imported after the wrap
+would bind the wrapper instead.
 """
 
 from .model import (
@@ -23,9 +31,7 @@ from .model import (
     print_model_config,
     validate_model,
 )
-from .derivations import ScriptBuilder, all_law_scripts, law_script
 from .generate import GenerationError, random_term, type_pool
-from . import imp
 from .probes import (
     UNSOUND_VARIANTS,
     ProbeContext,
@@ -95,4 +101,23 @@ from .theory import (
 )
 from .types import EMPTY_T, UNIT_T, Base, Empty, ObjType, Prod, Sum, Unit
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Names loaded on first use, by the module that defines them.
+_LAZY = {"imp": None, "derivations": None, "ScriptBuilder": "derivations",
+         "all_law_scripts": "derivations", "law_script": "derivations"}
+
+# The public names: what the modules above export, the modules themselves
+# but for the record helper, and the names loaded on first use.
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 - {"record"} | set(_LAZY))
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _LAZY[name]
+    module = importlib.import_module(f".{home or name}", __name__)
+    value = module if home is None else getattr(module, name)
+    globals()[name] = value
+    return value

@@ -6,22 +6,15 @@ a model file; `prove` replays a proof script against a theory;
 `dualize` prints the mirror theory; `imp-equiv` compares two programs
 over a model.  Exit codes: 0 when everything checked out, 1 when a
 check rejected or the programs differ, 2 on usage or file errors.
+
+Only `imp-equiv` loads the imperative frontend `declogic.imp`; the other
+subcommands run on the checker core alone.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .imp import (
-    ElaborationError,
-    NOT_EQUAL,
-    STRONG,
-    WEAK,
-    build_imp_theory,
-    check_equiv,
-    default_carriers,
-    parse_command,
-)
 from .model import (
     build_model,
     check_both_eq,
@@ -54,6 +47,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_model(path: str):
@@ -141,6 +136,9 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
 
 
 def _cmd_imp_equiv(args: argparse.Namespace) -> int:
+    from .imp import (STRONG, WEAK, ElaborationError, build_imp_theory,
+                      check_equiv, default_carriers, parse_command)
+
     model_config = parse_model_config(_read(args.model))
     if not model_config.locations:
         raise InputError("program models need at least one location")
@@ -150,11 +148,15 @@ def _cmd_imp_equiv(args: argparse.Namespace) -> int:
                 f"program arithmetic needs carrier 0..{len(values) - 1} "
                 f"for type {base!r}")
     sizes = {base: len(values) for base, values in model_config.carriers.items()}
-    theory = build_imp_theory(model_config.locations, model_config.exceptions, sizes)
-    model = build_model(theory, default_carriers(theory))
-    left = parse_command(_read(args.programs[0]))
-    right = parse_command(_read(args.programs[1]))
-    verdict = check_equiv(left, right, theory, model, fuel=args.fuel)
+    try:
+        theory = build_imp_theory(model_config.locations,
+                                  model_config.exceptions, sizes)
+        model = build_model(theory, default_carriers(theory))
+        left = parse_command(_read(args.programs[0]))
+        right = parse_command(_read(args.programs[1]))
+        verdict = check_equiv(left, right, theory, model, fuel=args.fuel)
+    except ElaborationError as err:
+        raise InputError(str(err)) from None
     print(verdict.describe(model))
     return 0 if verdict.kind in (STRONG, WEAK) else 1
 
@@ -207,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fuel must be a positive integer")
     try:
         return args.handler(args)
-    except (InputError, ParseError, TheoryError, ElaborationError) as err:
+    except (InputError, ParseError, TheoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -3,149 +3,118 @@
 Arithmetic expressions read locations, boolean expressions compare them,
 and commands assign, branch, loop, throw, and catch.  The printer emits
 the same concrete syntax the parser accepts, so printing and re-parsing
-a command is the identity on parser output.
+a command is the identity on parser output.  Nodes are records: two
+nodes are equal when they are of one class with equal fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from string import Formatter
 from typing import NamedTuple
 
+from ..record import Record
 
-class AExp:
+
+class AExp(Record):
     """Arithmetic expression over one base type."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lit(AExp):
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Loc(AExp):
     """A location read, or a caught-value reference inside a handler."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(AExp):
-    left: AExp
-    right: AExp
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(AExp):
-    left: AExp
-    right: AExp
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(AExp):
-    left: AExp
-    right: AExp
+    __slots__ = ("left", "right")
 
 
-class BExp:
+class BExp(Record):
     """Boolean expression; no boolean storage, only tests."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BTrue(BExp):
-    pass
-
-
-@dataclass(frozen=True)
-class BFalse(BExp):
-    pass
-
-
-@dataclass(frozen=True)
-class Eq(BExp):
-    left: AExp
-    right: AExp
-
-
-@dataclass(frozen=True)
-class Le(BExp):
-    left: AExp
-    right: AExp
-
-
-@dataclass(frozen=True)
-class Not(BExp):
-    body: BExp
-
-
-@dataclass(frozen=True)
-class And(BExp):
-    """Short-circuit conjunction: the right side runs only on a true left."""
-
-    left: BExp
-    right: BExp
-
-
-class Command:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+class BFalse(BExp):
+    __slots__ = ()
+
+
+class Eq(BExp):
+    __slots__ = ("left", "right")
+
+
+class Le(BExp):
+    __slots__ = ("left", "right")
+
+
+class Not(BExp):
+    __slots__ = ("body",)
+
+
+class And(BExp):
+    """Short-circuit conjunction: the right side runs only on a true left."""
+
+    __slots__ = ("left", "right")
+
+
+class Command(Record):
+    __slots__ = ()
+
+
 class Skip(Command):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Assign(Command):
-    target: str
-    expr: AExp
+    __slots__ = ("target", "expr")
 
 
-@dataclass(frozen=True)
 class Seq(Command):
     """Sequencing; the parser always nests these to the right."""
 
-    first: Command
-    second: Command
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True)
 class If(Command):
-    cond: BExp
-    then_branch: Command
-    else_branch: Command
+    __slots__ = ("cond", "then_branch", "else_branch")
 
 
-@dataclass(frozen=True)
 class While(Command):
-    cond: BExp
-    body: Command
+    __slots__ = ("cond", "body")
 
 
-@dataclass(frozen=True)
 class Throw(Command):
-    exception: str
-    payload: AExp
+    __slots__ = ("exception", "payload")
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """One catch arm: matches ``exception``, binds its payload to ``binder``."""
 
-    exception: str
-    binder: str
-    handler: Command
+    __slots__ = ("exception", "binder", "handler")
 
 
-@dataclass(frozen=True)
 class TryCatch(Command):
-    """Run ``body``; the first clause naming a raised exception handles it."""
+    """Run ``body``; the first clause naming a raised exception handles it.
+    ``clauses`` is a tuple of `Clause`."""
 
-    body: Command
-    clauses: tuple[Clause, ...]
+    __slots__ = ("body", "clauses")
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ handler Γ is unit and nothing is paired with it.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
+from ..record import replace
 from ..terms import (
     PURE,
     Absurd,

@@ -1,9 +1,8 @@
 """Decide whether two programs are equivalent over a finite model."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..model import Exc, FiniteModel, eval_term, scan_points
+from ..record import Record
 from ..theory import Theory
 from .ast import Command
 from .elaborate import FUEL_EXCEPTION, elaborate
@@ -14,8 +13,7 @@ NOT_EQUAL = "not-equal"
 FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of an equivalence check.
 
     `strong`: same result and same final state everywhere.  `weak`:
@@ -25,8 +23,8 @@ class Verdict:
     undecided.
     """
 
-    kind: str
-    state: tuple | None = None
+    __slots__ = ("kind", "state")
+    _defaults = {"state": lambda: None}
 
     def describe(self, model: FiniteModel) -> str:
         if self.kind == STRONG:

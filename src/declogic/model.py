@@ -45,8 +45,8 @@ point, walk every state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from .record import Record, set_field
 from .terms import (
     FORMS,
     Absurd,
@@ -85,18 +85,38 @@ class _UnitValue:
 UNIT = _UnitValue()
 
 
-@dataclass(frozen=True)
-class Exc:
+class Exc(Record):
     """An exceptional value: exception name plus its parameter."""
 
-    name: str
-    param: object
+    __slots__ = ("name", "param")
+
+    def __init__(self, name: str, param: object) -> None:
+        set_field(self, "name", name)
+        set_field(self, "param", param)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.param) == (other.name, other.param)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.param))
 
 
-@dataclass(frozen=True)
-class Outcome:
-    value: object
-    state: tuple
+class Outcome(Record):
+    __slots__ = ("value", "state")
+
+    def __init__(self, value: object, state: tuple) -> None:
+        set_field(self, "value", value)
+        set_field(self, "state", state)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.state) == (other.value, other.state)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.state))
 
 
 class ModelError(Exception):
@@ -115,32 +135,36 @@ class UnknownBaseType(ModelError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteModel:
+class FiniteModel(Record):
     """Carriers, locations, exceptions and operation tables.
 
     `carriers` maps base type names to ordered tuples of distinct
     values.  `locations` and `exceptions` map names to base type names.
     `interps` maps operation names to tables keyed by (input value,
     state), which `build_model` makes fill on first use; untags cover
-    exceptional inputs, everything else only ordinary ones.
+    exceptional inputs, everything else only ordinary ones.  `states`
+    and `location_index` follow from `carriers` and `locations`.  Two
+    models are equal only when they are one object.
     """
 
-    carriers: dict[str, tuple]
-    locations: dict[str, str]
-    exceptions: dict[str, str]
-    interps: dict[str, dict]
-    states: tuple = field(init=False)
+    __slots__ = ("carriers", "locations", "exceptions", "interps", "states",
+                 "location_index", "_live")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        axes = [self.carriers[base] for base in self.locations.values()]
-        object.__setattr__(self, "states", tuple(itertools.product(*axes)))
-        object.__setattr__(
-            self, "location_index",
-            {name: i for i, name in enumerate(self.locations)})
+    def __init__(self, carriers: dict[str, tuple], locations: dict[str, str],
+                 exceptions: dict[str, str], interps: dict[str, dict]) -> None:
+        set_field(self, "carriers", carriers)
+        set_field(self, "locations", locations)
+        set_field(self, "exceptions", exceptions)
+        set_field(self, "interps", interps)
+        axes = [carriers[base] for base in locations.values()]
+        set_field(self, "states", tuple(itertools.product(*axes)))
+        set_field(self, "location_index",
+                  {name: i for i, name in enumerate(locations)})
         # The live states of `scan_points`, by the frozenset of location
         # indices a check reads or writes.
-        object.__setattr__(self, "_live", {})
+        set_field(self, "_live", {})
 
     def exceptional_values(self) -> list[Exc]:
         values = []
@@ -273,12 +297,8 @@ def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> O
                               f"in state {s!r}") from None
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    value: object
-    state: tuple
-    left: Outcome
-    right: Outcome
+class Counterexample(Record):
+    __slots__ = ("value", "state", "left", "right")
 
 
 def render_counterexample(cex: Counterexample, model: FiniteModel) -> str:
@@ -605,11 +625,8 @@ def sorted_keys(keys) -> str:
 # Model description files
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    carriers: dict[str, tuple]
-    locations: dict[str, str]
-    exceptions: dict[str, str]
+class ModelConfig(Record):
+    __slots__ = ("carriers", "locations", "exceptions")
 
 
 # The record each model line form fills (see `syntax.LINE_FORMS`).

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -54,6 +53,7 @@ from .model import (
     eval_term,
     scan_points,
 )
+from .record import Record
 from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
                     _obs_family, check_rule, dual_name)
 from .terms import Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id, Mode
@@ -61,26 +61,21 @@ from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
 
 
-@dataclass(frozen=True)
-class ProbeViolation:
-    """An accepted step whose conclusion the model refutes."""
+class ProbeViolation(Record):
+    """An accepted step (`rule`, its `premises`) whose `conclusion` the
+    model refutes at `counterexample`."""
 
-    rule: str
-    premises: tuple[Equation, ...]
-    conclusion: Equation
-    counterexample: Counterexample
+    __slots__ = ("rule", "premises", "conclusion", "counterexample")
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    rule: str
-    samples: int
-    accepted: int
-    rejected: int
-    skipped: int
-    violations: tuple[ProbeViolation, ...]
-    # Rejections per `SideConditionViolated.condition`, in first-seen order.
-    rejected_by: dict[str, int] = field(default_factory=dict)
+class ProbeReport(Record):
+    """Counts of one rule's probe, and the `violations` it found.
+    `rejected_by` counts rejections per `SideConditionViolated.condition`,
+    in first-seen order."""
+
+    __slots__ = ("rule", "samples", "accepted", "rejected", "skipped",
+                 "violations", "rejected_by")
+    _defaults = {"rejected_by": dict}
 
     @property
     def ok(self) -> bool:
@@ -142,15 +137,13 @@ _RANDOMS_PER_POOL = 10
 _RANDOM_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class _Pool:
-    """The terms of one type pair, grouped to draw equal pairs from."""
+class _Pool(Record):
+    """The terms of one type pair, grouped to draw equal pairs from:
+    `members`; `classes`, the members by full behavior (`Mode.STRONG`)
+    and by values alone (`Mode.WEAK`); and `weak_splits`, each weak
+    class split by full behavior, for `weak_only_pair`."""
 
-    members: list[DecoratedTerm]
-    # Members by full behavior (strong) and by values alone (weak).
-    classes: dict[Mode, dict[tuple, list[DecoratedTerm]]]
-    # Each weak class split by full behavior, for `weak_only_pair`.
-    weak_splits: list[list[list[DecoratedTerm]]]
+    __slots__ = ("members", "classes", "weak_splits")
 
 
 class ProbeContext:
@@ -535,14 +528,11 @@ def probe_all(theory: Theory, model: FiniteModel, samples: int = 200,
 # Deliberately broken checkers, for calibrating the probes
 
 
-@dataclass(frozen=True)
-class ProbeVariant:
-    """A rule with named side conditions dropped, and where that matters."""
+class ProbeVariant(Record):
+    """A rule with named side conditions dropped (`drops`), and the
+    flavors where that matters."""
 
-    rule: str
-    flavors: tuple[str, ...]
-    note: str
-    drops: tuple[str, ...]
+    __slots__ = ("rule", "flavors", "note", "drops")
 
 
 UNSOUND_VARIANTS: dict[str, ProbeVariant] = {

@@ -18,8 +18,7 @@ printed as "|-" and "⊢" is accepted.  Comments start with "#".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .record import Record, set_field
 from .rules import DUAL_RULE, RuleError, PremiseShapeMismatch, UnknownRule, check_rule
 # `parse_term` stays bound here, where perfbench traces term parses.
 from .syntax import ParseError, parse_term, print_lines, read_lines  # noqa: F401
@@ -27,23 +26,27 @@ from .terms import Equation, Mode, canonical_key
 from .theory import Theory, _dual_label, dual_symbol_map, dualize_equation
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    rule: str
-    premises: tuple[int | str, ...]
-    conclusion: Equation
+class ProofStep(Record):
+    """A `rule` applied to `premises` (step numbers or axiom labels)."""
+
+    __slots__ = ("rule", "premises", "conclusion")
+
+    def __init__(self, rule: str, premises: tuple[int | str, ...],
+                 conclusion: Equation) -> None:
+        set_field(self, "rule", rule)
+        set_field(self, "premises", premises)
+        set_field(self, "conclusion", conclusion)
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    goal: Equation
-    steps: tuple[ProofStep, ...]
+class ProofScript(Record):
+    __slots__ = ("goal", "steps")
 
 
-@dataclass(frozen=True)
-class ScriptReport:
-    ok: bool
-    errors: tuple[tuple[int, str], ...] = ()
+class ScriptReport(Record):
+    """`errors` holds (step number, message) pairs, 0 for the goal."""
+
+    __slots__ = ("ok", "errors")
+    _defaults = {"errors": tuple}
 
     def describe(self) -> str:
         if self.ok:

@@ -29,11 +29,10 @@ such as `pair-proj-1.discarded-raise-free`, carried by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Callable
 
+from .record import Record
 from .terms import (
     Absurd,
     Bang,
@@ -51,7 +50,7 @@ from .terms import (
     chain_factors,
     compose_chain,
 )
-from .types import EMPTY_T, UNIT_T, ObjType
+from .types import EMPTY_T, UNIT_T
 
 
 class RuleError(Exception):
@@ -74,8 +73,7 @@ class PremiseShapeMismatch(RuleError):
     pass
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(Record):
     """One side of the state/exception duality, as a checker reads it.
 
     `EXC` swaps pairings for case splits, projections for injections,
@@ -88,19 +86,8 @@ class Axis:
     then also pass.
     """
 
-    direction: str
-    flipped: bool
-    cong_strong_left: bool
-    own: Callable[[DecoratedTerm], int]
-    other: Callable[[DecoratedTerm], int]
-    src: Callable[[DecoratedTerm], ObjType]
-    tgt: Callable[[DecoratedTerm], ObjType]
-    pair: type
-    parts: Callable[[DecoratedTerm], tuple]
-    proj: tuple[type, type]
-    bang: type
-    unit: ObjType
-    words: tuple[str, ...]
+    __slots__ = ("direction", "flipped", "cong_strong_left", "own", "other",
+                 "src", "tgt", "pair", "parts", "proj", "bang", "unit", "words")
 
     def order(self, chain: list) -> list:
         """Chain factors in this axis's reading order."""

@@ -31,15 +31,14 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
+from .record import Record, set_field
 from .types import EMPTY_T, UNIT_T, Base, Empty, ObjType, Prod, Sum, Unit
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Record):
     """Effect upper bound: `state` and `exc` each range over 0, 1, 2."""
 
-    state: int
-    exc: int
+    __slots__ = ("state", "exc")
 
     def join(self, other: "Decoration") -> "Decoration":
         """The componentwise maximum; one of the nine shared decorations
@@ -57,14 +56,10 @@ _SHARED = {(state, exc): Decoration(state, exc)
 PURE = _SHARED[(0, 0)]
 
 
-@dataclass(frozen=True)
-class OpSymbol:
+class OpSymbol(Record):
     """A declared operation: name, arity as source/target types, decoration."""
 
-    name: str
-    source: ObjType
-    target: ObjType
-    decoration: Decoration
+    __slots__ = ("name", "source", "target", "decoration")
 
 
 class DecoratedTerm:
@@ -276,11 +271,13 @@ class Mode(enum.Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class Equation:
-    mode: Mode
-    lhs: DecoratedTerm
-    rhs: DecoratedTerm
+class Equation(Record):
+    __slots__ = ("mode", "lhs", "rhs")
+
+    def __init__(self, mode: Mode, lhs: DecoratedTerm, rhs: DecoratedTerm) -> None:
+        set_field(self, "mode", mode)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
 def infer_decoration(term: DecoratedTerm) -> Decoration:
@@ -292,24 +289,16 @@ def infer_decoration(term: DecoratedTerm) -> Decoration:
 # Typechecking
 
 
-@dataclass(frozen=True)
-class TypeIssue:
-    kind: str
-    path: tuple[str, ...]
-    detail: str
+class TypeIssue(Record):
+    __slots__ = ("kind", "path", "detail")
 
     def __str__(self) -> str:
         where = ".".join(self.path) if self.path else "<root>"
         return f"{self.kind} at {where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class TypedReport:
-    ok: bool
-    issues: tuple[TypeIssue, ...]
-    source: ObjType
-    target: ObjType
-    decoration: Decoration
+class TypedReport(Record):
+    __slots__ = ("ok", "issues", "source", "target", "decoration")
 
     def describe(self) -> str:
         from .syntax import print_type

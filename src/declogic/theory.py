@@ -11,8 +11,7 @@ interprets it from that name alone, so a theory carries no tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
+from .record import Record, replace
 from .terms import (
     FORMS,
     Bang,
@@ -50,8 +49,7 @@ class NameClash(TheoryError):
     pass
 
 
-@dataclass(frozen=True)
-class ObsRule:
+class ObsRule(Record):
     """A family of observers justifying strong conclusions.
 
     States direction: if every observer-after-lhs weakly equals the
@@ -60,20 +58,21 @@ class ObsRule:
     sides instead of after.
     """
 
-    direction: str  # "states" or "exceptions"
-    observers: tuple[DecoratedTerm, ...]
+    __slots__ = ("direction", "observers")  # direction: "states" or "exceptions"
 
 
-@dataclass(frozen=True, eq=False)
-class Theory:
-    flavor: str  # "states", "exceptions", "combined"
-    signature: dict[str, OpSymbol]
-    axioms: dict[str, Equation]
-    obs_rules: tuple[ObsRule, ...]
-    locations: dict[str, str] = field(default_factory=dict)
-    exceptions: dict[str, str] = field(default_factory=dict)
-    # Carriers fixed for the bases (imp theories): `type` lines in a dump.
-    carriers: dict[str, tuple] = field(default_factory=dict)
+class Theory(Record):
+    """A `flavor` ("states", "exceptions" or "combined"), a `signature` of
+    op symbols by name, `axioms` by label and `obs_rules`.  `locations`
+    and `exceptions` map names to base type names; `carriers` fixes the
+    carriers of bases (imp theories), the `type` lines of a dump.  Two
+    theories are equal only when they are one object."""
+
+    __slots__ = ("flavor", "signature", "axioms", "obs_rules", "locations",
+                 "exceptions", "carriers")
+    _defaults = dict.fromkeys(("locations", "exceptions", "carriers"), dict)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def base_type(self, location_or_exception: str) -> Base:
         if location_or_exception in self.locations:

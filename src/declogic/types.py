@@ -5,32 +5,38 @@ Types are finite products and sums over named base types, with a unit
 building a type whose fields are those of an existing type returns that
 same object, so two types are equal exactly when they are the same
 object.  `==` and `hash` are therefore identity, which costs the same
-for a type of any depth.  They are frozen dataclasses without generated
-equality, and serve as dict keys and inside terms.  A type's `repr` is
+for a type of any depth.  They are immutable slotted classes that list
+their fields in `__slots__`, and serve as dict keys and inside terms.
+A type's `repr` is
 its printed form.  Printing, parsing and dualizing walk a type over an
 explicit stack (see `terms.FORMS`), so types nest to any depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from .record import Record, set_field
 
 # Every type built in this process, by its class and fields.
 _INTERNED: dict[tuple, "ObjType"] = {}
 
 
-class ObjType:
+class ObjType(Record):
     """Base class for object types; equal types are one object."""
 
     __slots__ = ()
+    # Interned, so equal types are one object and identity decides.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    # `__new__` sets the fields of a new type and finds an old one.
+    __init__ = object.__init__
 
     def __new__(cls, *args):
         key = (cls, *args)
         ty = _INTERNED.get(key)
         if ty is None:
             ty = object.__new__(cls)
-            for f, value in zip(fields(cls), args, strict=True):
-                object.__setattr__(ty, f.name, value)
+            for name, value in zip(cls.__slots__, args, strict=True):
+                set_field(ty, name, value)
             _INTERNED[key] = ty
         return ty
 
@@ -40,33 +46,30 @@ class ObjType:
         return print_type(self)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Unit(ObjType):
     """The terminal object; one inhabitant."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
+
 class Empty(ObjType):
     """The initial object; no inhabitants."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
+
 class Base(ObjType):
     """A named base type whose carrier is supplied by a finite model."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Prod(ObjType):
-    left: ObjType
-    right: ObjType
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class Sum(ObjType):
-    left: ObjType
-    right: ObjType
+    __slots__ = ("left", "right")
 
 
 UNIT_T = Unit()

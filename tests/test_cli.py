@@ -220,3 +220,42 @@ def test_empty_theory_file_is_input_error(write, capsys):
     assert main(["dualize", "--theory", empty]) == 2
     assert capsys.readouterr().err == (
         "error: the model declares neither locations nor exceptions\n")
+
+
+# Every file argument of every subcommand, as (argv, index of the file
+# that is not UTF-8); the other files are valid.
+NOT_UTF8_CASES = {
+    "check term": (["check", "t.term"], 1),
+    "check theory": (["check", "t.term", "--theory", "m.model"], 3),
+    "laws model": (["laws", "--model", "m.model"], 2),
+    "prove script": (["prove", "law.proof", "--theory", "m.model"], 1),
+    "prove theory": (["prove", "law.proof", "--theory", "m.model"], 3),
+    "dualize theory": (["dualize", "--theory", "m.model"], 2),
+    "imp-equiv left": (["imp-equiv", "a.imp", "b.imp", "--model", "m.model"], 1),
+    "imp-equiv right": (["imp-equiv", "a.imp", "b.imp", "--model", "m.model"], 2),
+    "imp-equiv model": (["imp-equiv", "a.imp", "b.imp", "--model", "m.model"], 4),
+}
+VALID_FILES = {
+    "t.term": "pair(id(unit), bang(unit))",
+    "m.model": ST_MODEL,
+    "law.proof": "goal weak op(lookup_x) = op(lookup_x)\n"
+                 "step 1: refl [] |- weak op(lookup_x) = op(lookup_x)\n",
+    "a.imp": "x := 1",
+    "b.imp": "x := 1",
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8_CASES)
+def test_file_that_is_not_utf8_exits_2(case, tmp_path, capsys):
+    argv, bad = NOT_UTF8_CASES[case]
+    argv = [str(tmp_path / arg) if arg in VALID_FILES else arg for arg in argv]
+    for name, text in VALID_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(argv[bad], "wb") as handle:
+        handle.write(b"skip \xff\xfe\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {argv[bad]}: not UTF-8 text\n"
