@@ -11,7 +11,9 @@ inherits what a frozen dataclass would generate:
 - a `repr` in the dataclass form, `Name(field=value, ...)`;
 - equality and hashing by class and fields, so a record never equals a
   record of another class or a plain tuple;
-- no assignment or deletion after construction.
+- no assignment or deletion after construction;
+- copying and pickling through the constructor, so an interned type
+  copies to itself.
 
 Records built in hot loops write their own `__init__`, `__eq__` and
 `__hash__`, which set and compare fields the way a dataclass does.
@@ -85,6 +87,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._key(self)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable "

@@ -1,5 +1,8 @@
 """Types, term construction, decoration inference, typechecking."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +113,16 @@ class TestTypes:
         ty = Prod(V, Sum(UNIT_T, EMPTY_T))
         assert repr(ty) == str(ty) == "prod(V, sum(unit, empty))"
         assert repr(Id(ty)) == "Id(at=prod(V, sum(unit, empty)))"
+
+    def test_types_and_records_copy_and_pickle(self):
+        ty = Prod(V, Sum(UNIT_T, EMPTY_T))
+        assert copy.deepcopy(ty) is ty and pickle.loads(pickle.dumps(ty)) is ty
+        symbol = OpSymbol("lookup_x", UNIT_T, V, Decoration(1, 0))
+        for value in (symbol, Op(symbol), Comp(Op(symbol), Bang(ty))):
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError):
+            symbol.name = "update_x"
 
 
 class TestSourcesAndTargets:
