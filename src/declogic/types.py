@@ -5,11 +5,11 @@ Types are finite products and sums over named base types, with a unit
 building a type whose fields are those of an existing type returns that
 same object, so two types are equal exactly when they are the same
 object.  `==` and `hash` are therefore identity, which costs the same
-for a type of any depth.  They are immutable slotted classes that list
-their fields in `__slots__`, and serve as dict keys and inside terms.
-A type's `repr` is
-its printed form.  Printing, parsing and dualizing walk a type over an
-explicit stack (see `terms.FORMS`), so types nest to any depth.
+for a type of any depth.  They are immutable records (`record.Record`)
+that list their fields in `__slots__`, and serve as dict keys and inside
+terms.  A type's `repr` is its printed form.  Printing, parsing and
+dualizing walk a type over an explicit stack (see `terms.FORMS`), so
+types nest to any depth.
 """
 
 from __future__ import annotations

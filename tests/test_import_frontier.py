@@ -49,7 +49,8 @@ PUBLIC_MODULES = ["derivations", "generate", "imp", "model", "probes", "proofs",
                   "rules", "syntax", "terms", "theory", "types"]
 
 # Modules whose functions perfbench wraps by binding.  `Tracer.install`
-# wraps a function only where a module still binds the original, so a
+# (perfbench/spans.py) wraps a function only where a module still binds
+# the original (`owner.__dict__.get(attr) is original`), so a
 # module first imported after the wrap would bind the wrapper and its
 # calls would not be traced ("binding gone").  `import declogic` must
 # therefore load all of them before any wrap.
@@ -136,8 +137,9 @@ print(json.dumps([sorted(declogic.__all__), same]))
 def test_star_import_and_first_use_of_deferred_names():
     done = _python("-c", """
 import declogic
-from declogic.derivations import law_script
-assert declogic.law_script is law_script
+law_script = declogic.law_script
+from declogic.derivations import law_script as defined
+assert law_script is defined
 from declogic import *
 import declogic.imp.ast
 assert imp is declogic.imp and ScriptBuilder is declogic.ScriptBuilder
