@@ -14,9 +14,9 @@ this, because their untags would otherwise catch upstream exceptions.
 Handlers read caught payloads by environment passing.  A command is a
 term Γ -> Γ, where the environment Γ is the product of the payload
 bases bound around it, and a binder read is a projection out of Γ.
-Branches get Γ back through the pure `dist_...` ops, Γ paired with a
-sum to a sum of pairs, so each handler is built once.  Outside every
-handler Γ is unit and nothing is paired with it.
+Branches get Γ back through the pure `dist_N` ops (N numbers the source
+type), Γ paired with a sum to a sum of pairs, so each handler is built
+once.  Outside every handler Γ is unit and nothing is paired with it.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from ..terms import (
 )
 from ..theory import Theory, lookup_op, states_theory, tag_op, untag_op, update_op
 from ..theory import combine, dualize, extend_theory
-from ..syntax import TYPE_KEYWORDS, type_code
+from ..syntax import TYPE_KEYWORDS
 from ..types import EMPTY_T, UNIT_T, Base, ObjType, Prod, Sum
 from .ast import (
     Add,
@@ -145,36 +145,51 @@ def default_carriers(theory: Theory) -> dict[str, tuple]:
 
 def dist_symbol(env: ObjType, left: ObjType, right: ObjType) -> OpSymbol:
     """The pure op from `env` paired with a `left`/`right` sum to the sum of
-    `env` paired with each side, named after its type for models to read."""
+    `env` paired with each side, named after its source type's `number`."""
     source = Prod(env, Sum(left, right))
-    return OpSymbol(f"dist_{type_code(source)}", source,
+    return OpSymbol(f"dist_{source.number}", source,
                     Sum(Prod(env, left), Prod(env, right)), PURE)
 
 
 class _Scope:
-    """The caught values a command can read: one (binder, base, Γ) layer
-    per enclosing clause, outermost first, where Γ is the environment
-    inside that clause.  A later binder shadows an earlier one and any
-    location of the same name."""
+    """The caught values a command can read: the `slot` payload a clause
+    binds to `binder`, and those its `parent` scope can (the root binds
+    none).  `env` is the environment Γ inside the clause.  An inner binder
+    shadows an outer one and any location of the same name."""
 
-    def __init__(self, layers: tuple = ()) -> None:
-        self.layers = layers
-        self.env = layers[-1][2] if layers else UNIT_T
-        self.bases = {name: base for name, base, _ in layers}
-        # down[k] leads from `env` to the Γ of layer k.  It is built from
-        # down[k + 1] on the first read at layer k or further out, and kept,
-        # so reads share it and the keys run from min(down) to the last.
-        self.down = {len(layers) - 1: []}
+    def __init__(self, parent: _Scope | None = None, binder: str | None = None,
+                 slot: Base | None = None) -> None:
+        self.parent, self.slot = parent, slot
+        self.env = (UNIT_T if parent is None else slot if parent.env == UNIT_T
+                    else Prod(parent.env, slot))
+        # The innermost scope binding each name looked up here or inside.
+        self.found = {} if parent is None else {binder: self}
+        # down[layer] leads from `env` to the Γ of `layer`, a scope around
+        # this one.  It is built from the chain one layer in on the first
+        # read at `layer` or further out, and kept; `reach` is the outermost.
+        self.down, self.reach = {self: []}, self
+
+    def find(self, name: str) -> _Scope | None:
+        """The innermost scope whose clause binds `name`, or None."""
+        path, scope = [], self
+        while scope is not None and name not in scope.found:
+            path.append(scope)
+            scope = scope.parent
+        layer = None if scope is None else scope.found[name]
+        for scope in path:
+            scope.found[name] = layer
+        return layer
 
     def read(self, name: str) -> DecoratedTerm:
         """The projection from `env` to the value that `name` caught."""
-        layers = self.layers
-        i = max(k for k, layer in enumerate(layers) if layer[0] == name)
-        for k in reversed(range(i, min(self.down))):
-            up = Proj1(layers[k][2], Base(layers[k + 1][1]))
-            self.down[k] = [compose_chain(self.down[k + 1] + [up], self.env)]
-        pick = [Proj2(layers[i - 1][2], Base(layers[i][1]))] if i else []
-        return compose_chain(self.down[i] + pick, self.env)
+        layer, down = self.find(name), self.down
+        while layer not in down:
+            inner = self.reach
+            self.reach = outer = inner.parent
+            down[outer] = [compose_chain(down[inner] + [Proj1(outer.env, inner.slot)], self.env)]
+        around = layer.parent.env
+        pick = [Proj2(around, layer.slot)] if around != UNIT_T else []
+        return compose_chain(down[layer] + pick, self.env)
 
 
 def _drop(env: ObjType, slot: ObjType) -> DecoratedTerm | None:
@@ -221,7 +236,8 @@ def _first_name(expr: AExp) -> str | None:
 
 
 def _name_base(name: str, theory: Theory, scope: _Scope) -> str:
-    base = scope.bases.get(name) or theory.locations.get(name)
+    layer = scope.find(name)
+    base = theory.locations.get(name) if layer is None else layer.slot.name
     if base is None:
         raise UndeclaredLocation(f"unknown location {name!r}")
     return base
@@ -277,7 +293,7 @@ def _open(node, scope: _Scope, sort, theory: Theory, fuel: int):
             raise ElaborationError(
                 f"{node.name!r} holds {found!r} values where {sort!r} is needed"
             )
-        if node.name in scope.bases:
+        if scope.find(node.name) is not None:
             return scope.read(node.name)
         return _chain(_drop(UNIT_T, env), lookup_op(theory, node.name))
     if cls is BTrue or cls is BFalse:
@@ -292,7 +308,7 @@ def _open(node, scope: _Scope, sort, theory: Theory, fuel: int):
     if cls is Skip:
         return Id(env)
     if cls is Assign:
-        if node.target in scope.bases:
+        if scope.find(node.target) is not None:
             raise ElaborationError(f"cannot assign to caught value {node.target!r}")
         if node.target not in theory.locations:
             raise UndeclaredLocation(f"unknown location {node.target!r}")
@@ -326,11 +342,8 @@ def _open(node, scope: _Scope, sort, theory: Theory, fuel: int):
                 ((node.payload, scope, payload_base),))
     # A `try`: each handler reads Γ paired with its clause's payload.
     slots = [Base(_exception_base(clause.exception, theory)) for clause in node.clauses]
-    handlers = tuple(
-        (clause.handler, _Scope(scope.layers + ((clause.binder, slot.name,
-                                                 slot if env == UNIT_T else Prod(env, slot)),)),
-         Command)
-        for clause, slot in zip(node.clauses, slots))
+    handlers = tuple((clause.handler, _Scope(scope, clause.binder, slot), Command)
+                     for clause, slot in zip(node.clauses, slots))
     return (lambda body, *terms: _try(node, env, slots, body, terms, theory),
             ((node.body, scope, Command),) + handlers)
 

@@ -64,8 +64,8 @@ from .terms import (
     Proj1,
     Proj2,
 )
-from .syntax import ParseError, parse_type_code, print_lines, read_lines
-from .types import Base, Empty, ObjType, Prod, Sum, Unit, base_names
+from .syntax import ParseError, print_lines, read_lines
+from .types import Base, Empty, ObjType, Prod, Sum, Unit, numbered_type
 
 
 class _UnitValue:
@@ -452,8 +452,8 @@ def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
     Each operation `family_arg` is interpreted from its name (lookups
     read location `arg`, updates overwrite it, tags wrap, untags
     match-or-rethrow, add, sub, mul, eq and le act on base `arg`, and
-    `dist_CODE` distributes a pair over a sum of the type spelled CODE by
-    `syntax.type_code`).  Tables fill on first use, and so does
+    `dist_N` distributes a pair over a sum, where N is the `number` of
+    that product type in `declogic.types`).  Tables fill on first use, and so does
     `interps`, for ops outside the signature too; `len()` counts entries.
     """
     for base in set(theory.locations.values()) | set(theory.exceptions.values()):
@@ -528,11 +528,10 @@ def _family(name: str, model: FiniteModel):
     if kind == "untag" and arg in model.exceptions:
         return (frozenset(model.exceptional_values()).__contains__,
                 lambda v, s: (v.param if v.name == arg else v, s))
-    ty = parse_type_code(arg) if kind == "dist" else None
-    if (isinstance(ty, Prod) and isinstance(ty.right, Sum)
-            and base_names(ty) <= model.carriers.keys()):
-        sets = {base: frozenset(model.carriers[base]) for base in base_names(ty)}
-        return (lambda v: _inhabits(ty, v, sets),
+    ty = numbered_type(arg) if kind == "dist" else None
+    if isinstance(ty, Prod) and isinstance(ty.right, Sum):
+        sets = {base: frozenset(carrier) for base, carrier in model.carriers.items()}
+        return (lambda v: _inhabits(ty, v, sets, name),
                 lambda v, s: ((v[1][0], (v[0], v[1][1])), s))
     carrier = model.carriers.get(arg)
     if carrier is None or kind not in _ON_PAIRS:
@@ -545,9 +544,10 @@ def _family(name: str, model: FiniteModel):
             and v[0] in values and v[1] in values), lambda v, s: (fn(*v, size), s)
 
 
-def _inhabits(ty: ObjType, value, sets: dict[str, frozenset]) -> bool:
+def _inhabits(ty: ObjType, value, sets: dict[str, frozenset], name: str) -> bool:
     """Whether `value` is an ordinary point of `ty`, where `sets` holds the
-    carriers of the bases in `ty`; a loop, so deep types are checked."""
+    carriers by base; a loop, so deep types are checked.  A base without
+    a carrier leaves op `name` with no interpretation."""
     todo = [(ty, value)]
     while todo:
         ty, v = todo.pop()
@@ -556,6 +556,9 @@ def _inhabits(ty: ObjType, value, sets: dict[str, frozenset]) -> bool:
             todo += ((ty.left, v[0]), (ty.right, v[1]))
         elif isinstance(ty, Sum) and pair and v[0] in ("L", "R"):
             todo.append((ty.left if v[0] == "L" else ty.right, v[1]))
+        elif isinstance(ty, Base) and ty.name not in sets:
+            raise MissingInterpretation(f"operation {name!r} reads base type "
+                                        f"{ty.name!r}, which has no carrier")
         elif not (v is UNIT if isinstance(ty, Unit)
                   else isinstance(ty, Base) and v in sets[ty.name]):
             return False

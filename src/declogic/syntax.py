@@ -10,6 +10,8 @@ terms nest to any depth.
 The printed form round-trips exactly: parsing the printer's output
 yields a structurally equal term, and printing again yields the same
 string.  Term files may contain `#` line comments and any whitespace.
+Printing and parsing serve files and messages only: no op name spells
+a type, so elaborating and checking a program print and parse none.
 
 Model files, theory dumps and proof scripts are line formats, each line
 form described once in `LINE_FORMS` for `read_lines` and `print_lines`.
@@ -106,25 +108,6 @@ def print_type(ty: ObjType) -> str:
     if not isinstance(ty, ObjType):
         raise TypeError(f"not an object type: {ty!r}")
     return _print(ty)
-
-
-_CODE_ESCAPES = {"_": "__", "(": "_a", ",": "_b", ")": "_c"}
-_CODE_UNESCAPES = {code[1]: char for char, code in _CODE_ESCAPES.items()}
-
-
-def type_code(ty: ObjType) -> str:
-    """`print_type(ty)` spelled in identifier characters: spaces dropped,
-    and `_`, `(`, `,` and `)` written as `__`, `_a`, `_b` and `_c`."""
-    return "".join(_CODE_ESCAPES.get(char, char) for char in print_type(ty) if char != " ")
-
-
-def parse_type_code(code: str) -> ObjType | None:
-    """The type that `type_code` spells as `code`, or None if none is."""
-    try:
-        ty = parse_type(re.sub(r"_(.?)", lambda m: _CODE_UNESCAPES.get(m[1], "?"), code))
-    except ParseError:
-        return None
-    return ty if type_code(ty) == code else None
 
 
 def print_value(value: object, ty: ObjType) -> str:

@@ -5,25 +5,28 @@ Types are finite products and sums over named base types, with a unit
 building a type whose fields are those of an existing type returns that
 same object, so two types are equal exactly when they are the same
 object.  `==` and `hash` are therefore identity, which costs the same
-for a type of any depth.  They are immutable records (`record.Record`)
-that list their fields in `__slots__`, and serve as dict keys and inside
-terms.  A type's `repr` is its printed form.  Printing, parsing and
-dualizing walk a type over an explicit stack (see `terms.FORMS`), so
-types nest to any depth.
+for a type of any depth.  Each also has a `number`, its place in the
+order this process built types (see `numbered_type`).  Types are
+immutable records (`record.Record`) that list their fields in
+`__slots__`, and serve as dict keys and inside terms.  A type's `repr`
+is its printed form.  Printing, parsing and dualizing walk a type over
+an explicit stack (see `terms.FORMS`), so types nest to any depth.
 """
 
 from __future__ import annotations
 
 from .record import Record, set_field
 
-# Every type built in this process, by its class and fields.
+# Every type built in this process, by its class and fields, and by number.
 _INTERNED: dict[tuple, "ObjType"] = {}
+_NUMBERED: list["ObjType"] = []
 
 
 class ObjType(Record):
     """Base class for object types; equal types are one object."""
 
-    __slots__ = ()
+    # Not a field: `number` is set once, when the type is first built.
+    __slots__ = ("number",)
     # Interned, so equal types are one object and identity decides.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -37,6 +40,8 @@ class ObjType(Record):
             ty = object.__new__(cls)
             for name, value in zip(cls.__slots__, args, strict=True):
                 set_field(ty, name, value)
+            set_field(ty, "number", len(_NUMBERED))
+            _NUMBERED.append(ty)
             _INTERNED[key] = ty
         return ty
 
@@ -76,15 +81,8 @@ UNIT_T = Unit()
 EMPTY_T = Empty()
 
 
-def base_names(ty: ObjType) -> frozenset[str]:
-    """Names of all base types mentioned in `ty`."""
-    stack = [ty]
-    names = set()
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Base):
-            names.add(t.name)
-        elif isinstance(t, (Prod, Sum)):
-            stack.append(t.left)
-            stack.append(t.right)
-    return frozenset(names)
+def numbered_type(text: str) -> ObjType | None:
+    """The type whose `number` is written `text` in decimal, or None; no
+    process builds 10**18 types, so longer texts are not converted."""
+    number = int(text) if text.isascii() and text.isdigit() and len(text) < 19 else -1
+    return _NUMBERED[number] if 0 <= number < len(_NUMBERED) and str(number) == text else None

@@ -7,7 +7,9 @@ each other on every initial state.
 """
 
 import functools
+import gc
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -52,9 +54,10 @@ from declogic.imp import (
     print_bexp,
     print_command,
 )
-from declogic.syntax import ParseError, parse_type_code, print_term
+from declogic import syntax
+from declogic.syntax import ParseError, print_term
 from declogic.terms import DecoratedTerm, Op, Proj1, canonical_key, compose_chain
-from declogic.types import Base
+from declogic.types import Base, numbered_type
 from declogic.theory import dump_theory, parse_theory, states_theory
 from reference_imp import Machine, reference_verdict, state_of, store_of
 
@@ -146,11 +149,11 @@ def _nodes(term):
 
 def _typechecks(term):
     """Against the signature extended with the distribution ops the
-    term uses, each declared as its name spells."""
+    term uses, each declared at the type its name numbers."""
     signature = dict(THEORY.signature)
     for node in _nodes(term):
         if isinstance(node, Op) and node.symbol.name.startswith("dist_"):
-            ty = parse_type_code(node.symbol.name[len("dist_"):])
+            ty = numbered_type(node.symbol.name[len("dist_"):])
             symbol = dist_symbol(ty.left, ty.right.left, ty.right.right)
             signature[symbol.name] = symbol
     return typecheck(term, signature).ok
@@ -602,11 +605,15 @@ class _EagerScope(elaborate_module._Scope):
     """A scope that builds the projection chain to every enclosing
     layer when it opens, whether a read uses it or not."""
 
-    def __init__(self, layers=()):
-        super().__init__(layers)
-        for k in reversed(range(len(layers) - 1)):
-            up = Proj1(layers[k][2], Base(layers[k + 1][1]))
-            self.down[k] = [compose_chain(self.down[k + 1] + [up], self.env)]
+    def __init__(self, *args):
+        super().__init__(*args)
+        inner = self
+        while inner.parent is not None and inner.parent.parent is not None:
+            outer = inner.parent
+            up = Proj1(outer.env, inner.slot)
+            self.down[outer] = [compose_chain(self.down[inner] + [up], self.env)]
+            inner = outer
+        self.reach = inner
 
 
 def _nested_handlers(depth):
@@ -634,8 +641,19 @@ def test_projection_chains_built_on_first_read_give_the_same_terms(monkeypatch):
         assert canonical_key(term) == canonical_key(eager), source
 
 
+def _handlers_binding_each_level(depth):
+    """`depth` nested handlers, each binding its own name and writing it."""
+    source = "skip"
+    for level in reversed(range(depth)):
+        source = f"try {{ throw e(x) }} catch e(v{level}) {{ x := v{level}; {source} }}"
+    return parse_command(source)
+
+
 def test_nested_handlers_build_chains_in_linear_time(monkeypatch):
-    """400 nested handlers that each read their own binder."""
+    """400 nested handlers that each read their own binder build a
+    bounded number of chains per handler; `dist` op names grow by a
+    number's digits per level, not by the environment's size; and
+    doubling the nesting at most doubles the time, give or take noise."""
     calls = []
     original = elaborate_module.compose_chain
     monkeypatch.setattr(elaborate_module, "compose_chain",
@@ -645,3 +663,48 @@ def test_nested_handlers_build_chains_in_linear_time(monkeypatch):
         source = f"try {{ throw e(x) }} catch e(v) {{ y := v; {source} }}"
     elaborate(parse_command(source), THEORY)
     assert len(calls) <= 5 * 400
+    monkeypatch.undo()
+
+    def dist_names(depth):
+        return {node.symbol.name for node in _nodes(elaborate(_handlers_binding_each_level(depth),
+                                                            THEORY))
+                if isinstance(node, Op) and node.symbol.name.startswith("dist_")}
+
+    names = {depth: dist_names(depth) for depth in (100, 101, 200, 201)}
+    widest = len("dist_") + len(str(Base("numbered_after_the_handlers").number))
+    for depth in (100, 200):
+        added = len(names[depth + 1]) - len(names[depth])
+        assert 0 < added <= 2, added
+        grown = sum(map(len, names[depth + 1])) - sum(map(len, names[depth]))
+        assert grown <= added * widest, grown
+
+    # Best of 3 at each size, taken in turns so that a busy spell of the
+    # host slows both sizes alike.
+    programs = {depth: _handlers_binding_each_level(depth) for depth in (800, 1600)}
+    best = {depth: float("inf") for depth in programs}
+    for _ in range(3):
+        for depth, cmd in programs.items():
+            gc.collect()
+            start = time.perf_counter()
+            elaborate(cmd, THEORY)
+            best[depth] = min(best[depth], time.perf_counter() - start)
+    assert best[1600] / best[800] <= 2.6, best
+
+
+def test_elaboration_and_checks_print_and_parse_no_type(monkeypatch):
+    """Three nested handlers elaborate and get their verdict without
+    printing or parsing a type, to the same term as when they may."""
+    left = parse_command("try { throw e(x) } catch e(v) { try { throw f(v + 1) } "
+                         "catch f(w) { try { throw e(w * 3) } catch e(u) { y := u } } }")
+    right = parse_command("y := (x + 1) * 3")
+    term = elaborate(left, THEORY)
+    assert reference_verdict(MACHINE, MODEL, left, right, 64) == "strong"
+
+    def refuse(*args):
+        raise AssertionError("a type was printed or parsed")
+
+    monkeypatch.setattr(syntax, "print_type", refuse)
+    monkeypatch.setattr(syntax, "parse_type", refuse)
+    assert canonical_key(elaborate(left, THEORY)) == canonical_key(term)
+    model = build_model(THEORY, default_carriers(THEORY))
+    assert check_equiv(left, right, THEORY, model).kind == "strong"

@@ -599,11 +599,19 @@ class TestValidation:
                 model.interps[dist.symbol.name][(value, (0,))]
             with pytest.raises(CarrierMismatch):
                 eval_term(dist, model, value, (0,))
-        for name in ("dist_", "dist_sum_aV_bunit_c", "dist_prod_aV_bunit_c",
-                     "dist_prod_aW_bsum_aunit_bunit_c_c",
-                     "dist_prod_aV_b_Vsum_aunit_bunit_c_c"):
+        # Names that number no type (the last one past every type built so
+        # far), types that are not a product with a sum on its right, and a
+        # number spelled with a leading zero.
+        not_dist = [Sum(Base("V"), UNIT_T).number, Prod(Base("V"), UNIT_T).number]
+        beyond = Base("numbered_after_the_model").number + 1
+        for name in ("dist_", "dist_V", "dist_-1", *(f"dist_{n}" for n in not_dist),
+                     f"dist_0{dist.symbol.source.number}", f"dist_{beyond}"):
             with pytest.raises(MissingInterpretation):
                 eval_term(Op(OpSymbol(name, UNIT_T, UNIT_T, PURE)), model, UNIT, (0,))
+        # A base without a carrier, once an input reaches it.
+        carrierless = dist_symbol(Base("W"), UNIT_T, UNIT_T)
+        with pytest.raises(MissingInterpretation):
+            eval_term(Op(carrierless), model, (0, ("L", UNIT)), (0,))
 
     def test_state_mutation_by_accessor_flagged(self, st1):
         theory, model = st1

@@ -8,11 +8,9 @@ from declogic.syntax import (
     ParseError,
     parse_term,
     parse_type,
-    parse_type_code,
     print_term,
     print_type,
     print_value,
-    type_code,
 )
 from declogic.terms import (
     Absurd,
@@ -57,8 +55,6 @@ class TestTypeSyntax:
         printed = print_type(ty)
         assert parse_type(printed) == ty
         assert print_type(parse_type(printed)) == printed
-        code = type_code(ty)
-        assert code.isidentifier() and parse_type_code(code) == ty
 
     def test_fixed_forms(self):
         assert print_type(Prod(UNIT_T, Sum(V, EMPTY_T))) == "prod(unit, sum(V, empty))"

@@ -36,7 +36,7 @@ from declogic.terms import (
 )
 from declogic.theory import combine, dual_type, dualize, states_theory
 from declogic.types import (EMPTY_T, UNIT_T, Base, Empty, Prod, Sum, Unit,
-                            base_names)
+                            numbered_type)
 from reference_keys import canonical_key as reference_key
 
 V = Base("V")
@@ -86,9 +86,15 @@ class TestTypes:
         ty = Sum(Prod(V, W), Sum(UNIT_T, EMPTY_T))
         assert dual_type(dual_type(ty)) == ty
 
-    def test_base_names(self):
-        assert base_names(Prod(V, Sum(W, UNIT_T))) == {"V", "W"}
-        assert base_names(UNIT_T) == frozenset()
+    def test_numbered_type_finds_a_type_by_its_number(self):
+        types = [UNIT_T, EMPTY_T, V, Prod(V, Sum(W, UNIT_T)), Base("numbered_only_here")]
+        assert len({ty.number for ty in types}) == len(types)
+        for ty in types:
+            assert numbered_type(str(ty.number)) is ty
+        last = Base("numbered_last").number
+        for text in ("", "x", "-1", "+1", "1_0", " 1", "٣", f"0{last}",
+                     str(last + 1), "9" * 5000):
+            assert numbered_type(text) is None, text
 
     def test_equal_types_are_one_object(self):
         assert Prod(Base("V"), UNIT_T) is Prod(Base("V"), UNIT_T)
