@@ -8,7 +8,7 @@ exception models, printing one verdict line per instantiation.
 import itertools
 import sys
 
-from declogic.cli import _law_lines
+from declogic.cli import report_laws
 from declogic.model import build_model
 from declogic.theory import dualize, states_theory
 
@@ -26,26 +26,16 @@ def model_family():
             yield locations, carriers
 
 
-def check_family(dual: bool) -> int:
-    failures = 0
+def family_runs(dual: bool):
+    """`(locations, model, dual)` for each model of the family."""
     for locations, carriers in model_family():
         theory = states_theory(locations)
-        model = build_model(dualize(theory) if dual else theory, carriers)
-        lines, failed = _law_lines(locations, model, dual)
-        failures += failed
-        for line in lines:
-            print(line)
-    return failures
+        yield locations, build_model(dualize(theory) if dual else theory, carriers), dual
 
 
 def main() -> int:
-    failures = check_family(dual=False)
-    failures += check_family(dual=True)
-    if failures:
-        print(f"{failures} law instantiations FAILED")
-        return 1
-    print("all law instantiations passed")
-    return 0
+    return report_laws(itertools.chain(family_runs(dual=False),
+                                       family_runs(dual=True)))
 
 
 if __name__ == "__main__":

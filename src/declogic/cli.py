@@ -68,15 +68,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _law_lines(locations, model, dual: bool):
-    """Verdict lines for every law instantiation, plus a failure count."""
+    """The verdict line of every law instantiation, with whether it held."""
     theory = states_theory(locations)
     symbol_map = dual_symbol_map(theory) if dual else None
     names = list(locations)
     pairs = [(i, j) for i in names for j in names if i != j]
     if not pairs:
         pairs = [(names[0], None)]
-    lines = []
-    failures = 0
     for i, j in pairs:
         for number, law in enumerate(seven_laws(theory, i, j), start=1):
             if dual:
@@ -86,36 +84,38 @@ def _law_lines(locations, model, dual: bool):
             weak, strong = check_both_eq(law.lhs, law.rhs, model)
             expect_strong = law.mode is Mode.STRONG
             ok = weak is None and ((strong is None) == expect_strong)
-            if not ok:
-                failures += 1
             weak_part = "WEAK ok" if weak is None else "WEAK FAIL"
             strong_part = (
                 "STRONG ok" if strong is None
                 else "STRONG counterexample: " + render_counterexample(strong, model)
             )
             status = "ok" if ok else "FAIL"
-            lines.append(f"{prefix} {weak_part} {strong_part} [{status}]")
-    return lines, failures
+            yield f"{prefix} {weak_part} {strong_part} [{status}]", ok
 
 
-def _cmd_laws(args: argparse.Namespace) -> int:
-    model_config, _, model = _load_model(args.model)
+def report_laws(runs) -> int:
+    """Print the verdict line of every law instantiation of each
+    `(locations, model, dual)` in `runs`, then a summary line; 1 if any
+    instantiation failed, else 0.  `dual` checks the dual laws, over
+    exceptions named by `locations`."""
     failures = 0
-    if model_config.locations:
-        lines, failed = _law_lines(model_config.locations, model, dual=False)
-        failures += failed
-        for line in lines:
-            print(line)
-    if model_config.exceptions:
-        lines, failed = _law_lines(model_config.exceptions, model, dual=True)
-        failures += failed
-        for line in lines:
+    for locations, model, dual in runs:
+        for line, ok in _law_lines(locations, model, dual):
+            failures += not ok
             print(line)
     if failures:
         print(f"{failures} law instantiations FAILED")
         return 1
     print("all law instantiations passed")
     return 0
+
+
+def _cmd_laws(args: argparse.Namespace) -> int:
+    config, _, model = _load_model(args.model)
+    return report_laws((names, model, dual)
+                       for names, dual in ((config.locations, False),
+                                           (config.exceptions, True))
+                       if names)
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:

@@ -1,5 +1,7 @@
 """An imperative language with exceptions, compiled to decorated terms."""
 
+from types import ModuleType as _Module
+
 from .ast import (
     Add,
     AExp,
@@ -41,48 +43,6 @@ from .elaborate import (
 from .equiv import FUEL_EXHAUSTED, NOT_EQUAL, STRONG, WEAK, Verdict, check_equiv
 from .parser import parse_aexp, parse_bexp, parse_command
 
-__all__ = [
-    "AExp",
-    "Add",
-    "And",
-    "Assign",
-    "BExp",
-    "BFalse",
-    "BOOL_T",
-    "BTrue",
-    "Clause",
-    "Command",
-    "ElaborationError",
-    "Eq",
-    "FUEL_EXCEPTION",
-    "FUEL_EXHAUSTED",
-    "If",
-    "Le",
-    "Lit",
-    "Loc",
-    "Mul",
-    "NOT_EQUAL",
-    "Not",
-    "STRONG",
-    "Seq",
-    "Skip",
-    "Sub",
-    "Throw",
-    "TryCatch",
-    "UndeclaredException",
-    "UndeclaredLocation",
-    "Verdict",
-    "WEAK",
-    "While",
-    "build_imp_theory",
-    "check_equiv",
-    "default_carriers",
-    "dist_symbol",
-    "elaborate",
-    "parse_aexp",
-    "parse_bexp",
-    "parse_command",
-    "print_aexp",
-    "print_bexp",
-    "print_command",
-]
+# The public names: what the modules above export, but not the modules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -466,7 +466,7 @@ def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
         exceptions=dict(theory.exceptions),
         interps=interps,
     )
-    interps.model, interps.states = model, frozenset(model.states)
+    interps.model, interps.states, interps.points = model, frozenset(model.states), {}
     for name in theory.signature:
         try:
             interps[name]
@@ -478,10 +478,12 @@ def build_model(theory, carriers: dict[str, tuple]) -> FiniteModel:
 
 
 class _Interps(dict):
-    """Tables by operation name; a missing name gets the table of its family."""
+    """Tables by operation name; a missing name gets the table of its family.
+    `points` holds the pairs that `dist` tables have found inside points
+    of their types, which all of them share."""
 
     def __missing__(self, name):
-        family = _family(name, self.model)
+        family = _family(name, self.model, self.points)
         if family is None:
             raise KeyError(name)
         self[name] = table = _Table(*family, self.states)
@@ -513,8 +515,9 @@ _ON_PAIRS = {
 }
 
 
-def _family(name: str, model: FiniteModel):
-    """(in_domain, entry) of the op named `kind_arg`; None if `kind` or `arg` is unknown."""
+def _family(name: str, model: FiniteModel, points: dict):
+    """(in_domain, entry) of the op named `kind_arg`; None if `kind` or `arg`
+    is unknown.  A `dist` op checks its inputs with `_inhabits` over `points`."""
     kind, _, arg = name.partition("_")
     if kind in ("lookup", "update") and arg in model.locations:
         i = model.location_index[arg]
@@ -531,7 +534,7 @@ def _family(name: str, model: FiniteModel):
     ty = numbered_type(arg) if kind == "dist" else None
     if isinstance(ty, Prod) and isinstance(ty.right, Sum):
         sets = {base: frozenset(carrier) for base, carrier in model.carriers.items()}
-        return (lambda v: _inhabits(ty, v, sets, name),
+        return (lambda v: _inhabits(ty, v, sets, name, points),
                 lambda v, s: ((v[1][0], (v[0], v[1][1])), s))
     carrier = model.carriers.get(arg)
     if carrier is None or kind not in _ON_PAIRS:
@@ -544,16 +547,27 @@ def _family(name: str, model: FiniteModel):
             and v[0] in values and v[1] in values), lambda v, s: (fn(*v, size), s)
 
 
-def _inhabits(ty: ObjType, value, sets: dict[str, frozenset], name: str) -> bool:
+def _inhabits(ty: ObjType, value, sets: dict[str, frozenset], name: str,
+              points: dict) -> bool:
     """Whether `value` is an ordinary point of `ty`, where `sets` holds the
     carriers by base; a loop, so deep types are checked.  A base without
-    a carrier leaves op `name` with no interpretation."""
+    a carrier leaves op `name` with no interpretation.  Each pair inside a
+    point is kept in `points` by its type and identity, with the pair so
+    that the identity stays its own, and is not walked again: the
+    environment a handler's `dist` reads is a pair that holds the
+    environment of the handler around it.  `value` itself is not kept, as
+    its table keeps its entry."""
     todo = [(ty, value)]
+    pairs = []
     while todo:
         ty, v = todo.pop()
         pair = type(v) is tuple and len(v) == 2
         if isinstance(ty, Prod) and pair:
+            if (ty, id(v)) in points:
+                continue
             todo += ((ty.left, v[0]), (ty.right, v[1]))
+            if v is not value:
+                pairs.append((ty, v))
         elif isinstance(ty, Sum) and pair and v[0] in ("L", "R"):
             todo.append((ty.left if v[0] == "L" else ty.right, v[1]))
         elif isinstance(ty, Base) and ty.name not in sets:
@@ -562,6 +576,7 @@ def _inhabits(ty: ObjType, value, sets: dict[str, frozenset], name: str) -> bool
         elif not (v is UNIT if isinstance(ty, Unit)
                   else isinstance(ty, Base) and v in sets[ty.name]):
             return False
+    points.update(((ty, id(v)), v) for ty, v in pairs)
     return True
 
 

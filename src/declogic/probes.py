@@ -6,7 +6,9 @@ assembled from the rule's schema.  When the checker accepts the step,
 the conclusion is re-checked against the model; a model refutation of
 an accepted step is a soundness violation and means a rule's side
 conditions are too weak.  Rejected and unbuildable candidates still
-count toward the sample budget, they just cannot witness anything.
+count toward the sample budget, they just cannot witness anything: a
+sampler with nothing to draw raises `NoCandidate`, as a checker raises
+`RuleError` on a step it refuses, and the probe counts a skip.
 
 `UNSOUND_VARIANTS` is the calibration: each variant names side
 conditions (see `declogic.rules`) that the probe drops from the real
@@ -59,6 +61,11 @@ from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
 from .terms import Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id, Mode
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
+
+
+class NoCandidate(Exception):
+    """A sampler has nothing to draw: a pool is empty, or the theory
+    lacks what the rule's schema needs."""
 
 
 class ProbeViolation(Record):
@@ -228,10 +235,10 @@ class ProbeContext:
         return pool
 
     def rand(self, src: ObjType, tgt: ObjType,
-             prefer_effectful: bool = False) -> DecoratedTerm | None:
+             prefer_effectful: bool = False) -> DecoratedTerm:
         pool = self.pool(src, tgt)
         if not pool:
-            return None
+            raise NoCandidate
         if prefer_effectful:
             ranked = sorted(pool, key=lambda t: (t.decoration.state
                                                  + t.decoration.exc),
@@ -246,10 +253,10 @@ class ProbeContext:
         return self.rng.choice((Mode.STRONG, Mode.WEAK))
 
     def equal_pair(self, src: ObjType, tgt: ObjType, mode: Mode):
-        """Two pool members equal at `mode` in the model, else None."""
+        """Two pool members equal at `mode` in the model."""
         pool = self._pool_for(src, tgt)
         if not pool.members:
-            return None
+            raise NoCandidate
         rich = [cls for cls in pool.classes[mode].values() if len(cls) >= 2]
         if rich:
             cls = self.rng.choice(rich)
@@ -268,7 +275,7 @@ class ProbeContext:
         return None
 
     def pair_anywhere(self, mode: Mode, prefer_weak_only: bool = False):
-        """(f, g, src, tgt) equal at `mode` over randomly drawn types."""
+        """(f, g) equal at `mode` over randomly drawn types."""
         if (prefer_weak_only and mode is Mode.WEAK
                 and self.rng.random() < 0.7):
             order = list(self._pairs)
@@ -276,12 +283,8 @@ class ProbeContext:
             for src, tgt in order:
                 found = self.weak_only_pair(src, tgt)
                 if found is not None:
-                    return (*found, src, tgt)
-        src, tgt = self.rng.choice(self._pairs)
-        found = self.equal_pair(src, tgt, mode)
-        if found is None:
-            return None
-        return (*found, src, tgt)
+                    return found
+        return self.equal_pair(*self.rng.choice(self._pairs), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -289,58 +292,42 @@ class ProbeContext:
 
 
 def _s_refl(ctx):
-    a, b = ctx.some_type(), ctx.some_type()
-    t = ctx.rand(a, b)
-    if t is None:
-        return None
+    t = ctx.rand(ctx.some_type(), ctx.some_type())
     return [], Equation(ctx.mode(), t, t)
 
 
 def _s_sym(ctx):
     mode = ctx.mode()
-    got = ctx.pair_anywhere(mode)
-    if got is None:
-        return None
-    f, g, _, _ = got
+    f, g = ctx.pair_anywhere(mode)
     return [Equation(mode, f, g)], Equation(mode, g, f)
 
 
 def _s_trans(ctx):
     mode = ctx.mode()
-    src, tgt = ctx.rng.choice(ctx._pairs)
-    pool = ctx._pool_for(src, tgt)
-    if not pool.members:
-        return None
-    cls = ctx.rng.choice(list(pool.classes[mode].values()))
+    classes = ctx._pool_for(*ctx.rng.choice(ctx._pairs)).classes[mode]
+    if not classes:
+        raise NoCandidate
+    cls = ctx.rng.choice(list(classes.values()))
     f, g, h = (ctx.rng.choice(cls) for _ in range(3))
     return ([Equation(mode, f, g), Equation(mode, g, h)],
             Equation(mode, f, h))
 
 
 def _s_strong_to_weak(ctx):
-    got = ctx.pair_anywhere(Mode.STRONG)
-    if got is None:
-        return None
-    f, g, _, _ = got
+    f, g = ctx.pair_anywhere(Mode.STRONG)
     return [Equation(Mode.STRONG, f, g)], Equation(Mode.WEAK, f, g)
 
 
 def _s_effect(ctx):
-    got = ctx.pair_anywhere(Mode.WEAK, prefer_weak_only=True)
-    if got is None:
-        return None
-    f, g, _, _ = got
+    f, g = ctx.pair_anywhere(Mode.WEAK, prefer_weak_only=True)
     return [Equation(Mode.WEAK, f, g)], Equation(Mode.STRONG, f, g)
 
 
 def _s_obs(ctx):
     if not ctx.theory.obs_rules:
-        return None
+        raise NoCandidate
     rule = ctx.rng.choice(ctx.theory.obs_rules)
-    got = ctx.pair_anywhere(Mode.WEAK, prefer_weak_only=True)
-    if got is None:
-        return None
-    f, g, _, _ = got
+    f, g = ctx.pair_anywhere(Mode.WEAK, prefer_weak_only=True)
     premises = [Equation(Mode.WEAK, l, r) for l, r in _obs_family(rule, f, g)]
     return premises, Equation(Mode.STRONG, f, g)
 
@@ -352,15 +339,9 @@ def _arrow(axis: Axis, a: ObjType, b: ObjType) -> tuple[ObjType, ObjType]:
 
 def _s_subs(axis, ctx):
     mode = ctx.mode()
-    got = ctx.pair_anywhere(mode, prefer_weak_only=True)
-    if got is None:
-        return None
-    f, g, _, _ = got
-    inner_src = ctx.some_type()
-    h = ctx.rand(*_arrow(axis, inner_src, axis.src(f)),
+    f, g = ctx.pair_anywhere(mode, prefer_weak_only=True)
+    h = ctx.rand(*_arrow(axis, ctx.some_type(), axis.src(f)),
                  prefer_effectful=ctx.rng.random() < 0.5)
-    if h is None:
-        return None
     return ([Equation(mode, f, g)],
             Equation(mode, axis.comp(f, h), axis.comp(g, h)))
 
@@ -368,12 +349,8 @@ def _s_subs(axis, ctx):
 def _s_cong(axis, ctx):
     a, b, c = ctx.some_type(), ctx.some_type(), ctx.some_type()
     m1, m2 = ctx.mode(), ctx.mode()
-    first = ctx.equal_pair(*_arrow(axis, a, b), m1)
-    second = ctx.equal_pair(*_arrow(axis, a, c), m2)
-    if first is None or second is None:
-        return None
-    f, f2 = first
-    g, g2 = second
+    f, f2 = ctx.equal_pair(*_arrow(axis, a, b), m1)
+    g, g2 = ctx.equal_pair(*_arrow(axis, a, c), m2)
     both_strong = m1 is Mode.STRONG and m2 is Mode.STRONG
     cmode = Mode.STRONG if both_strong and ctx.rng.random() < 0.7 else Mode.WEAK
     return ([Equation(m1, f, f2), Equation(m2, g, g2)],
@@ -382,12 +359,9 @@ def _s_cong(axis, ctx):
 
 def _s_unit_weak(axis, ctx):
     if axis.unit not in ctx.types:
-        return None
+        raise NoCandidate
     arrow = _arrow(axis, ctx.some_type(), axis.unit)
-    f, g = ctx.rand(*arrow), ctx.rand(*arrow)
-    if f is None or g is None:
-        return None
-    return [], Equation(Mode.WEAK, f, g)
+    return [], Equation(Mode.WEAK, ctx.rand(*arrow), ctx.rand(*arrow))
 
 
 def _s_proj(axis, ctx, i):
@@ -397,8 +371,6 @@ def _s_proj(axis, ctx, i):
     kept = ctx.rand(*_arrow(axis, a, b))
     discarded = ctx.rand(*_arrow(axis, a, c),
                          prefer_effectful=ctx.rng.random() < 0.5)
-    if kept is None or discarded is None:
-        return None
     parts = (kept, discarded) if i == 0 else (discarded, kept)
     proj = axis.proj[i](*map(axis.tgt, parts))
     lhs = axis.comp(proj, axis.pair(*parts))
@@ -407,12 +379,10 @@ def _s_proj(axis, ctx, i):
 
 def _s_bang_2(axis, ctx):
     if axis.unit not in ctx.types:
-        return None
+        raise NoCandidate
     a = ctx.some_type()
     kept = ctx.rand(*_arrow(axis, a, axis.unit),
                     prefer_effectful=ctx.rng.random() < 0.5)
-    if kept is None:
-        return None
     lhs = axis.comp(axis.proj[1](axis.unit, axis.unit),
                     axis.pair(kept, axis.bang(a)))
     return [], Equation(ctx.mode(), lhs, kept)
@@ -425,8 +395,6 @@ def _s_fuse_2(axis, ctx):
     g = ctx.rand(*_arrow(axis, a, c))
     h = ctx.rand(*_arrow(axis, c, d),
                  prefer_effectful=ctx.rng.random() < 0.5)
-    if f is None or g is None or h is None:
-        return None
     lhs = axis.comp(h, axis.comp(axis.proj[1](axis.tgt(f), axis.tgt(g)),
                                  axis.pair(f, g)))
     rhs = axis.comp(axis.proj[1](axis.tgt(f), axis.tgt(h)),
@@ -441,8 +409,6 @@ def _s_comp(axis, ctx):
     g = ctx.rand(*_arrow(axis, a, c))
     h = ctx.rand(*_arrow(axis, d, a),
                  prefer_effectful=ctx.rng.random() < 0.5)
-    if f is None or g is None or h is None:
-        return None
     lhs = axis.comp(axis.pair(f, g), h)
     rhs = axis.pair(axis.comp(f, h), axis.comp(g, h))
     return [], Equation(ctx.mode(), lhs, rhs)
@@ -490,12 +456,11 @@ def soundness_probe(rule: str, theory: Theory, model: FiniteModel,
     rejected_by: dict[str, int] = {}
     violations: list[ProbeViolation] = []
     for _ in range(samples):
-        candidate = sampler(ctx)
-        if candidate is None:
-            skipped += 1
-            continue
-        premises, conclusion = candidate
-        if any(ctx.check(p) is not None for p in premises):
+        try:
+            premises, conclusion = sampler(ctx)
+            if any(ctx.check(p) is not None for p in premises):
+                raise NoCandidate
+        except NoCandidate:
             skipped += 1
             continue
         try:

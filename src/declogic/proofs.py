@@ -149,7 +149,7 @@ def parse_script(text: str, signature) -> ProofScript:
     give the script line and the column within it.
     """
     goal, steps = None, []
-    for lineno, head, values in read_lines(text, "script", signature, {}):
+    for lineno, head, values in read_lines(text, "script", signature):
         if goal is None:
             if head != "goal":
                 raise ParseError("expected a goal line first", lineno, 1)

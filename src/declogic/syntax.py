@@ -485,18 +485,18 @@ _FORMATS = {fmt: {head: _LINE_FORMS[head] for head, (_, fmts) in LINE_FORMS.item
             for fmt in ("model", "theory", "script")}
 
 
-def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None,
-               sides: dict[str, DecoratedTerm] | None = None):
+def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None):
     """`(lineno, head, values)` for each line of `text`, a file in format
     `fmt`, with one value for each hole of the line's form.  In a format
     with `op` lines, a line that holds terms comes after every line that
     holds none, so its terms may use the ops the caller has put in
     `signature` from any `op` line.  Equal side texts of equations share
-    one term throughout `sides` if it is given, else within their line."""
+    one term throughout `text`."""
     forms = _FORMATS[fmt]
     later: list | None = [] if "op" in forms else None
     lines = enumerate(text.split("\n"), start=1)
     declared: set[tuple[str, str]] = set()
+    sides: dict[str, DecoratedTerm] = {}
     while lines:
         for lineno, raw in lines:
             code = raw.split("#", 1)[0]
@@ -518,11 +518,10 @@ def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None
                 if name in declared:
                     raise ParseError(f"{head} {name[1]!r} declared twice", lineno, 1)
                 declared.add(name)
-            shared = {} if sides is None else sides
             values: list = []
             try:
                 for part, read in zip(found.groups(), form[2]):
-                    values.append(read(part.strip(), signature, shared))
+                    values.append(read(part.strip(), signature, sides))
             except ParseError as err:
                 hole = len(values) + 1
                 part = found[hole]

@@ -428,8 +428,9 @@ def chain_factors(term: DecoratedTerm) -> list[DecoratedTerm]:
 
 
 # Every key met in this process, numbered in order of first use.  A key
-# is a leaf's class and arguments, a pair's or case's class and child ids,
-# or the ids of two or more chain factors.
+# is a leaf's class and arguments (a constant's value as its literal), a
+# pair's or case's class and child ids, or the ids of two or more chain
+# factors.
 _IDS: dict[tuple, int] = {}
 
 
@@ -481,6 +482,8 @@ def canonical_key(term: DecoratedTerm) -> int:
         elif isinstance(node, CaseSeq):
             key = (CaseSeq, node.on_left._canonical_key,
                    node.on_right._canonical_key)
+        elif isinstance(node, Const):
+            key = (Const, _value_key(node.value, node.at), node.at)
         else:
             form = FORMS.get(type(node))
             if form is None:
@@ -488,6 +491,19 @@ def canonical_key(term: DecoratedTerm) -> int:
             key = (type(node), *form.args(node))
         object.__setattr__(node, "_canonical_key", _IDS.setdefault(key, len(_IDS)))
     return term._canonical_key
+
+
+def _value_key(value, at: ObjType):
+    """A constant's value as its printed literal, a flat string however
+    deep the value nests, so looking its key up never recurses.  A value
+    with no literal form is keyed as `(value, at)`, which no string
+    equals."""
+    from .syntax import print_value
+
+    try:
+        return print_value(value, at)
+    except (ValueError, TypeError):
+        return (value, at)
 
 
 def compose_chain(factors: list[DecoratedTerm], source: ObjType) -> DecoratedTerm:

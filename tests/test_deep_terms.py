@@ -6,14 +6,14 @@ go through the `check` and `prove` subcommands with their normal exit
 codes, and copies of a 50k-deep nested pair get comparable ids.  A
 100k-deep product type must parse, print, dualize and go through a
 theory dump and `check`, and a constant whose literal and type are both
-that deep must parse and print back.  A 100k-statement program must
-parse, print, elaborate and get a verdict.  So must programs nested
-100k deep: `if` in then-branches, `while`, `try` through its body,
-`not`, an `and` chain, and boolean and arithmetic parentheses, each
-printing back to its own text; `imp-equiv` gives 30k-deep programs
-their verdicts.  A 100k-term sum must elaborate, get a verdict and
-print back, and a handler over a 1500-value carrier must elaborate and
-get a verdict.
+that deep must parse, print back and get one id for separately parsed
+copies.  A 100k-statement program must parse, print, elaborate and get
+a verdict.  So must programs nested 100k deep: `if` in then-branches,
+`while`, `try` through its body, `not`, an `and` chain, and boolean and
+arithmetic parentheses, each printing back to its own text; `imp-equiv`
+gives 30k-deep programs their verdicts.  A 100k-term sum must
+elaborate, get a verdict and print back, and a handler over a
+1500-value carrier must elaborate and get a verdict.
 
 Handlers nested inside handlers are left out.  Each one widens the
 environment Γ, the product of the caught values a handler can read, so
@@ -99,6 +99,16 @@ def test_deep_literal_round_trips():
     assert term.value[1] == 0 and term.at.right is Base("V")
 
 
+def test_deep_constants_share_one_id():
+    # A constant is keyed by its literal, so two separately parsed copies
+    # get one id without comparing their values.
+    literal = "(" * 100_000 + "1" + ", 0)" * 100_000
+    text = f"const({literal}, {DEEP_TYPE})"
+    key = canonical_key(parse_term(text))
+    assert canonical_key(parse_term(text)) == key
+    assert canonical_key(parse_term(text.replace("(1, 0)", "(0, 0)"))) != key
+
+
 def test_deep_type_in_a_theory_dump():
     line = f"op deep : unit -> {DEEP_TYPE} @ (0,0)"
     dump = dump_theory(parse_theory(dump_theory(states_theory({"x": "V"}))
@@ -142,6 +152,20 @@ def test_check_and_prove_exit_normally(tmp_path, capsys):
                       f"step 1: refl [] |- strong {CHAIN} = id(unit)\n")
     assert main(["prove", str(script), "--theory", str(model)]) == 1
     assert capsys.readouterr().out.startswith("rejected at step 1: ")
+
+
+def test_prove_cites_an_axiom_with_a_deep_constant(tmp_path, capsys):
+    literal = "(" * 3_000 + "1" + ", 0)" * 3_000
+    deep = "prod(" * 3_000 + "V" + ", V)" * 3_000
+    const = f"const({literal}, {deep})"
+    theory = tmp_path / "deep.theory"
+    theory.write_text(dump_theory(states_theory({"x": "V"}))
+                      + f"axiom deep : strong {const} = {const}\n")
+    script = tmp_path / "deep.proof"
+    script.write_text(f"goal strong {const} = {const}\n"
+                      f"step 1: axiom [deep] |- strong {const} = {const}\n")
+    assert main(["prove", str(script), "--theory", str(theory)]) == 0
+    assert capsys.readouterr().out == "accepted\n"
 
 
 STATEMENTS = 100_000  # an even number of flips of x, so the same as skip

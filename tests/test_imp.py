@@ -8,6 +8,7 @@ each other on every initial state.
 
 import functools
 import gc
+import inspect
 import sys
 import time
 
@@ -689,6 +690,41 @@ def test_nested_handlers_build_chains_in_linear_time(monkeypatch):
             elaborate(cmd, THEORY)
             best[depth] = min(best[depth], time.perf_counter() - start)
     assert best[1600] / best[800] <= 2.6, best
+
+
+def _dist_check_visits(depth):
+    """How many value nodes `_inhabits` visits while `depth` nested
+    handlers are checked against `skip`: the runs of its `todo.pop()`
+    line, counted by a tracer on its frames alone."""
+    from declogic import model as model_module
+
+    code = model_module._inhabits.__code__
+    lines, first = inspect.getsourcelines(code)
+    pop = first + next(i for i, line in enumerate(lines) if "todo.pop()" in line)
+    visits = 0
+
+    def count(frame, event, arg):
+        nonlocal visits
+        visits += event == "line" and frame.f_lineno == pop
+        return count
+
+    program = _handlers_binding_each_level(depth)
+    model = build_model(THEORY, default_carriers(THEORY))
+    saved = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        check_equiv(program, Skip(), THEORY, model)
+    finally:
+        sys.settrace(saved)
+    return visits
+
+
+def test_dist_checks_visit_each_environment_once():
+    """A `dist` table checks its input's environment only where no table
+    has checked it before, so doubling the nesting about doubles the
+    nodes visited rather than quadrupling them."""
+    small, large = _dist_check_visits(100), _dist_check_visits(200)
+    assert 0 < large <= 2.2 * small, (small, large)
 
 
 def test_elaboration_and_checks_print_and_parse_no_type(monkeypatch):

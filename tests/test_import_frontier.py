@@ -45,6 +45,21 @@ PUBLIC = {
                         "soundness_probe"],
     "declogic.derivations": ["ScriptBuilder", "all_law_scripts", "law_script"],
 }
+# The public names of `declogic.imp`, by the module that defines them.
+IMP_PUBLIC = {
+    "declogic.imp.ast": ["AExp", "Add", "And", "Assign", "BExp", "BFalse",
+                         "BTrue", "Clause", "Command", "Eq", "If", "Le", "Lit",
+                         "Loc", "Mul", "Not", "Seq", "Skip", "Sub", "Throw",
+                         "TryCatch", "While", "print_aexp", "print_bexp",
+                         "print_command"],
+    "declogic.imp.elaborate": ["BOOL_T", "ElaborationError", "FUEL_EXCEPTION",
+                               "UndeclaredException", "UndeclaredLocation",
+                               "build_imp_theory", "default_carriers",
+                               "dist_symbol", "elaborate"],
+    "declogic.imp.equiv": ["FUEL_EXHAUSTED", "NOT_EQUAL", "STRONG", "Verdict",
+                           "WEAK", "check_equiv"],
+    "declogic.imp.parser": ["parse_aexp", "parse_bexp", "parse_command"],
+}
 PUBLIC_MODULES = ["derivations", "generate", "imp", "model", "probes", "proofs",
                   "rules", "syntax", "terms", "theory", "types"]
 
@@ -130,6 +145,23 @@ print(json.dumps([sorted(declogic.__all__), same]))
     names, same = json.loads(done.stdout)
     pinned = sorted(sum(PUBLIC.values(), PUBLIC_MODULES))
     assert len(pinned) == 97
+    assert names == pinned
+    assert same
+
+
+def test_imp_public_names_are_pinned_and_keep_their_objects():
+    done = _python("-c", f"""
+import importlib, json
+import declogic.imp as imp
+homes = {IMP_PUBLIC!r}
+same = all(getattr(imp, name) is getattr(importlib.import_module(home), name)
+           for home, names in homes.items() for name in names)
+print(json.dumps([imp.__all__, same]))
+""")
+    assert done.returncode == 0, done.stderr
+    names, same = json.loads(done.stdout)
+    pinned = sorted(sum(IMP_PUBLIC.values(), []))
+    assert len(pinned) == 43
     assert names == pinned
     assert same
 

@@ -14,6 +14,7 @@ from declogic.model import build_model, check_eq, check_strong_eq, check_weak_eq
 from declogic import rules
 from declogic.probes import (
     _SAMPLERS,
+    NoCandidate,
     ProbeContext,
     UNSOUND_VARIANTS,
     probe_all,
@@ -325,10 +326,10 @@ def test_sampled_steps_are_well_typed(flavor):
     ctx = ProbeContext(theory, model, random.Random(f"0:{flavor}"))
     for rule in RULES:
         for _ in range(200):
-            candidate = _SAMPLERS[rule](ctx)
-            if candidate is None:
+            try:
+                premises, conclusion = _SAMPLERS[rule](ctx)
+            except NoCandidate:
                 continue
-            premises, conclusion = candidate
             for eq in (*premises, conclusion):
                 for side in (eq.lhs, eq.rhs):
                     assert typecheck(side, theory.signature).ok, (rule, side)
@@ -362,10 +363,10 @@ def test_mirror_rules_agree_on_dualized_steps(flavor):
     compared = 0
     for rule in RULES:
         for _ in range(200):
-            candidate = _SAMPLERS[rule](ctx)
-            if candidate is None:
+            try:
+                premises, conclusion = _SAMPLERS[rule](ctx)
+            except NoCandidate:
                 continue
-            premises, conclusion = candidate
             try:
                 dual_premises = [dualize_equation(p, symbols)
                                  for p in premises]

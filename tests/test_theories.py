@@ -254,6 +254,15 @@ class TestTheoryDump:
         assert parsed.axioms == both.axioms
         assert dump_theory(parsed) == text
 
+    def test_repeated_side_text_is_one_term(self):
+        # Equal side texts share one term across a dump's lines, as in a
+        # proof script.
+        text = dump_theory(states_theory({"x": "V"})) + (
+            "axiom swapped : weak id(V) = comp(op(lookup_x), op(update_x))\n")
+        axioms = parse_theory(text).axioms
+        assert axioms["swapped"].lhs is axioms["st_ax1_x"].rhs
+        assert axioms["swapped"].rhs is axioms["st_ax1_x"].lhs
+
     def test_dual_dump_round_trip(self):
         ex = dualize(states_theory({"e": "P"}))
         assert dump_theory(parse_theory(dump_theory(ex))) == dump_theory(ex)
