@@ -1,7 +1,7 @@
 """Decide whether two programs are equivalent over a finite model."""
 from __future__ import annotations
 
-from ..model import Exc, FiniteModel, eval_term, scan_points
+from ..model import Exc, FiniteModel, ModelError, eval_points, eval_term, scan_points
 from ..record import Record
 from ..theory import Theory
 from .ast import Command
@@ -41,6 +41,27 @@ def _out_of_fuel(value: object) -> bool:
     return isinstance(value, Exc) and value.name == FUEL_EXCEPTION
 
 
+def _results(left, right, model: FiniteModel, points: list):
+    """Each point of `points` with the (value, final state) results of
+    `left` and `right` there, in order.
+
+    Both programs are walked at every point at once.  If that walk raises,
+    the points are walked one by one and lazily, so the caller meets the
+    point walk's first error only if its scan gets that far."""
+    try:
+        return zip(points, eval_points(left, model, points),
+                   eval_points(right, model, points))
+    except (ModelError, TypeError):
+        return _point_by_point(left, right, model, points)
+
+
+def _point_by_point(left, right, model: FiniteModel, points: list):
+    for v, state in points:
+        got_l = eval_term(left, model, v, state)
+        got_r = eval_term(right, model, v, state)
+        yield (v, state), (got_l.value, got_l.state), (got_r.value, got_r.state)
+
+
 def check_equiv(
     first: Command,
     second: Command,
@@ -59,16 +80,16 @@ def check_equiv(
     right = elaborate(second, theory, fuel)
     exhausted = None
     weak_only = None
-    for v, state in scan_points(left.source, model, False, (left, right)):
-        got_l = eval_term(left, model, v, state)
-        got_r = eval_term(right, model, v, state)
-        if _out_of_fuel(got_l.value) or _out_of_fuel(got_r.value):
+    points = scan_points(left.source, model, False, (left, right))
+    for (_, state), (value_l, final_l), (value_r, final_r) in _results(
+            left, right, model, points):
+        if _out_of_fuel(value_l) or _out_of_fuel(value_r):
             if exhausted is None:
                 exhausted = state
             continue
-        if got_l.value != got_r.value:
+        if value_l != value_r:
             return Verdict(NOT_EQUAL, state)
-        if got_l.state != got_r.state and weak_only is None:
+        if final_l != final_r and weak_only is None:
             weak_only = state
     if exhausted is not None:
         return Verdict(FUEL_EXHAUSTED, exhausted)

@@ -28,7 +28,12 @@ degenerates to agreement on ordinary arguments; with no exceptions it
 degenerates to value agreement.  Every check walks the points
 `scan_points` lists, in its one order (state-major; ordinary inputs,
 then exceptional ones), and reports the first difference;
-`check_both_eq` gives both verdicts from one walk.
+`check_both_eq` gives both verdicts from one walk.  These checks stop at
+their first difference, so they evaluate point by point with
+`eval_term`.  `imp.check_equiv` reads every live state of two whole
+programs unless their results differ early, so it evaluates each program at all its points at once with
+`eval_points`, by the same rules, and scans the results in the same
+order.
 
 A check walks only the live states: those whose locations outside both
 sides' footprint (the locations their `lookup_x` and `update_x` ops
@@ -226,9 +231,10 @@ _LEAVES = {
 _RUN = object()
 
 
-def _op_error(interps: dict, name: str, v, s) -> ModelError:
+def _op_error(interps: dict, name: str, key) -> ModelError:
     if name not in interps:
         return MissingInterpretation(f"operation {name!r} has no interpretation")
+    v, s = key
     return CarrierMismatch(
         f"operation {name!r} undefined on input {v!r} in state {s!r}")
 
@@ -265,7 +271,7 @@ def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> O
                     try:
                         v, s = interps[t.symbol.name][(v, s)]
                     except KeyError:
-                        raise _op_error(interps, t.symbol.name, v, s) from None
+                        raise _op_error(interps, t.symbol.name, (v, s)) from None
             elif kind is PairSeq:
                 if not exc:
                     frames.append((t, v))
@@ -295,6 +301,131 @@ def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> O
             raise
         raise CarrierMismatch(f"{kind.__name__} undefined on input {v!r} "
                               f"in state {s!r}") from None
+
+
+# The post-steps of `eval_points`, the first field of each of its frames.
+_THEN, _SECOND, _PAIRED, _CAUGHT, _LEFT, _MERGE = range(6)
+
+
+def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
+    """The (value, state) result of `term` at each (value, state) point of
+    `points`, in their order, by the rules of `eval_term`.
+
+    One walk carries every point through the term, so each node is
+    dispatched once for all the points that reach it rather than once per
+    point.  Iterative, so terms of any depth evaluate.  Never mutates a
+    list it is handed: `Id` returns its input list itself."""
+    interps = model.interps
+    # Each frame is a post-step, run on the results of the node above it.
+    # (_THEN, node) runs `node` on them.  (_SECOND, pair, inputs) runs the
+    # pair's second half on each input with the state its first half left,
+    # where that half's result is ordinary, and (_PAIRED, firsts) pairs the
+    # results with those of the first half.  (_CAUGHT, node) runs `node` on
+    # the exceptional results.  (_MERGE, results, where) puts them in
+    # `results` at positions `where` and hands `results` on; (_LEFT, node,
+    # lefts, results, where) does so and then runs `node` on `lefts`.  A
+    # subset of points runs with a _MERGE under it.
+    frames: list[tuple] = []
+    t, pts = term, points
+    try:
+        while True:
+            kind = type(t)
+            if kind is Comp:
+                frames.append((_THEN, t.outer))
+                t = t.inner
+                continue
+            if kind is PairSeq:
+                where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
+                if where:
+                    if len(where) < len(pts):
+                        frames.append((_MERGE, list(pts), where))
+                        pts = [pts[i] for i in where]
+                    frames.append((_SECOND, t.second, pts))
+                    t = t.first
+                    continue
+            elif kind is CaseSeq:
+                lefts, rights, lwhere, rwhere = [], [], [], []
+                for i, (v, s) in enumerate(pts):
+                    if type(v) is not Exc:
+                        tag, v = v
+                        if tag == "L":
+                            lefts.append((v, s))
+                            lwhere.append(i)
+                            continue
+                    rights.append((v, s))
+                    rwhere.append(i)
+                if not rights:
+                    t, pts = t.on_left, lefts
+                    continue
+                if lefts:
+                    results = [None] * len(pts)
+                    frames.append((_MERGE, results, lwhere))
+                    frames.append((_LEFT, t.on_left, lefts, results, rwhere))
+                frames.append((_CAUGHT, t.on_left))
+                t, pts = t.on_right, rights
+                continue
+            elif kind is Op:
+                symbol = t.symbol
+                try:
+                    table = interps[symbol.name]
+                    if symbol.decoration.exc > 1:
+                        pts = [table[p] for p in pts]
+                    else:
+                        pts = [p if type(p[0]) is Exc else table[p] for p in pts]
+                except KeyError as missing:
+                    raise _op_error(interps, symbol.name, missing.args[0]) from None
+            elif kind is not Id:
+                leaf = _LEAVES.get(kind)
+                if leaf is None:
+                    raise TypeError(f"not a term: {t!r}")
+                pts = [p if type(p[0]) is Exc else (leaf(t, p[0]), p[1]) for p in pts]
+            # `pts` holds the results of `t`: run the post-steps down to the
+            # next one that runs a node, or return them when none is left.
+            while frames:
+                frame = frames.pop()
+                step = frame[0]
+                if step is _THEN:
+                    t = frame[1]
+                    break
+                if step is _PAIRED:
+                    pts = [q if type(q[0]) is Exc else ((p[0], q[0]), q[1])
+                           for p, q in zip(frame[1], pts)]
+                elif step is _SECOND:
+                    ins = frame[2]
+                    where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
+                    if not where:
+                        continue
+                    if len(where) < len(pts):
+                        frames.append((_MERGE, list(pts), where))
+                        pts, ins = [pts[i] for i in where], [ins[i] for i in where]
+                    frames.append((_PAIRED, pts))
+                    t, pts = frame[1], [(a[0], b[1]) for a, b in zip(ins, pts)]
+                    break
+                elif step is _CAUGHT:
+                    where = [i for i, p in enumerate(pts) if type(p[0]) is Exc]
+                    if not where:
+                        continue
+                    if len(where) < len(pts):
+                        frames.append((_MERGE, list(pts), where))
+                        pts = [pts[i] for i in where]
+                    t = frame[1]
+                    break
+                else:
+                    results, where = frame[-2], frame[-1]
+                    for i, p in zip(where, pts):
+                        results[i] = p
+                    pts = results
+                    if step is _LEFT:
+                        t, pts = frame[1], frame[2]
+                        break
+            else:
+                return pts
+    except (TypeError, ValueError, IndexError):
+        # As in `eval_term`: only an input off the carrier fails here.
+        if kind not in (Proj1, Proj2, CaseSeq):
+            raise
+        raise CarrierMismatch(f"{kind.__name__} undefined on an input off its "
+                              f"carrier") from None
 
 
 class Counterexample(Record):

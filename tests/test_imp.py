@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declogic import Decoration, build_model, eval_term, infer_decoration, typecheck
-from declogic.model import UNIT, Exc, Outcome
+from declogic.model import UNIT, Exc, ModelError, Outcome, eval_points, scan_points
 from declogic.imp import (
     Add,
     And,
@@ -208,6 +208,45 @@ def test_verdict_reports_first_state():
     spin = check_equiv(parse_command("while true do { skip }"),
                        parse_command("skip"), THEORY, MODEL, fuel=2)
     assert "fuel" in spin.describe(MODEL)
+
+
+# Elaborated against x and y, checked in a model of x alone: `y := 1` has
+# no table, and only states with x != 0 reach it.
+PARTIAL_THEORY = build_imp_theory({"x": "V"}, EXCEPTIONS, SIZES)
+PARTIAL_MODEL = build_model(PARTIAL_THEORY, default_carriers(PARTIAL_THEORY))
+REACHES_Y = "if x == 0 then {{ {} }} else {{ y := 1 }}"
+
+
+def _point_walk_error(left, right):
+    """The error the point walk of `check_equiv` meets first."""
+    for source in (left, right):
+        term = elaborate(source, THEORY)
+        with pytest.raises(ModelError):  # so the walk of all states raises
+            eval_points(term, PARTIAL_MODEL, scan_points(term.source, PARTIAL_MODEL, False))
+    for state in PARTIAL_MODEL.states:
+        for source in (left, right):
+            try:
+                eval_term(elaborate(source, THEORY), PARTIAL_MODEL, UNIT, state)
+            except ModelError as error:
+                return error
+    raise AssertionError("no state raised")
+
+
+def test_an_error_in_a_later_state_is_the_point_walks_error():
+    left = parse_command(REACHES_Y.format("skip"))
+    right = parse_command(REACHES_Y.format("x := 0"))
+    expected = _point_walk_error(left, right)
+    with pytest.raises(ModelError) as raised:
+        check_equiv(left, right, THEORY, PARTIAL_MODEL)
+    assert type(raised.value) is type(expected)
+    assert str(raised.value) == str(expected)
+
+
+def test_a_difference_before_an_error_is_the_verdict():
+    left = parse_command(REACHES_Y.format("throw e(0)"))
+    right = parse_command(REACHES_Y.format("skip"))
+    _point_walk_error(left, right)
+    assert check_equiv(left, right, THEORY, PARTIAL_MODEL) == Verdict("not-equal", (0,))
 
 
 # -- parsing

@@ -1,9 +1,11 @@
-"""`eval_term` against the independent evaluator in reference_eval.
+"""`eval_term` and `eval_points` against the independent evaluator in
+reference_eval.
 
 Every term is compared at every state and every input, ordinary and
 exceptional, in the states, exceptions and combined models: random
 well-typed terms from `random_term`, and the elaborated programs of the
-imp test corpus.
+imp test corpus.  `eval_points` walks all those points at once, with
+`eval_term` made to raise, so it cannot lean on the point walk.
 """
 
 import random
@@ -12,7 +14,8 @@ import pytest
 
 from declogic.generate import GenerationError, random_term, type_pool
 from declogic.imp import elaborate, parse_command
-from declogic.model import build_model, enumerate_points, eval_term
+from declogic import model as model_module
+from declogic.model import Outcome, build_model, enumerate_points, eval_points, eval_term
 from declogic.theory import combine, dualize, states_theory
 from declogic.types import UNIT_T
 from reference_eval import reference_outcome
@@ -27,12 +30,22 @@ def _theory(flavor):
                                 dualize(states_theory({"e": "V"})))}[flavor]
 
 
+def _refuse(*args):
+    raise AssertionError("eval_points called the point walk")
+
+
 def _assert_agree(term, model, source):
     inputs = enumerate_points(source, model) + model.exceptional_values()
-    for state in model.states:
-        for value in inputs:
-            assert eval_term(term, model, value, state) == \
-                reference_outcome(term, model, value, state), (term, value, state)
+    points = [(value, state) for state in model.states for value in inputs]
+    expected = [reference_outcome(term, model, value, state) for value, state in points]
+    for (value, state), want in zip(points, expected):
+        assert eval_term(term, model, value, state) == want, (term, value, state)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "eval_term", _refuse)
+        results = eval_points(term, model, points)
+    assert len(results) == len(points)
+    for (value, state), want, got in zip(points, expected, results):
+        assert Outcome(*got) == want, (term, value, state)
 
 
 @pytest.mark.parametrize("flavor", ["states", "exceptions", "combined"])
