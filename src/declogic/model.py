@@ -31,9 +31,9 @@ then exceptional ones), and reports the first difference;
 `check_both_eq` gives both verdicts from one walk.  These checks stop at
 their first difference, so they evaluate point by point with
 `eval_term`.  `imp.check_equiv` reads every live state of two whole
-programs unless their results differ early, so it evaluates each program at all its points at once with
-`eval_points`, by the same rules, and scans the results in the same
-order.
+programs unless their results differ early, so it evaluates each
+program at all its points at once with `eval_points`, by the same
+rules, and scans the results in the same order.
 
 A check walks only the live states: those whose locations outside both
 sides' footprint (the locations their `lookup_x` and `update_x` ops
@@ -313,18 +313,21 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
 
     One walk carries every point through the term, so each node is
     dispatched once for all the points that reach it rather than once per
-    point.  Iterative, so terms of any depth evaluate.  Never mutates a
-    list it is handed: `Id` returns its input list itself."""
+    point.  Iterative, so terms of any depth evaluate.  It changes no list
+    it is handed, and may return one of them: `Id` gives back its input."""
     interps = model.interps
-    # Each frame is a post-step, run on the results of the node above it.
-    # (_THEN, node) runs `node` on them.  (_SECOND, pair, inputs) runs the
-    # pair's second half on each input with the state its first half left,
-    # where that half's result is ordinary, and (_PAIRED, firsts) pairs the
-    # results with those of the first half.  (_CAUGHT, node) runs `node` on
-    # the exceptional results.  (_MERGE, results, where) puts them in
-    # `results` at positions `where` and hands `results` on; (_LEFT, node,
-    # lefts, results, where) does so and then runs `node` on `lefts`.  A
-    # subset of points runs with a _MERGE under it.
+    # Each frame is a post-step, run on the results of the node above it:
+    #   (_THEN, node): run `node` on them.
+    #   (_SECOND, second, values): run a pair's second half on each input
+    #     value, in the state the first half left, where that half's result
+    #     is ordinary.  Only the values are kept, as frames stay open as deep
+    #     as the term nests.
+    #   (_PAIRED, firsts): pair the results with the first half's.
+    #   (_CAUGHT, node): run `node` on the exceptional results.
+    #   (_MERGE, results, where): put them in `results` at positions
+    #     `where`, and hand `results` on.  A subset of points runs above one.
+    #   (_LEFT, node, lefts, results, where): do the same, then run `node`
+    #     on `lefts`.
     frames: list[tuple] = []
     t, pts = term, points
     try:
@@ -340,7 +343,7 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
                     if len(where) < len(pts):
                         frames.append((_MERGE, list(pts), where))
                         pts = [pts[i] for i in where]
-                    frames.append((_SECOND, t.second, pts))
+                    frames.append((_SECOND, t.second, [p[0] for p in pts]))
                     t = t.first
                     continue
             elif kind is CaseSeq:
@@ -391,15 +394,15 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
                     pts = [q if type(q[0]) is Exc else ((p[0], q[0]), q[1])
                            for p, q in zip(frame[1], pts)]
                 elif step is _SECOND:
-                    ins = frame[2]
+                    values = frame[2]
                     where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
                     if not where:
                         continue
                     if len(where) < len(pts):
                         frames.append((_MERGE, list(pts), where))
-                        pts, ins = [pts[i] for i in where], [ins[i] for i in where]
+                        pts, values = [pts[i] for i in where], [values[i] for i in where]
                     frames.append((_PAIRED, pts))
-                    t, pts = frame[1], [(a[0], b[1]) for a, b in zip(ins, pts)]
+                    t, pts = frame[1], [(v, p[1]) for v, p in zip(values, pts)]
                     break
                 elif step is _CAUGHT:
                     where = [i for i, p in enumerate(pts) if type(p[0]) is Exc]
