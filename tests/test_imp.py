@@ -219,14 +219,14 @@ REACHES_Y = "if x == 0 then {{ {} }} else {{ y := 1 }}"
 
 def _point_walk_error(left, right):
     """The error the point walk of `check_equiv` meets first."""
-    for source in (left, right):
-        term = elaborate(source, THEORY)
+    terms = [elaborate(source, THEORY) for source in (left, right)]
+    for term in terms:
         with pytest.raises(ModelError):  # so the walk of all states raises
             eval_points(term, PARTIAL_MODEL, scan_points(term.source, PARTIAL_MODEL, False))
     for state in PARTIAL_MODEL.states:
-        for source in (left, right):
+        for term in terms:
             try:
-                eval_term(elaborate(source, THEORY), PARTIAL_MODEL, UNIT, state)
+                eval_term(term, PARTIAL_MODEL, UNIT, state)
             except ModelError as error:
                 return error
     raise AssertionError("no state raised")
