@@ -144,9 +144,11 @@ def print_script(script: ProofScript) -> str:
 def parse_script(text: str, signature) -> ProofScript:
     """Parse the script format; op names resolve against `signature`.
 
-    Equal side texts within the script are parsed once and share one
-    term, so their canonical keys are computed once too.  Parse errors
-    give the script line and the column within it.
+    Equal side texts within the script are parsed once, and equal
+    subterms anywhere in it are one node, so each distinct subterm's
+    canonical key is computed once.  Nothing is shared with another
+    script, not even one with the same text.  Parse errors give the
+    script line and the column within it.
     """
     goal, steps = None, []
     for lineno, head, values in read_lines(text, "script", signature):

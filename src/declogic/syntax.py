@@ -10,6 +10,10 @@ terms nest to any depth.
 The printed form round-trips exactly: parsing the printer's output
 yields a structurally equal term, and printing again yields the same
 string.  Term files may contain `#` line comments and any whitespace.
+The parser hash-conses the nodes of one file: equal subterms within a
+term file, theory dump or proof script are one node, so
+`canonical_key`, which caches ids on nodes, keys each of them once.
+Nothing is shared across files.
 Printing and parsing serve files and messages only: no op name spells
 a type, so elaborating and checking a program print and parse none.
 
@@ -211,6 +215,11 @@ _LITERALS.update({"(": _opens(lambda *pair: pair, "vv"),
                   "l": _opens(lambda value: ("L", value), "v"),
                   "r": _opens(lambda value: ("R", value), "v")})
 TYPE_KEYWORDS = frozenset(_TYPES)
+# Term forms whose arguments are terms or an op symbol: a node keys them
+# by identity, since `==` on nodes is structural and deep.  The other
+# term forms take types, which are interned, or a constant's literal.
+_BY_IDENTITY = frozenset(c for c, f in FORMS.items() if f.kinds in ("tt", "n"))
+_TERM_FORMS = frozenset(c for c in FORMS if issubclass(c, DecoratedTerm))
 
 
 class _Parser:
@@ -228,11 +237,16 @@ class _Parser:
         offset = located_tokens(_TOKEN, self.text, _is_token)[1][index]
         return ParseError(message, *_position(self.text, offset))
 
-    def parse(self, heads: dict, signature: dict[str, OpSymbol]):
+    def parse(self, heads: dict, signature: dict[str, OpSymbol], nodes: dict):
         """The term (`heads` is `_TERMS`) or type (`_TYPES`) that is the
         whole text.  A form waits on an explicit stack of [build, heads of
         its second argument, head token, first argument] entries until its
-        arguments are read, so nesting depth is not limited by recursion."""
+        arguments are read, so nesting depth is not limited by recursion.
+
+        A term node is built once per key in `nodes`: its form with its
+        child nodes and op symbol by identity, its types as they are, and
+        a constant's literal as printed, so no key compares deep values.
+        Equal subterms parsed with one `nodes` are therefore one node."""
         tokens = self.tokens
         pos = 0
         pending: list[list] = []
@@ -294,12 +308,21 @@ class _Parser:
                     frame[1], frame[3], heads = None, item, second
                     break
                 pending.pop()
-                if first is None:
-                    item = build(item)
+                if build not in _TERM_FORMS:
+                    item = build(item) if first is None else build(first, item)
                 else:
                     if build is Const:
-                        self.check_literal(first, item, head_at + 2)
-                    item = build(first, item)
+                        key = (Const, self.literal(first, item, head_at + 2), item)
+                    elif build in _BY_IDENTITY:
+                        key = ((build, id(item)) if first is None
+                               else (build, id(first), id(item)))
+                    else:
+                        key = (build, item) if first is None else (build, first, item)
+                    node = nodes.get(key)
+                    if node is None:
+                        node = nodes[key] = (build(item) if first is None
+                                             else build(first, item))
+                    item = node
                 if tokens[pos] != ")":
                     raise self.error_at(pos, "expected ')'")
                 pos += 1
@@ -308,22 +331,25 @@ class _Parser:
                     raise self.error_at(pos, "unexpected trailing input")
                 return item
 
-    def check_literal(self, value, ty: ObjType, at: int) -> None:
-        """Raise at token `at` unless `ty` has a literal for `value`.  The
-        printer tells a parsed pair from a parsed `l(a)` or `r(a)`, since
-        no pair starts with a tag."""
+    def literal(self, value, ty: ObjType, at: int) -> str:
+        """The literal of `value` at `ty`, or an error at token `at` if
+        `ty` has none.  The printer tells a parsed pair from a parsed
+        `l(a)` or `r(a)`, since no pair starts with a tag."""
         try:
-            _print((value, ty))
+            return _print((value, ty))
         except ValueError as err:
             raise self.error_at(at, f"literal does not fit type {print_type(err.at)}") from None
 
 
 def parse_type(text: str) -> ObjType:
-    return _Parser(text).parse(_TYPES, {})
+    return _Parser(text).parse(_TYPES, {}, {})
 
 
-def parse_term(text: str, signature: dict[str, OpSymbol] | None = None) -> DecoratedTerm:
-    return _Parser(text).parse(_TERMS, signature or {})
+def parse_term(text: str, signature: dict[str, OpSymbol] | None = None,
+               nodes: dict | None = None) -> DecoratedTerm:
+    """The term `text`; equal subterms are one node, and so are equal
+    subterms of every term parsed with the same `nodes` table."""
+    return _Parser(text).parse(_TERMS, signature or {}, {} if nodes is None else nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +383,7 @@ _MODES = {mode.value: mode for mode in Mode}
 
 def _word(ok, message: str, value=None):
     """The reader of a one-word hole: `text`, or `value(text)`, if `ok(text)`."""
-    def read(text: str, signature, sides):
+    def read(text: str, signature, terms):
         if not ok(text):
             raise ParseError(message.format(text), 1, 1)
         return text if value is None else value(text)
@@ -378,7 +404,7 @@ def _items(text: str, first: int = 1) -> list:
     return items
 
 
-def _terms(text: str, signature, sides) -> tuple[DecoratedTerm, ...]:
+def _terms(text: str, signature, terms) -> tuple[DecoratedTerm, ...]:
     if not _items(text):
         raise ParseError("expected a term", 1, 1)
     pieces: list[list] = []
@@ -390,10 +416,11 @@ def _terms(text: str, signature, sides) -> tuple[DecoratedTerm, ...]:
             pieces.append([col + 1, part])
         col += len(part) + 1
         depth += part.count("(") - part.count(")")
-    return tuple(parse_at(parse_term, piece, 1, at, signature) for at, piece in pieces)
+    return tuple(parse_at(parse_term, piece, 1, at, signature, terms)
+                 for at, piece in pieces)
 
 
-def _carrier(text: str, signature, sides) -> tuple[int, ...]:
+def _carrier(text: str, signature, terms) -> tuple[int, ...]:
     if text[:1] + text[-1:] != "{}":
         raise ParseError("carrier must be {v0,v1,...}", 1, 1)
     items = _items(text[1:-1], 2)
@@ -408,7 +435,7 @@ def _carrier(text: str, signature, sides) -> tuple[int, ...]:
     return values
 
 
-def _decoration(text: str, signature, sides) -> Decoration:
+def _decoration(text: str, signature, terms) -> Decoration:
     try:
         state, exc = map(int, text[1:-1].split(",")) if text[:1] + text[-1:] == "()" else ()
     except ValueError:
@@ -418,8 +445,10 @@ def _decoration(text: str, signature, sides) -> Decoration:
     return Decoration(state, exc)
 
 
-def _equation(text: str, signature, sides) -> Equation:
-    mode_word, _, rest = text.partition(" ")
+def _equation(text: str, signature, terms) -> Equation:
+    # The mode word ends at the first blank, as a line's head word does.
+    mode_word = text.split(None, 1)[0] if text else ""
+    rest = text[len(mode_word):]
     mode = _MODES.get(mode_word)
     if mode is None:
         raise ParseError(f"expected 'weak' or 'strong', got {mode_word!r}", 1, 1)
@@ -427,34 +456,36 @@ def _equation(text: str, signature, sides) -> Equation:
     if not eq:
         raise ParseError("expected '<lhs> = <rhs>'", 1, 1)
     col = len(text) - len(rest) + 1
-    terms = []
+    sides = []
     for side in (lhs, rhs):
         key = side.strip()
-        term = sides.get(key)
+        term = terms.get(key)
         if term is None:
-            term = sides[key] = parse_at(parse_term, side, 1, col, signature)
-        terms.append(term)
+            term = terms[key] = parse_at(parse_term, side, 1, col, signature, terms)
+        sides.append(term)
         col += len(side) + 1
-    return Equation(mode, *terms)
+    return Equation(mode, *sides)
 
 
-# placeholder: (read, print).  `read(text, signature, sides)` gives the
-# value of a hole's stripped text or raises a ParseError placed in it; op
-# names resolve in `signature`, and equation sides share terms in `sides`.
+# placeholder: (read, print).  `read(text, signature, terms)` gives the
+# value of a hole's stripped text or raises a ParseError placed in it.  Op
+# names resolve in `signature`.  `terms` is the file's table of terms: a
+# node key (a tuple, see `_Parser.parse`) gives its node, and an equation
+# side's text (a str) the term parsed from it.
 _HOLES = {
     "NAME": (_word(str.isidentifier, "bad name {!r}"), str),
     # An op line would read a base named like a type keyword as that type.
     "BASE": (_word(lambda text: text.isidentifier() and text not in TYPE_KEYWORDS,
                    "bad base type name {!r}"), str),
-    "LABEL": (lambda text, signature, sides: text, str),
+    "LABEL": (lambda text, signature, terms: text, str),
     "RULE": (_word(bool, "expected a name"), str),
     "N": (_word(str.isdecimal, "bad number {!r}", int), str),
     "FLAVOR": (_word(FLAVORS.__contains__, "unknown flavor {!r}"), str),
     "DIRECTION": (_word(FLAVORS[:2].__contains__, "unknown obs direction {!r}"), str),
-    "SRC": (lambda text, signature, sides: parse_type(text), print_type),
+    "SRC": (lambda text, signature, terms: parse_type(text), print_type),
     "(s,e)": (_decoration, str),
     "{..}": (_carrier, lambda values: "{" + ",".join(map(str, values)) + "}"),
-    "PREMISES": (lambda text, signature, sides: tuple(_items(text)),
+    "PREMISES": (lambda text, signature, terms: tuple(_items(text)),
                  lambda refs: ", ".join(map(str, refs))),
     "TERMS": (_terms, lambda terms: ", ".join(map(print_term, terms))),
     "MODE LHS = RHS": (_equation, lambda eq: f"{eq.mode.value} {print_term(eq.lhs)} "
@@ -490,13 +521,17 @@ def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None
     `fmt`, with one value for each hole of the line's form.  In a format
     with `op` lines, a line that holds terms comes after every line that
     holds none, so its terms may use the ops the caller has put in
-    `signature` from any `op` line.  Equal side texts of equations share
-    one term throughout `text`."""
+    `signature` from any `op` line.
+
+    The terms of one call are built through one table: an equation side
+    whose text was read before is that term, and equal subterms anywhere
+    in `text`, in equations and `obs` lines alike, are one node.  Nothing
+    is shared across calls."""
     forms = _FORMATS[fmt]
     later: list | None = [] if "op" in forms else None
     lines = enumerate(text.split("\n"), start=1)
     declared: set[tuple[str, str]] = set()
-    sides: dict[str, DecoratedTerm] = {}
+    terms: dict = {}
     while lines:
         for lineno, raw in lines:
             code = raw.split("#", 1)[0]
@@ -521,7 +556,7 @@ def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None
             values: list = []
             try:
                 for part, read in zip(found.groups(), form[2]):
-                    values.append(read(part.strip(), signature, sides))
+                    values.append(read(part.strip(), signature, terms))
             except ParseError as err:
                 hole = len(values) + 1
                 part = found[hole]

@@ -7,7 +7,7 @@ codes, and copies of a 50k-deep nested pair get comparable ids.  A
 100k-deep product type must parse, print, dualize and go through a
 theory dump and `check`, and a constant whose literal and type are both
 that deep must parse, print back and get one id for separately parsed
-copies.  A 100k-statement program must parse, print, elaborate and get
+copies, and a goal that holds it on both sides must parse and `prove`.  A 100k-statement program must parse, print, elaborate and get
 a verdict.  So must programs nested 100k deep: `if` in then-branches,
 `while`, `try` through its body, `not`, an `and` chain, and boolean and
 arithmetic parentheses, each printing back to its own text; `imp-equiv`
@@ -39,6 +39,7 @@ from declogic.imp import (
     print_command,
 )
 from declogic.model import build_model
+from declogic.proofs import parse_script
 from declogic.syntax import parse_term, parse_type, print_term, print_type
 from declogic.terms import canonical_key, typecheck
 from declogic.theory import (dual_type, dualize, dump_theory, parse_theory,
@@ -165,6 +166,24 @@ def test_prove_cites_an_axiom_with_a_deep_constant(tmp_path, capsys):
     script.write_text(f"goal strong {const} = {const}\n"
                       f"step 1: axiom [deep] |- strong {const} = {const}\n")
     assert main(["prove", str(script), "--theory", str(theory)]) == 0
+    assert capsys.readouterr().out == "accepted\n"
+
+
+
+def test_a_deep_constant_on_both_sides_of_a_goal(tmp_path, capsys):
+    # The sides' texts differ, so the parser meets the constant twice in
+    # one script and finds its node by its literal, comparing no deep values.
+    literal = "(" * 100_000 + "1" + ", 0)" * 100_000
+    const = f"const({literal}, {DEEP_TYPE})"
+    text = (f"goal strong comp(id({DEEP_TYPE}), {const}) = {const}\n"
+            f"step 1: refl [] |- strong {const} = {const}\n")
+    goal = parse_script(text, SIGNATURE).goal
+    assert goal.lhs.inner is goal.rhs
+    model = tmp_path / "x.model"
+    model.write_text(MODEL)
+    script = tmp_path / "deep.proof"
+    script.write_text(text)
+    assert main(["prove", str(script), "--theory", str(model)]) == 0
     assert capsys.readouterr().out == "accepted\n"
 
 

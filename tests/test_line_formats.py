@@ -100,6 +100,11 @@ ERRORS = [
      "operation 'nope' is not declared", 1, 25),
     (("script",), "step 1: refl [] |- weak id(V) = comp(id(V)",
      "expected ','", 1, 43),
+    # a tab may follow the mode word, and columns count it as one
+    (("theory",), "axiom a : strong\t\top(nope) = id(V)",
+     "operation 'nope' is not declared", 1, 19),
+    (("script",), "step 1: refl [] |- weak\top(nope) = id(V)",
+     "operation 'nope' is not declared", 1, 25),
     # whole-file rules
     (MODEL_FORMS, "type W = {0}\ntype W = {1}", "type 'W' declared twice", 2, 1),
     (MODEL_FORMS, "location x : V\nlocation x : V",
@@ -162,6 +167,19 @@ def test_model_lines_read_alike_in_both_formats(fmt):
     assert read.locations == {"x": "V"}
     assert read.exceptions == {"e": "V"}
     assert read.carriers == {"V": (0, 1), "W": (0, 2)}
+
+
+def test_a_tab_may_follow_the_mode_word(write_files, capsys):
+    goal = "goal strong\top(lookup_x) = op(lookup_x)\n"
+    script = parse_script(goal + "step 1: refl []\t|-\tweak\top(lookup_x) = op(lookup_x)\n",
+                          ST.signature)
+    assert script.goal.lhs is script.goal.rhs
+    assert script.steps[0].conclusion.lhs is script.goal.lhs
+    theory, proof = write_files(
+        ("x.theory", ST_DUMP + "axiom a : strong\top(lookup_x) = op(lookup_x)\n"),
+        ("x.proof", goal + "step 1: axiom [a] |- strong op(lookup_x) = op(lookup_x)\n"))
+    assert main(["prove", proof, "--theory", theory]) == 0
+    assert capsys.readouterr().out == "accepted\n"
 
 
 @pytest.fixture

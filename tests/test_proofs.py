@@ -28,7 +28,7 @@ from declogic.rules import (
     check_rule,
 )
 from declogic.syntax import ParseError, parse_term, print_term
-from declogic.terms import Bang, Comp, Equation, Id, Mode, Op, PairSeq, Proj2
+from declogic.terms import FORMS, Bang, Comp, Equation, Id, Mode, Op, PairSeq, Proj2
 from declogic.theory import (
     combine,
     dualize,
@@ -140,19 +140,42 @@ def test_print_parse_round_trip():
             assert check_script(again, theory).ok
 
 
+def _nodes(script):
+    """Every distinct node of a parsed script's equations, each once."""
+    stack = [side for eq in [script.goal] + [step.conclusion for step in script.steps]
+             for side in (eq.lhs, eq.rhs)]
+    seen = {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if FORMS[type(node)].kinds == "tt":
+                stack += FORMS[type(node)].args(node)
+    return list(seen.values())
+
+
 def test_script_sides_parse_as_alone_and_repeats_share_a_term():
     scripts = [(s, ST1) for s in all_law_scripts(ST1).values()]
     scripts += [(s, ST2) for s in all_law_scripts(ST2).values()]
     scripts += [(dualize_script(s, ST2), EX2) for s in all_law_scripts(ST2).values()]
     for script, theory in scripts:
         parsed = parse_script(print_script(script), theory.signature)
-        by_text = {}
         equations = [parsed.goal] + [step.conclusion for step in parsed.steps]
         for eq in equations:
             for side in (eq.lhs, eq.rhs):
-                text = print_term(side)
-                assert side == parse_term(text, theory.signature)
-                assert by_text.setdefault(text, side) is side
+                assert side == parse_term(print_term(side), theory.signature)
+        # Within one script, subterms that print alike are one node:
+        # every side, and every subterm of one.
+        by_text = {}
+        for node in _nodes(parsed):
+            assert by_text.setdefault(print_term(node), node) is node
+
+
+def test_two_parses_of_one_script_share_no_node():
+    text = print_script(law_script(ST2, 6, "x", "y"))
+    first, second = (parse_script(text, ST2.signature) for _ in range(2))
+    assert check_script(first, ST2).ok and check_script(second, ST2).ok
+    assert not {id(node) for node in _nodes(first)} & {id(node) for node in _nodes(second)}
 
 
 def test_parse_errors_give_script_line_and_column():

@@ -263,6 +263,17 @@ class TestTheoryDump:
         assert axioms["swapped"].lhs is axioms["st_ax1_x"].rhs
         assert axioms["swapped"].rhs is axioms["st_ax1_x"].lhs
 
+    def test_observers_share_nodes_with_axioms(self):
+        # A dump's terms, in axioms and `obs` lines alike, are built
+        # through one table, so equal subterms are one node.
+        parsed = parse_theory(dump_theory(states_theory({"x": "V", "y": "V"})))
+        axioms = parsed.axioms
+        lookup_x, lookup_y = parsed.obs_rules[0].observers
+        assert lookup_x is axioms["st_ax1_x"].lhs.outer
+        assert lookup_x is axioms["st_ax2_y_x"].lhs.outer
+        assert lookup_y is axioms["st_ax1_y"].lhs.outer
+        assert lookup_y is axioms["st_ax2_x_y"].rhs.outer
+
     def test_dual_dump_round_trip(self):
         ex = dualize(states_theory({"e": "P"}))
         assert dump_theory(parse_theory(dump_theory(ex))) == dump_theory(ex)
