@@ -215,9 +215,10 @@ _LITERALS.update({"(": _opens(lambda *pair: pair, "vv"),
                   "l": _opens(lambda value: ("L", value), "v"),
                   "r": _opens(lambda value: ("R", value), "v")})
 TYPE_KEYWORDS = frozenset(_TYPES)
-# Term forms whose arguments are terms or an op symbol: a node keys them
-# by identity, since `==` on nodes is structural and deep.  The other
-# term forms take types, which are interned, or a constant's literal.
+# Term forms whose arguments are terms or an op symbol: a node's key holds
+# their ids, since `==` on nodes is structural and deep.  The node holds
+# the arguments, so no id is reused while its key is in the table.  The
+# other term forms take types, which are interned, or a constant's literal.
 _BY_IDENTITY = frozenset(c for c, f in FORMS.items() if f.kinds in ("tt", "n"))
 _TERM_FORMS = frozenset(c for c in FORMS if issubclass(c, DecoratedTerm))
 

@@ -7,8 +7,9 @@ codes, and copies of a 50k-deep nested pair get comparable ids.  A
 100k-deep product type must parse, print, dualize and go through a
 theory dump and `check`, and a constant whose literal and type are both
 that deep must parse, print back and get one id for separately parsed
-copies, and a goal that holds it on both sides must parse and `prove`.  A 100k-statement program must parse, print, elaborate and get
-a verdict.  So must programs nested 100k deep: `if` in then-branches,
+copies, and a goal that holds it on both sides must parse and `prove`.
+A 100k-statement program must parse, print, elaborate and get a
+verdict.  So must programs nested 100k deep: `if` in then-branches,
 `while`, `try` through its body, `not`, an `and` chain, and boolean and
 arithmetic parentheses, each printing back to its own text; `imp-equiv`
 gives 30k-deep programs their verdicts.  A 100k-term sum must
@@ -167,7 +168,6 @@ def test_prove_cites_an_axiom_with_a_deep_constant(tmp_path, capsys):
                       f"step 1: axiom [deep] |- strong {const} = {const}\n")
     assert main(["prove", str(script), "--theory", str(theory)]) == 0
     assert capsys.readouterr().out == "accepted\n"
-
 
 
 def test_a_deep_constant_on_both_sides_of_a_goal(tmp_path, capsys):
