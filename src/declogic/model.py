@@ -43,8 +43,10 @@ changes it alike in both final states and nothing else, and the set of
 differing points is closed under that change.  Its first point in
 state-major order then holds the first value there, and so do the first
 point that raises and the first state a loop runs out of fuel from.
-Probe tables and `validate_model`, which compare whole tables point by
-point, walk every state.
+`validate_model` walks every state, and so do probe tables: each holds
+a term's outcome at every point, as its position among the points of
+the target, and `declogic.probes` composes a composite's table from its
+children's by the rules above.
 """
 
 from __future__ import annotations
@@ -70,24 +72,7 @@ from .terms import (
     Proj2,
 )
 from .syntax import ParseError, print_lines, read_lines
-from .types import Base, Empty, ObjType, Prod, Sum, Unit, numbered_type
-
-
-class _UnitValue:
-    """The sole inhabitant of the unit type."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "()"
-
-
-UNIT = _UnitValue()
+from .types import UNIT, Base, Empty, ObjType, Prod, Sum, Unit, numbered_type
 
 
 class Exc(Record):
@@ -153,7 +138,7 @@ class FiniteModel(Record):
     """
 
     __slots__ = ("carriers", "locations", "exceptions", "interps", "states",
-                 "location_index", "_live")
+                 "location_index", "_live", "_inputs")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -170,6 +155,8 @@ class FiniteModel(Record):
         # The live states of `scan_points`, by the frozenset of location
         # indices a check reads or writes.
         set_field(self, "_live", {})
+        # The inputs of `scan_inputs`, by type.
+        set_field(self, "_inputs", {})
 
     def exceptional_values(self) -> list[Exc]:
         values = []
@@ -466,6 +453,16 @@ def scan_points(source: ObjType, model: FiniteModel, exceptional: bool = True,
         inputs += model.exceptional_values()
     states = model.states if terms is None else _live_states(model, terms)
     return [(v, state) for state in states for v in inputs]
+
+
+def scan_inputs(ty: ObjType, model: FiniteModel) -> tuple[list, dict]:
+    """The inputs of each state of `scan_points(ty, model)`, in order, and
+    each input's place among them; built once per type and model."""
+    found = model._inputs.get(ty)
+    if found is None:
+        inputs = enumerate_points(ty, model) + model.exceptional_values()
+        found = model._inputs[ty] = (inputs, {v: i for i, v in enumerate(inputs)})
+    return found
 
 
 # The children of each term node with two, for the footprint walk.

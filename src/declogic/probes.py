@@ -24,14 +24,17 @@ and their weakly-but-not-strongly equal combinations) with random
 terms, bucketed by their full and by their value-only behavior tables
 so that equal pairs of either strength can be drawn directly.
 
-Those tables also answer every model check whose two sides are pool
-members: premises drawn from the buckets, and conclusions that restate
-drawn terms (sym, trans, strong-to-weak, effect, obs).  The tables
-follow the points of `scan_points`, the one order every check walks,
-so the first differing point is the check's counterexample.  Any other
-side (a composite a conclusion builds, or an `obs` family premise) is
-checked once, so `check_eq` scans it, stopping at the first
-difference, rather than tabulating it at every point.
+Those tables also answer every model check, as `eval_term`'s rules give
+a composite's outcome at a point from its children's outcomes.  A table
+lists, for each point of `scan_points` in its order, the position of the
+outcome among the points of the target, so a `Comp`'s table is the
+outer table read at the inner table's entries, and a `PairSeq`'s or a
+`CaseSeq`'s is one lookup or two per point.  Each side of a check is
+composed from the tables of the pool members and the operations inside
+it, and its first differing position is the check's counterexample.
+When an outcome is not a point of its target, or an operation's table
+raises, the check scans with `check_eq`, so it gives the scan's verdict,
+counterexample or error.
 
 Each mirror pair of samplers is written once, as the checkers in
 `declogic.rules` are: in the pair/state reading, run over `STATE` or
@@ -47,18 +50,24 @@ from typing import Callable
 
 from .generate import GenerationError, random_term, type_pool
 from .model import (
+    _BRANCHES,
+    _LEAVES,
     Counterexample,
     Exc,
     FiniteModel,
+    ModelError,
+    Outcome,
     check_eq,
     enumerate_points,
     eval_term,
+    scan_inputs,
     scan_points,
 )
 from .record import Record
 from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
                     _obs_family, check_rule, dual_name)
-from .terms import Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id, Mode
+from .terms import (Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id,
+                    Mode, Op, PairSeq)
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
 
@@ -164,46 +173,138 @@ class ProbeContext:
         self.types: list[ObjType] = type_pool(theory)
         self._seeds = _seed_terms(theory, model)
         self._pools: dict[tuple[ObjType, ObjType], _Pool] = {}
-        # By node identity; each entry holds its node, so no id is reused.
+        # Pool members' tables by node identity; each entry holds its node,
+        # so no id is reused.
         self._tables: dict[int, tuple] = {}
+        # Leaves' tables by node, so an op's by its symbol.
+        self._leaves: dict[DecoratedTerm, tuple] = {}
+        self._state = {state: i for i, state in enumerate(model.states)}
+        self._raises = len(model.exceptional_values())
         self._pairs = [(s, t) for s in self.types for t in self.types]
 
     def tables(self, term: DecoratedTerm) -> tuple:
-        """(full behavior key, value-only behavior key) for one term.
+        """The behavior table of `term`: at each point of `scan_points`,
+        the position of its outcome among the points of its target over
+        every state (`scan_inputs` gives those of one state).
 
-        The full key is the outcome at every point of `scan_points`; the
-        value-only key is the value at its ordinary points.  Both follow
-        the order every check walks, which lets `check` answer from
-        them.  Only pool members are tabulated: a one-off term is
-        cheaper to scan, since a scan stops at its first difference.
+        Composed over an explicit stack from the tables of its nodes, by
+        `eval_term`'s rules; a pool member's is kept, and so is a leaf's,
+        an operation's from `eval_term` at each of its points.  Raises
+        KeyError when an outcome is not a point of its target or children
+        do not fit, and the model's error when an operation's table does.
         """
-        cached = self._tables.get(id(term))
-        if cached is not None:
-            return cached[1]
-        points = scan_points(term.source, self.model)
-        strong = tuple(eval_term(term, self.model, v, state)
-                       for v, state in points)
-        weak = tuple(out.value for (v, _), out in zip(points, strong)
-                     if not isinstance(v, Exc))
-        result = (strong, weak)
-        self._tables[id(term)] = (term, result)
-        return result
+        members = self._tables
+        kept = members.get(id(term))
+        if kept is not None:
+            return kept[1]
+        done: dict[int, tuple] = {}
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            if id(t) in done:
+                continue
+            kept = members.get(id(t))
+            kind = type(t)
+            if kept is not None:
+                table = kept[1]
+            elif kind in _BRANCHES:
+                a, b = _BRANCHES[kind](t)
+                left, right = done.get(id(a)), done.get(id(b))
+                if left is None or right is None:
+                    todo += (t, a, b)
+                    continue
+                table = self._compose(t, left, right)
+            else:
+                table = self._leaves.get(t)
+                if table is None:
+                    table = self._leaves[t] = self._leaf(t)
+            done[id(t)] = table
+        return done[id(term)]
+
+    def _width(self, ty: ObjType) -> tuple[int, int]:
+        """(inputs, ordinary inputs) of each state of `ty`."""
+        n = len(scan_inputs(ty, self.model)[0])
+        return n, n - self._raises
+
+    def _leaf(self, t: DecoratedTerm) -> tuple:
+        index = scan_inputs(t.target, self.model)[1]
+        m, k = self._width(t.target)
+        if type(t) is Op:
+            outs = (eval_term(t, self.model, v, state)
+                    for v, state in scan_points(t.source, self.model))
+            return tuple(self._state[out.state] * m + index[out.value] for out in outs)
+        # Any other leaf keeps the state and passes exceptional values on.
+        leaf, inputs = _LEAVES[type(t)], scan_inputs(t.source, self.model)[0]
+        row = [index[leaf(t, v)] for v in inputs[:len(inputs) - self._raises]]
+        row += range(k, m)
+        return tuple(s * m + r for s in range(len(self._state)) for r in row)
+
+    def _compose(self, t: DecoratedTerm, left: tuple, right: tuple) -> tuple:
+        """The table of a node with two children from theirs; a position
+        `s * n + v` is input `v` of a type with `n` in state `s`."""
+        kind = type(t)
+        if kind is Comp:
+            if t.outer.source is not t.inner.target:
+                raise KeyError(t)
+            return tuple(map(left.__getitem__, right))
+        (n, o), (m, k) = self._width(t.source), self._width(t.target)
+        out = []
+        if kind is PairSeq:
+            if t.first.source is not t.second.source:
+                raise KeyError(t)
+            (na, oa), (nb, ob) = self._width(t.first.target), self._width(t.second.target)
+            for i, p in enumerate(left):
+                s, v = divmod(i, n)
+                if v >= o:
+                    out.append(s * m + k + v - o)
+                    continue
+                s, a = divmod(p, na)
+                if a >= oa:
+                    out.append(s * m + k + a - oa)
+                    continue
+                s, b = divmod(right[s * n + v], nb)
+                out.append(s * m + (a * ob + b if b < ob else k + b - ob))
+            return tuple(out)
+        if t.on_left.target is not t.on_right.target:
+            raise KeyError(t)
+        (na, oa), (nb, ob) = self._width(t.on_left.source), self._width(t.on_right.source)
+        for i in range(len(self._state) * n):
+            s, v = divmod(i, n)
+            if v < oa:
+                out.append(left[s * na + v])
+                continue
+            p = right[s * nb + (v - oa if v < o else ob + v - o)]
+            s, c = divmod(p, m)
+            out.append(p if c < k else left[s * na + oa + c - k])
+        return tuple(out)
 
     def check(self, eq: Equation) -> Counterexample | None:
         """`check_eq` on `eq` in this context's model, answered from the
-        behavior tables when both sides are pool members."""
-        lhs, rhs = self._tables.get(id(eq.lhs)), self._tables.get(id(eq.rhs))
-        if lhs is None or rhs is None or eq.lhs.source != eq.rhs.source:
-            return check_eq(eq.mode, eq.lhs, eq.rhs, self.model)
-        (lstrong, lweak), (rstrong, rweak) = lhs[1], rhs[1]
-        strong = eq.mode is Mode.STRONG
-        if (lstrong == rstrong) if strong else (lweak == rweak):
+        tables of its sides, or scanned when they cannot be composed."""
+        lhs, rhs = eq.lhs, eq.rhs
+        try:
+            if lhs.source is not rhs.source or lhs.target is not rhs.target:
+                raise KeyError(eq)
+            a, b = self.tables(lhs), self.tables(rhs)
+        except (KeyError, ModelError):
+            return check_eq(eq.mode, lhs, rhs, self.model)
+        if a == b:
             return None
-        for (v, state), a, b in zip(scan_points(eq.lhs.source, self.model),
-                                    lstrong, rstrong):
-            if (a != b) if strong else (not isinstance(v, Exc)
-                                        and a.value != b.value):
-                return Counterexample(v, state, a, b)
+        (n, o), (m, _) = self._width(lhs.source), self._width(lhs.target)
+        if eq.mode is Mode.STRONG:
+            i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        else:
+            i = next((i for i, (x, y) in enumerate(zip(a, b))
+                      if x != y and i % n < o and x % m != y % m), None)
+            if i is None:
+                return None
+        inputs = scan_inputs(lhs.source, self.model)[0]
+        outputs = scan_inputs(lhs.target, self.model)[0]
+        states = self.model.states
+        left, right = divmod(a[i], m), divmod(b[i], m)
+        return Counterexample(inputs[i % n], states[i // n],
+                              Outcome(outputs[left[1]], states[left[0]]),
+                              Outcome(outputs[right[1]], states[right[0]]))
 
     def pool(self, src: ObjType, tgt: ObjType) -> list[DecoratedTerm]:
         return self._pool_for(src, tgt).members
@@ -221,11 +322,19 @@ class ProbeContext:
             except GenerationError:
                 continue
         members = list(dict.fromkeys(members))
+        try:
+            keys = [self._keys(t, self.tables(t)) for t in members]
+        except (KeyError, ModelError):
+            # Key by outcomes, as a scan compares them; this raises where a
+            # member raises.
+            keys = [self._outcomes(t) for t in members]
+        else:
+            self._tables.update((id(t), (t, key[0]))
+                                for t, key in zip(members, keys))
         strong: dict = defaultdict(list)
         weak: dict = defaultdict(list)
         splits: dict = defaultdict(lambda: defaultdict(list))
-        for t in members:
-            skey, wkey = self.tables(t)
+        for t, (skey, wkey) in zip(members, keys):
             strong[skey].append(t)
             weak[wkey].append(t)
             splits[wkey][skey].append(t)
@@ -233,6 +342,19 @@ class ProbeContext:
             members, {Mode.STRONG: strong, Mode.WEAK: weak},
             [list(by_strong.values()) for by_strong in splits.values()])
         return pool
+
+    def _keys(self, t: DecoratedTerm, table: tuple) -> tuple:
+        """(full behavior key, value-only key) of a member from its table:
+        the table, and the value at each ordinary point."""
+        (n, o), (m, _) = self._width(t.source), self._width(t.target)
+        return table, tuple(p % m for i, p in enumerate(table) if i % n < o)
+
+    def _outcomes(self, t: DecoratedTerm) -> tuple:
+        """The keys of `_keys` over outcomes rather than positions."""
+        points = scan_points(t.source, self.model)
+        strong = tuple(eval_term(t, self.model, v, state) for v, state in points)
+        return strong, tuple(out.value for (v, _), out in zip(points, strong)
+                             if not isinstance(v, Exc))
 
     def rand(self, src: ObjType, tgt: ObjType,
              prefer_effectful: bool = False) -> DecoratedTerm:

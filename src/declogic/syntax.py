@@ -27,7 +27,7 @@ import re
 
 from .terms import (FORMS, Const, DecoratedTerm, Decoration, Equation, Mode,
                     OpSymbol)
-from .types import Base, ObjType, Prod, Sum, Unit
+from .types import UNIT, Base, ObjType, Prod, Sum, Unit
 
 
 class ParseError(ValueError):
@@ -89,8 +89,6 @@ def _literal(value, ty: ObjType) -> tuple:
     """The head of the literal for `value` at `ty`, and its parts as
     `(value, type)` pairs.  A value that has none raises ValueError, with
     the type it misses as `at`."""
-    from .model import UNIT
-
     cls = type(ty)
     if cls is Unit and value is UNIT:
         return "()", ()
@@ -287,8 +285,6 @@ class _Parser:
             elif opened is None:
                 raise self.error_at(at, "expected a literal")
             elif tok == "(" and tokens[pos] == ")":
-                from .model import UNIT
-
                 pos += 1
                 item, opened = UNIT, None
             elif tok != "(":

@@ -81,6 +81,23 @@ UNIT_T = Unit()
 EMPTY_T = Empty()
 
 
+class _UnitValue:
+    """The sole inhabitant of the unit type."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "()"
+
+
+UNIT = _UnitValue()
+
+
 def numbered_type(text: str) -> ObjType | None:
     """The type whose `number` is written `text` in decimal, or None; no
     process builds 10**18 types, so longer texts are not converted."""

@@ -23,6 +23,7 @@ the size of the data, not from recursion; `test_imp` bounds the time to
 elaborate such nesting instead.
 """
 
+import random
 import sys
 import time
 
@@ -39,12 +40,15 @@ from declogic.imp import (
     parse_command,
     print_command,
 )
-from declogic.model import build_model
+from declogic import probes
+from declogic.model import build_model, check_eq
+from declogic.probes import ProbeContext
 from declogic.proofs import parse_script
 from declogic.syntax import parse_term, parse_type, print_term, print_type
-from declogic.terms import canonical_key, typecheck
-from declogic.theory import (dual_type, dualize, dump_theory, parse_theory,
-                             states_theory)
+from declogic.terms import (Bang, Comp, Const, Equation, Id, Mode, canonical_key,
+                            typecheck)
+from declogic.theory import (dual_type, dualize, dump_theory, lookup_op,
+                             parse_theory, states_theory)
 from declogic.types import UNIT_T, Base
 
 DEPTH = 50_000  # compositions; with their identities and the op, 100,001 nodes
@@ -185,6 +189,25 @@ def test_a_deep_constant_on_both_sides_of_a_goal(tmp_path, capsys):
     script.write_text(text)
     assert main(["prove", str(script), "--theory", str(model)]) == 0
     assert capsys.readouterr().out == "accepted\n"
+
+
+def test_a_probe_check_composes_a_deep_chain(monkeypatch):
+    # A 100k-deep chain of identities after a lookup, against the lookup
+    # it flattens to and against a constant it differs from.
+    theory = states_theory({"x": "V"})
+    model = build_model(theory, {"V": (0, 1)})
+    ctx = ProbeContext(theory, model, random.Random(0))
+    look, v = lookup_op(theory, "x"), Base("V")
+    chain = look
+    for _ in range(100_000):
+        chain = Comp(Id(v), chain)
+    zero = Comp(Const(0, v), Bang(UNIT_T))
+    wanted = [check_eq(mode, chain, rhs, model)
+              for rhs in (look, zero) for mode in Mode]
+    monkeypatch.setattr(probes, "check_eq", None)  # no scan
+    assert [ctx.check(Equation(mode, chain, rhs))
+            for rhs in (look, zero) for mode in Mode] == wanted
+    assert wanted[:2] == [None, None] and None not in wanted[2:]
 
 
 STATEMENTS = 100_000  # an even number of flips of x, so the same as skip

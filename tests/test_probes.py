@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from declogic.generate import GenerationError, random_term, type_pool
-from declogic.model import build_model, check_eq, check_strong_eq, check_weak_eq
+from declogic.model import (UNIT, FiniteModel, ModelError, build_model, check_eq,
+                            check_strong_eq, check_weak_eq, eval_term,
+                            scan_inputs, scan_points)
 from declogic import rules
 from declogic.probes import (
     _SAMPLERS,
@@ -24,13 +26,15 @@ from declogic.probes import (
 from declogic.rules import DUAL_RULE, RULES, RuleError, check_rule, dual_name
 from declogic import model as model_module
 from declogic import probes
-from declogic.terms import Bang, Comp, Const, Equation, Id, Mode, typecheck
+from declogic.terms import (Bang, CaseSeq, Comp, Const, Decoration, Equation, Id,
+                            Mode, Op, OpSymbol, PairSeq, typecheck)
 from declogic.theory import (
     TheoryError,
     combine,
     dual_symbol_map,
     dualize,
     dualize_equation,
+    lookup_op,
     states_theory,
 )
 from declogic.types import EMPTY_T, UNIT_T, Base, Prod, Sum
@@ -236,8 +240,8 @@ def _counting(monkeypatch, counts, name, owners):
 @pytest.mark.parametrize("flavor", list(FLAVORS))
 def test_checks_from_tables_agree_with_check_eq(flavor, monkeypatch):
     """Every premise and conclusion the probe_all draws check, answered
-    from the behavior tables or scanned, gets `check_eq`'s verdict and
-    counterexample."""
+    from composed behavior tables, gets `check_eq`'s verdict and
+    counterexample, and none falls back to a scan."""
     theory, model = FLAVORS[flavor]
     counts = {"check_eq": 0}
     _counting(monkeypatch, counts, "check_eq", [probes])
@@ -249,8 +253,7 @@ def test_checks_from_tables_agree_with_check_eq(flavor, monkeypatch):
     assert {rule: (r.accepted, r.rejected, r.skipped)
             for rule, r in got.items()} == \
         {rule: triples[i] for rule, triples in PINNED_VERDICTS.items()}
-    # Both ways of answering were taken.
-    assert 0 < counts["check_eq"] < ctx.checks / 2
+    assert ctx.checks > 0 and counts["check_eq"] == 0
 
 
 @pytest.mark.parametrize("flavor", list(FLAVORS))
@@ -271,6 +274,137 @@ def test_tables_give_check_eq_counterexamples(flavor):
     assert differ > 100
 
 
+def _eval_table(model, term):
+    """The table `ProbeContext.tables` composes, from `eval_term` at each
+    point."""
+    inputs, index = scan_inputs(term.target, model)
+    state = {s: i for i, s in enumerate(model.states)}
+    return tuple(state[out.state] * len(inputs) + index[out.value]
+                 for out in (eval_term(term, model, v, s)
+                             for v, s in scan_points(term.source, model)))
+
+
+def _composite(ctx, rng, src, tgt, depth):
+    """A random term src -> tgt: a pool member, or a `Comp`, `PairSeq` or
+    `CaseSeq` of smaller composites."""
+    shape = rng.randrange(4) if depth else 0
+    if shape == 1:
+        mid = ctx.some_type()
+        return Comp(_composite(ctx, rng, mid, tgt, depth - 1),
+                    _composite(ctx, rng, src, mid, depth - 1))
+    if shape == 2 and isinstance(tgt, Prod):
+        return PairSeq(_composite(ctx, rng, src, tgt.left, depth - 1),
+                       _composite(ctx, rng, src, tgt.right, depth - 1))
+    if shape == 3 and isinstance(src, Sum):
+        return CaseSeq(_composite(ctx, rng, src.left, tgt, depth - 1),
+                       _composite(ctx, rng, src.right, tgt, depth - 1))
+    return ctx.rand(src, tgt)
+
+
+def _nodes(term):
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        yield t
+        if type(t) in model_module._BRANCHES:
+            todo += model_module._BRANCHES[type(t)](t)
+
+
+@pytest.mark.parametrize("flavor", list(FLAVORS))
+def test_composed_tables_are_eval_term_tables(flavor, monkeypatch):
+    """Composites of pool members, catchers and raising case branches
+    among them, get the table `eval_term` gives, and each check of two of
+    them `check_eq`'s answer, with no scan."""
+    theory, model = FLAVORS[flavor]
+    ctx = ProbeContext(theory, model, random.Random(f"compose:{flavor}"))
+    rng = random.Random(flavor)
+    monkeypatch.setattr(probes, "check_eq", None)
+    seen = set()
+    for _ in range(300):
+        src, tgt = ctx.some_type(), ctx.some_type()
+        try:
+            lhs, rhs = (_composite(ctx, rng, src, tgt, 3) for _ in range(2))
+        except NoCandidate:
+            continue
+        for term in (lhs, rhs):
+            assert ctx.tables(term) == _eval_table(model, term), term
+            for t in _nodes(term):
+                seen.add(type(t).__name__)
+                if isinstance(t, CaseSeq) and t.on_right.decoration.exc:
+                    seen.add("raising right branch")
+                if t.decoration.exc == 2:
+                    seen.add("catcher")
+        for mode in Mode:
+            assert ctx.check(Equation(mode, lhs, rhs)) == \
+                check_eq(mode, lhs, rhs, model)
+    effects = {"raising right branch", "catcher"} if theory.exceptions else set()
+    assert {"Comp", "PairSeq", "CaseSeq"} | effects <= seen
+
+
+V = Base("V")
+_ONE_X = states_theory({"x": "V"})
+# `peek` reads x, but gives 7, off the carrier, where x is 1; `bump` is
+# undefined on input 1 where x is 1.
+_HAND = FiniteModel(
+    carriers=CARRIERS, locations={"x": "V"}, exceptions={},
+    interps={"lookup_x": {(UNIT, (x,)): (x, (x,)) for x in (0, 1)},
+             "update_x": {(v, (x,)): (UNIT, (v,)) for v in (0, 1) for x in (0, 1)},
+             "peek": {(UNIT, (0,)): (0, (0,)), (UNIT, (1,)): (7, (1,))},
+             "bump": {(0, (0,)): (1, (0,)), (1, (0,)): (0, (0,)),
+                      (0, (1,)): (1, (1,))}})
+PEEK = Op(OpSymbol("peek", UNIT_T, V, Decoration(1, 0)))
+BUMP = Op(OpSymbol("bump", V, V, Decoration(1, 0)))
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ModelError as err:
+        return type(err), str(err)
+
+
+def test_checks_that_cannot_be_composed_are_scanned(monkeypatch):
+    """An outcome off its target, or an op that raises where the scan
+    never looks, leaves the check to `check_eq`: the same verdict,
+    counterexample or error."""
+    counts = {"check_eq": 0}
+    _counting(monkeypatch, counts, "check_eq", [probes])
+    ctx = ProbeContext(_ONE_X, _HAND, random.Random(0))
+    look = lookup_op(_ONE_X, "x")
+    zero, one = (Comp(Const(p, V), Bang(UNIT_T)) for p in (0, 1))
+    answers = set()
+    for lhs, rhs in ((PEEK, look), (PEEK, PEEK), (Comp(BUMP, zero), one),
+                     (Comp(BUMP, one), zero), (Comp(BUMP, look), look)):
+        for mode in Mode:
+            got = _outcome(ctx.check, Equation(mode, lhs, rhs))
+            assert got == _outcome(model_module.check_eq, mode, lhs, rhs, _HAND)
+            answers.add(type(got).__name__)
+    assert counts["check_eq"] == 10
+    assert answers == {"NoneType", "Counterexample", "tuple"}
+
+
+def test_a_pool_that_cannot_be_composed_is_keyed_by_outcomes():
+    """Where x is 1, this lookup gives 7, off its carrier, which the
+    update takes for 1.  So every term evaluates, the pools of terms that
+    read x are keyed by outcomes, and their checks are scanned."""
+    update = {**_HAND.interps["update_x"],
+              **{(7, (x,)): (UNIT, (1,)) for x in (0, 1)}}
+    hand = FiniteModel(carriers=CARRIERS, locations={"x": "V"}, exceptions={},
+                       interps={"lookup_x": _HAND.interps["peek"],
+                                "update_x": update})
+    ctx = ProbeContext(_ONE_X, hand, random.Random(0))
+    pool = ctx.pool(UNIT_T, V)
+    assert any(isinstance(m, Op) for m in pool)
+    for f in pool:
+        for g in pool:
+            for mode in Mode:
+                assert ctx.check(Equation(mode, f, g)) == \
+                    check_eq(mode, f, g, hand)
+    for mode in Mode:
+        f, g = ctx.equal_pair(UNIT_T, V, mode)
+        assert check_eq(mode, f, g, hand) is None
+
+
 @pytest.mark.parametrize("name", sorted(UNSOUND_VARIANTS))
 def test_variant_counterexamples_are_check_eq_ones(name):
     variant = UNSOUND_VARIANTS[name]
@@ -283,21 +417,22 @@ def test_variant_counterexamples_are_check_eq_ones(name):
             conclusion.mode, conclusion.lhs, conclusion.rhs, model)
 
 
-# (check_eq, eval_term) calls in probe_all(samples=200, seed=0); the
-# scan of every check over every state took 5144/84694, 5627/35979 and
-# 5237/137284, and checks over every state took 30902 and 49092
-# evaluations in the two flavors with locations.
+# (check_eq, eval_term) calls in probe_all(samples=200, seed=0): one
+# evaluation per point of each op's table, and no scan.  Answering only
+# checks between pool members from tables, and scanning the rest, took
+# 1753/24932, 2163/14109 and 1811/32974; scanning every check took
+# 5144/84694, 5627/35979 and 5237/137284.
 PINNED_WORK = {
-    "states": (1753, 24932),
-    "exceptions": (2163, 14109),
-    "combined": (1811, 32974),
+    "states": (0, 24),
+    "exceptions": (0, 20),
+    "combined": (0, 168),
 }
 
 
 @pytest.mark.parametrize("flavor", list(FLAVORS))
 def test_probe_work_is_pinned(flavor, monkeypatch):
-    """Checks between pool members are answered from their tables, not
-    scanned again."""
+    """Every check is answered from composed tables: the model evaluates
+    only the operations, once per point."""
     theory, model = FLAVORS[flavor]
     counts = {"check_eq": 0, "eval_term": 0}
     _counting(monkeypatch, counts, "check_eq", [probes])
