@@ -185,11 +185,9 @@ class ProbeContext:
     def tables(self, term: DecoratedTerm) -> tuple:
         """The behavior table of `term`: at each point of `scan_points`,
         the position of its outcome among the points of its target over
-        every state (`scan_inputs` gives those of one state).
-
-        Composed over an explicit stack from the tables of its nodes, by
-        `eval_term`'s rules; a pool member's is kept, and so is a leaf's,
-        an operation's from `eval_term` at each of its points.  Raises
+        every state.  Composed over an explicit stack from the tables of
+        its nodes; a pool member's is kept, and so is a leaf's, an
+        operation's from `eval_term` at each of its points.  Raises
         KeyError when an outcome is not a point of its target or children
         do not fit, and the model's error when an operation's table does.
         """
@@ -290,7 +288,7 @@ class ProbeContext:
             return check_eq(eq.mode, lhs, rhs, self.model)
         if a == b:
             return None
-        (n, o), (m, _) = self._width(lhs.source), self._width(lhs.target)
+        (n, o), m = self._width(lhs.source), self._width(lhs.target)[0]
         if eq.mode is Mode.STRONG:
             i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
         else:
@@ -298,13 +296,15 @@ class ProbeContext:
                       if x != y and i % n < o and x % m != y % m), None)
             if i is None:
                 return None
-        inputs = scan_inputs(lhs.source, self.model)[0]
-        outputs = scan_inputs(lhs.target, self.model)[0]
-        states = self.model.states
-        left, right = divmod(a[i], m), divmod(b[i], m)
-        return Counterexample(inputs[i % n], states[i // n],
-                              Outcome(outputs[left[1]], states[left[0]]),
-                              Outcome(outputs[right[1]], states[right[0]]))
+        return Counterexample(*self._point(lhs.source, i),
+                              Outcome(*self._point(lhs.target, a[i])),
+                              Outcome(*self._point(lhs.target, b[i])))
+
+    def _point(self, ty: ObjType, p: int) -> tuple:
+        """The (input, state) at position `p` among the points of `ty`."""
+        inputs = scan_inputs(ty, self.model)[0]
+        s, v = divmod(p, len(inputs))
+        return inputs[v], self.model.states[s]
 
     def pool(self, src: ObjType, tgt: ObjType) -> list[DecoratedTerm]:
         return self._pool_for(src, tgt).members
