@@ -33,7 +33,8 @@ their first difference, so they evaluate point by point with
 `eval_term`.  `imp.check_equiv` reads every live state of two whole
 programs unless their results differ early, so it evaluates each
 program at all its points at once with `eval_points`, by the same
-rules, and scans the results in the same order.
+rules, and scans the results in the same order.  There a leaf or an op
+that catches nothing runs on the ordinary points only.
 
 A check walks only the live states: those whose locations outside both
 sides' footprint (the locations their `lookup_x` and `update_x` ops
@@ -293,6 +294,18 @@ def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> O
 # The post-steps of `eval_points`, the first field of each of its frames.
 _THEN, _SECOND, _PAIRED, _CAUGHT, _LEFT, _MERGE = range(6)
 
+# Every leaf but `Op`, as a map from (node, ordinary points) to its results.
+_KERNELS = {
+    Id: lambda t, pts: pts,
+    Proj1: lambda t, pts: [(v[0], s) for v, s in pts],
+    Proj2: lambda t, pts: [(v[1], s) for v, s in pts],
+    Inj1: lambda t, pts: [(("L", v), s) for v, s in pts],
+    Inj2: lambda t, pts: [(("R", v), s) for v, s in pts],
+    Bang: lambda t, pts: [(UNIT, s) for _, s in pts],
+    Const: lambda t, pts: [(value, s) for value in (t.value,) for _, s in pts],
+    Absurd: lambda t, pts: [_absurd(t, v) for v, _ in pts],
+}
+
 
 def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
     """The (value, state) result of `term` at each (value, state) point of
@@ -300,8 +313,11 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
 
     One walk carries every point through the term, so each node is
     dispatched once for all the points that reach it rather than once per
-    point.  Iterative, so terms of any depth evaluate.  It changes no list
-    it is handed, and may return one of them: `Id` gives back its input."""
+    point.  A leaf or an op that catches nothing runs only on the ordinary
+    points.  The walk reads from the values, after every op, whether its
+    list is ordinary, and then tests no point for an exception.  Iterative,
+    so terms of any depth evaluate.  It changes no list it is handed, and
+    may return one of them: `Id` gives back its input."""
     interps = model.interps
     # Each frame is a post-step, run on the results of the node above it:
     #   (_THEN, node): run `node` on them.
@@ -311,12 +327,14 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
     #     as the term nests.
     #   (_PAIRED, firsts): pair the results with the first half's.
     #   (_CAUGHT, node): run `node` on the exceptional results.
-    #   (_MERGE, results, where): put them in `results` at positions
-    #     `where`, and hand `results` on.  A subset of points runs above one.
-    #   (_LEFT, node, lefts, results, where): do the same, then run `node`
-    #     on `lefts`.
+    #   (_MERGE, rest, results, where): put them in `results` at positions
+    #     `where`, and hand `results` on; `rest` says whether the other
+    #     results there are ordinary.  A subset of points runs above one.
+    #   (_LEFT, node, lefts, lwhere, results, where): do the same, then run
+    #     `node` on `lefts`, whose results go to positions `lwhere`.
     frames: list[tuple] = []
     t, pts = term, points
+    plain = Exc not in {type(v) for v, _ in pts}
     try:
         while True:
             kind = type(t)
@@ -324,19 +342,10 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
                 frames.append((_THEN, t.outer))
                 t = t.inner
                 continue
-            if kind is PairSeq:
-                where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
-                if where:
-                    if len(where) < len(pts):
-                        frames.append((_MERGE, list(pts), where))
-                        pts = [pts[i] for i in where]
-                    frames.append((_SECOND, t.second, [p[0] for p in pts]))
-                    t = t.first
-                    continue
-            elif kind is CaseSeq:
+            if kind is CaseSeq:
                 lefts, rights, lwhere, rwhere = [], [], [], []
                 for i, (v, s) in enumerate(pts):
-                    if type(v) is not Exc:
+                    if plain or type(v) is not Exc:
                         tag, v = v
                         if tag == "L":
                             lefts.append((v, s))
@@ -345,30 +354,40 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
                     rights.append((v, s))
                     rwhere.append(i)
                 if not rights:
-                    t, pts = t.on_left, lefts
+                    t, pts, plain = t.on_left, lefts, True
                     continue
                 if lefts:
-                    results = [None] * len(pts)
-                    frames.append((_MERGE, results, lwhere))
-                    frames.append((_LEFT, t.on_left, lefts, results, rwhere))
+                    frames.append((_LEFT, t.on_left, lefts, lwhere,
+                                   [None] * len(pts), rwhere))
                 frames.append((_CAUGHT, t.on_left))
                 t, pts = t.on_right, rights
                 continue
+            if not plain and kind is not Id and (kind in _KERNELS or kind is PairSeq or
+                                                 kind is Op and t.symbol.decoration.exc < 2):
+                # Exceptional values pass this node: run it on the others.
+                where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
+                if where:
+                    if len(where) < len(pts):
+                        frames.append((_MERGE, False, list(pts), where))
+                        pts = [pts[i] for i in where]
+                    plain = True
+                    continue
+            elif kind is PairSeq:
+                frames.append((_SECOND, t.second, [v for v, _ in pts]))
+                t = t.first
+                continue
             elif kind is Op:
-                symbol = t.symbol
+                name = t.symbol.name
                 try:
-                    table = interps[symbol.name]
-                    if symbol.decoration.exc > 1:
-                        pts = [table[p] for p in pts]
-                    else:
-                        pts = [p if type(p[0]) is Exc else table[p] for p in pts]
+                    pts = list(map(interps[name].__getitem__, pts))
                 except KeyError as missing:
-                    raise _op_error(interps, symbol.name, missing.args[0]) from None
-            elif kind is not Id:
-                leaf = _LEAVES.get(kind)
-                if leaf is None:
+                    raise _op_error(interps, name, missing.args[0]) from None
+                plain = Exc not in {type(v) for v, _ in pts}
+            else:
+                kernel = _KERNELS.get(kind)
+                if kernel is None:
                     raise TypeError(f"not a term: {t!r}")
-                pts = [p if type(p[0]) is Exc else (leaf(t, p[0]), p[1]) for p in pts]
+                pts = kernel(t, pts)
             # `pts` holds the results of `t`: run the post-steps down to the
             # next one that runs a node, or return them when none is left.
             while frames:
@@ -378,25 +397,30 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
                     t = frame[1]
                     break
                 if step is _PAIRED:
-                    pts = [q if type(q[0]) is Exc else ((p[0], q[0]), q[1])
-                           for p, q in zip(frame[1], pts)]
+                    if plain:
+                        pts = [((v, w), s) for (v, _), (w, s) in zip(frame[1], pts)]
+                    else:
+                        pts = [q if type(q[0]) is Exc else ((p[0], q[0]), q[1])
+                               for p, q in zip(frame[1], pts)]
                 elif step is _SECOND:
                     values = frame[2]
-                    where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
-                    if not where:
-                        continue
-                    if len(where) < len(pts):
-                        frames.append((_MERGE, list(pts), where))
-                        pts, values = [pts[i] for i in where], [values[i] for i in where]
+                    if not plain:
+                        where = [i for i, p in enumerate(pts) if type(p[0]) is not Exc]
+                        if not where:
+                            continue
+                        if len(where) < len(pts):
+                            frames.append((_MERGE, False, list(pts), where))
+                            pts, values = [pts[i] for i in where], [values[i] for i in where]
                     frames.append((_PAIRED, pts))
-                    t, pts = frame[1], [(v, p[1]) for v, p in zip(values, pts)]
+                    t, pts, plain = frame[1], [(v, p[1]) for v, p in zip(values, pts)], True
                     break
                 elif step is _CAUGHT:
-                    where = [i for i, p in enumerate(pts) if type(p[0]) is Exc]
+                    where = not plain and [i for i, p in enumerate(pts) if type(p[0]) is Exc]
                     if not where:
+                        plain = True
                         continue
                     if len(where) < len(pts):
-                        frames.append((_MERGE, list(pts), where))
+                        frames.append((_MERGE, True, list(pts), where))
                         pts = [pts[i] for i in where]
                     t = frame[1]
                     break
@@ -404,10 +428,11 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
                     results, where = frame[-2], frame[-1]
                     for i, p in zip(where, pts):
                         results[i] = p
-                    pts = results
                     if step is _LEFT:
-                        t, pts = frame[1], frame[2]
+                        frames.append((_MERGE, plain, results, frame[3]))
+                        t, pts, plain = frame[1], frame[2], True
                         break
+                    pts, plain = results, plain and frame[1]
             else:
                 return pts
     except (TypeError, ValueError, IndexError):

@@ -31,6 +31,7 @@ from declogic.model import (
     check_strong_eq,
     check_weak_eq,
     enumerate_points,
+    eval_points,
     eval_term,
     parse_model_config,
     print_model_config,
@@ -39,6 +40,7 @@ from declogic.model import (
 )
 from declogic.syntax import ParseError
 from declogic.terms import (
+    Absurd,
     Bang,
     CaseSeq,
     Comp,
@@ -59,8 +61,10 @@ from declogic.terms import (
 from declogic.theory import (
     combine,
     dualize,
+    dump_theory,
     extend_theory,
     lookup_op,
+    parse_theory,
     states_theory,
     tag_op,
     untag_op,
@@ -725,3 +729,83 @@ class TestModelConfigFiles:
                 parse_model_config(text)
             assert info.value.message == message
             assert (info.value.line, info.value.col) == (line, col)
+
+
+def _pure_tag_theory():
+    """LIVE's single theory with `tag_e` declared (0,0): pure, though it
+    raises."""
+    text = dump_theory(LIVE["single"])
+    pure = text.replace("op tag_e : V -> empty @ (0,1)", "op tag_e : V -> empty @ (0,0)")
+    assert pure != text
+    return parse_theory(pure)
+
+
+def _foreign_lookup_model(theory, carriers):
+    """A model whose `lookup_x` table, not made by `build_model`, raises
+    `e` where x is odd, though `lookup_x` is declared (1,0)."""
+    model = build_model(theory, carriers)
+    raising = {(UNIT, s): (Exc("e", s[0]) if s[0] % 2 else s[0], s)
+               for s in model.states}
+    return FiniteModel(model.carriers, model.locations, model.exceptions,
+                       {**model.interps, "lookup_x": raising})
+
+
+def _pair(outcome):
+    return outcome.value, outcome.state
+
+
+WALKS = {**DIFFERENTIAL, "pure-tag": _pure_tag_theory(), "foreign-table": LIVE["single"]}
+
+
+@pytest.mark.parametrize("case", list(WALKS))
+def test_eval_points_agrees_with_eval_term_on_mixed_lists(case):
+    """Over every point, exceptional inputs included, the list walk gives
+    each point's result.  An op raising where its decoration says it is
+    pure pins that the walk reads exceptions from values."""
+    theory, carriers = WALKS[case], {"V": (0, 1, 2)}
+    model = (_foreign_lookup_model(theory, carriers) if case == "foreign-table"
+             else build_model(theory, carriers))
+    rng = random.Random(f"walks:{case}")
+    types = type_pool(theory)
+    raised = made = 0
+    while made < 300:
+        try:
+            term = random_term(rng, theory, model, rng.choice(types),
+                               rng.choice(types), depth=rng.randrange(1, 5))
+        except GenerationError:
+            continue
+        made += 1
+        points = scan_points(term.source, model)
+        want = [_pair(eval_term(term, model, v, s)) for v, s in points]
+        assert eval_points(term, model, points) == want, term
+        raised += any(isinstance(w[0], Exc) and not isinstance(v, Exc)
+                      for (v, _), w in zip(points, want))
+    assert (raised > 10) == (case != "states")
+
+
+def _result_or_error(run):
+    try:
+        return run()
+    except ModelError as err:
+        return type(err)
+
+
+_L1, _L2 = Comp(Const(0, V), Bang(UNIT_T)), Comp(Const(1, V), Bang(UNIT_T))
+
+
+@pytest.mark.parametrize("term, value", [
+    (Id(V), 7), (Proj1(V, V), (0, 1, 1)), (Proj1(V, V), 3), (Proj2(V, V), (0,)),
+    (Inj1(V, V), 7), (Inj2(V, V), (1, 2)), (Bang(V), 7), (Const(1, V), 7),
+    (Absurd(V), 0), (update_op(LIVE["single"], "x"), 7),
+    (CaseSeq(_L1, _L2), ("X", UNIT)), (CaseSeq(_L1, _L2), 3),
+    (CaseSeq(_L1, _L2), ("L", UNIT, 1)),
+])
+def test_both_walks_agree_off_the_carrier(term, value):
+    """What an input off its carrier gives is not specified, but both
+    walks give it, alone or among exceptional and ordinary points."""
+    model = build_model(LIVE["single"], {"V": (0, 1)})
+    for points in ([(value, (0,))],
+                   [(Exc("e", 1), (1,)), (value, (0,)), (value, (1,))]):
+        want = _result_or_error(lambda: [_pair(eval_term(term, model, v, s))
+                                         for v, s in points])
+        assert _result_or_error(lambda: eval_points(term, model, points)) == want
