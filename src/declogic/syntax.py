@@ -319,6 +319,8 @@ class _Parser:
                     if node is None:
                         node = nodes[key] = (build(item) if first is None
                                              else build(first, item))
+                        if build is Const:
+                            object.__setattr__(node, "_literal", key[1])
                     item = node
                 if tokens[pos] != ")":
                     raise self.error_at(pos, "expected ')'")

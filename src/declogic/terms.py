@@ -215,6 +215,8 @@ class Const(DecoratedTerm):
 
     value: object
     at: ObjType
+    # Its printed literal, set by the parser, which prints it anyway.
+    _literal = None
 
     def __post_init__(self) -> None:
         self._cache(UNIT_T, self.at, PURE)
@@ -483,7 +485,7 @@ def canonical_key(term: DecoratedTerm) -> int:
             key = (CaseSeq, node.on_left._canonical_key,
                    node.on_right._canonical_key)
         elif isinstance(node, Const):
-            key = (Const, _value_key(node.value, node.at), node.at)
+            key = (Const, node._literal or _value_key(node.value, node.at), node.at)
         else:
             form = FORMS.get(type(node))
             if form is None:

@@ -6,6 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from declogic import syntax
 from declogic.generate import GenerationError, random_term, type_pool
 from declogic.model import build_model
 from declogic.terms import (
@@ -302,6 +303,19 @@ def test_cached_key_matches_reference(rng, depth):
         want = reference_key(term)
         assert id_of.setdefault(want, got) == got
         assert key_of.setdefault(got, want) == want
+
+
+def test_a_parsed_constant_is_keyed_by_the_literal_it_was_parsed_from(monkeypatch):
+    """Keying a parsed constant prints nothing: the parser hands it the
+    literal it printed.  A constant built by hand is keyed by printing its
+    value, and gets the same id."""
+    parsed = syntax.parse_term("const((1, l(0)), prod(V, sum(V, V)))")
+    built = Const((1, ("L", 0)), Prod(V, Sum(V, V)))
+    with monkeypatch.context() as patch:
+        patch.setattr(syntax, "_print", None)
+        got = canonical_key(parsed)
+    assert canonical_key(built) == got
+    assert reference_key(parsed) == reference_key(built)
 
 
 class TestShield:
