@@ -334,7 +334,7 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
     #     `node` on `lefts`, whose results go to positions `lwhere`.
     frames: list[tuple] = []
     t, pts = term, points
-    plain = Exc not in {type(v) for v, _ in pts}
+    plain = Exc not in {type(v) for v, _ in pts}  # no exceptional value in `pts`
     try:
         while True:
             kind = type(t)
