@@ -32,9 +32,9 @@ outer table read at the inner table's entries, and a `PairSeq`'s or a
 `CaseSeq`'s is one lookup or two per point.  Each side of a check is
 composed from the tables of the pool members and the operations inside
 it, and its first differing position is the check's counterexample.
-When an outcome is not a point of its target, or an operation's table
-raises, the check scans with `check_eq`, so it gives the scan's verdict,
-counterexample or error.
+The rules are sound only where operations keep their decorations, so a
+context refuses a model that `validate_model` rejects; in any other,
+every outcome of a declared operation is a point of its target.
 
 Each mirror pair of samplers is written once, as the checkers in
 `declogic.rules` are: in the pair/state reading, run over `STATE` or
@@ -53,21 +53,22 @@ from .model import (
     _BRANCHES,
     _LEAVES,
     Counterexample,
-    Exc,
     FiniteModel,
     ModelError,
     Outcome,
-    check_eq,
+    check_eq,  # unused here, but perfbench traces checks through this binding
     enumerate_points,
     eval_term,
     scan_inputs,
     scan_points,
+    validate_model,
 )
 from .record import Record
 from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
                     _obs_family, check_rule, dual_name)
 from .terms import (Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id,
                     Mode, Op, PairSeq)
+from .syntax import print_type
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
 
@@ -163,10 +164,14 @@ class _Pool(Record):
 
 
 class ProbeContext:
-    """Shared pools and behavior tables for one theory and model."""
+    """Shared pools and behavior tables for one theory and a model that
+    satisfies it, else `ModelError` with `validate_model`'s problems."""
 
     def __init__(self, theory: Theory, model: FiniteModel,
                  rng: random.Random) -> None:
+        problems = validate_model(model, theory)
+        if problems:
+            raise ModelError(f"model fails its theory: {'; '.join(problems[:3])}")
         self.theory = theory
         self.model = model
         self.rng = rng
@@ -188,8 +193,8 @@ class ProbeContext:
         every state.  Composed over an explicit stack from the tables of
         its nodes; a pool member's is kept, and so is a leaf's, an
         operation's from `eval_term` at each of its points.  Raises
-        KeyError when an outcome is not a point of its target or children
-        do not fit, and the model's error when an operation's table does.
+        ValueError at an operation the theory does not declare, and
+        KeyError where a value is off its type or children do not fit.
         """
         members = self._tables
         kept = members.get(id(term))
@@ -228,6 +233,9 @@ class ProbeContext:
         index = scan_inputs(t.target, self.model)[1]
         m, k = self._width(t.target)
         if type(t) is Op:
+            if self.theory.signature.get(t.symbol.name) != t.symbol:
+                raise ValueError(f"operation {t.symbol.name!r} is not "
+                                 "one the theory declares")
             outs = (eval_term(t, self.model, v, state)
                     for v, state in scan_points(t.source, self.model))
             return tuple(self._state[out.state] * m + index[out.value] for out in outs)
@@ -278,14 +286,13 @@ class ProbeContext:
 
     def check(self, eq: Equation) -> Counterexample | None:
         """`check_eq` on `eq` in this context's model, answered from the
-        tables of its sides, or scanned when they cannot be composed."""
+        tables of its sides.  Raises ValueError when the sides differ in
+        type, or as `tables` does."""
         lhs, rhs = eq.lhs, eq.rhs
-        try:
-            if lhs.source is not rhs.source or lhs.target is not rhs.target:
-                raise KeyError(eq)
-            a, b = self.tables(lhs), self.tables(rhs)
-        except (KeyError, ModelError):
-            return check_eq(eq.mode, lhs, rhs, self.model)
+        if lhs.source is not rhs.source or lhs.target is not rhs.target:
+            raise ValueError("sides differ in type: " + " and ".join(
+                f"{print_type(t.source)} -> {print_type(t.target)}" for t in (lhs, rhs)))
+        a, b = self.tables(lhs), self.tables(rhs)
         if a == b:
             return None
         (n, o), m = self._width(lhs.source), self._width(lhs.target)[0]
@@ -322,15 +329,8 @@ class ProbeContext:
             except GenerationError:
                 continue
         members = list(dict.fromkeys(members))
-        try:
-            keys = [self._keys(t, self.tables(t)) for t in members]
-        except (KeyError, ModelError):
-            # Key by outcomes, as a scan compares them; this raises where a
-            # member raises.
-            keys = [self._outcomes(t) for t in members]
-        else:
-            self._tables.update((id(t), (t, key[0]))
-                                for t, key in zip(members, keys))
+        keys = [self._keys(t, self.tables(t)) for t in members]
+        self._tables.update((id(t), (t, key[0])) for t, key in zip(members, keys))
         strong: dict = defaultdict(list)
         weak: dict = defaultdict(list)
         splits: dict = defaultdict(lambda: defaultdict(list))
@@ -348,13 +348,6 @@ class ProbeContext:
         the table, and the value at each ordinary point."""
         (n, o), (m, _) = self._width(t.source), self._width(t.target)
         return table, tuple(p % m for i, p in enumerate(table) if i % n < o)
-
-    def _outcomes(self, t: DecoratedTerm) -> tuple:
-        """The keys of `_keys` over outcomes rather than positions."""
-        points = scan_points(t.source, self.model)
-        strong = tuple(eval_term(t, self.model, v, state) for v, state in points)
-        return strong, tuple(out.value for (v, _), out in zip(points, strong)
-                             if not isinstance(v, Exc))
 
     def rand(self, src: ObjType, tgt: ObjType,
              prefer_effectful: bool = False) -> DecoratedTerm:
@@ -568,10 +561,12 @@ def soundness_probe(rule: str, theory: Theory, model: FiniteModel,
                     context: ProbeContext | None = None) -> ProbeReport:
     """Probe one rule; the side conditions named in `drop` count as met,
     which is how the broken variants are made.  A given `context` must
-    be over `theory` and `model`."""
+    be over `theory` and `model` themselves, or ValueError is raised."""
     sampler = _SAMPLERS.get(rule)
     if sampler is None:
         raise ValueError(f"no sampler for rule {rule!r}")
+    if context and (context.theory is not theory or context.model is not model):
+        raise ValueError("the probe context is over another theory or model")
     ctx = context or ProbeContext(theory, model,
                                   random.Random(f"{seed}:{rule}:{theory.flavor}"))
     accepted = rejected = skipped = 0

@@ -4,6 +4,7 @@ while deliberately weakened checkers are caught within the sample budget."""
 import ast
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from declogic.generate import GenerationError, random_term, type_pool
 from declogic.model import (UNIT, FiniteModel, ModelError, build_model, check_eq,
                             check_strong_eq, check_weak_eq, eval_term,
-                            scan_inputs, scan_points)
+                            scan_inputs, scan_points, validate_model)
 from declogic import rules
 from declogic.probes import (
     _SAMPLERS,
@@ -38,6 +39,7 @@ from declogic.theory import (
     states_theory,
 )
 from declogic.types import EMPTY_T, UNIT_T, Base, Prod, Sum
+from test_model import _pure_tag_theory
 
 ST = states_theory({"x": "V", "y": "V"})
 EX = dualize(ST)
@@ -343,66 +345,77 @@ def test_composed_tables_are_eval_term_tables(flavor, monkeypatch):
 
 V = Base("V")
 _ONE_X = states_theory({"x": "V"})
-# `peek` reads x, but gives 7, off the carrier, where x is 1; `bump` is
-# undefined on input 1 where x is 1.
+# A model of `_ONE_X` written out by hand, not made by `build_model`.
 _HAND = FiniteModel(
     carriers=CARRIERS, locations={"x": "V"}, exceptions={},
     interps={"lookup_x": {(UNIT, (x,)): (x, (x,)) for x in (0, 1)},
-             "update_x": {(v, (x,)): (UNIT, (v,)) for v in (0, 1) for x in (0, 1)},
-             "peek": {(UNIT, (0,)): (0, (0,)), (UNIT, (1,)): (7, (1,))},
-             "bump": {(0, (0,)): (1, (0,)), (1, (0,)): (0, (0,)),
-                      (0, (1,)): (1, (1,))}})
-PEEK = Op(OpSymbol("peek", UNIT_T, V, Decoration(1, 0)))
-BUMP = Op(OpSymbol("bump", V, V, Decoration(1, 0)))
+             "update_x": {(v, (x,)): (UNIT, (v,)) for v in (0, 1) for x in (0, 1)}})
+# Where x is 1, this lookup gives 7, off its carrier.
+_OFF_CARRIER = FiniteModel(
+    carriers=CARRIERS, locations={"x": "V"}, exceptions={},
+    interps={**_HAND.interps,
+             "lookup_x": {(UNIT, (0,)): (0, (0,)), (UNIT, (1,)): (7, (1,))}})
+_PURE_TAG = _pure_tag_theory()
+BROKEN = {"pure tag": (_PURE_TAG, build_model(_PURE_TAG, CARRIERS)),
+          "off carrier": (_ONE_X, _OFF_CARRIER)}
+PROBES = {
+    "ProbeContext": lambda th, m: ProbeContext(th, m, random.Random(0)),
+    "probe_all": lambda th, m: probe_all(th, m, samples=20),
+    "soundness_probe": lambda th, m: soundness_probe("subs", th, m, samples=20),
+    "probe_variant": lambda th, m: probe_variant("subs_weak_any_h", th, m, samples=20),
+}
 
 
-def _outcome(check, *args):
-    try:
-        return check(*args)
-    except ModelError as err:
-        return type(err), str(err)
+@pytest.mark.parametrize("probe", list(PROBES))
+@pytest.mark.parametrize("broken", list(BROKEN))
+def test_a_model_that_breaks_its_theory_is_refused(broken, probe):
+    """The rules need not be sound in such a model, so a probe over it
+    would report violations of sound rules."""
+    theory, model = BROKEN[broken]
+    first = validate_model(model, theory)[0]
+    with pytest.raises(ModelError, match=re.escape(first)):
+        PROBES[probe](theory, model)
 
 
-def test_checks_that_cannot_be_composed_are_scanned(monkeypatch):
-    """An outcome off its target, or an op that raises where the scan
-    never looks, leaves the check to `check_eq`: the same verdict,
-    counterexample or error."""
-    counts = {"check_eq": 0}
-    _counting(monkeypatch, counts, "check_eq", [probes])
+def test_refusal_names_the_pure_operation_that_raised():
+    with pytest.raises(ModelError, match="tag_e: pure operation raised"):
+        probe_all(*BROKEN["pure tag"], samples=200, seed=0)
+
+
+def test_checks_refuse_undeclared_ops_and_sides_of_two_types():
     ctx = ProbeContext(_ONE_X, _HAND, random.Random(0))
     look = lookup_op(_ONE_X, "x")
-    zero, one = (Comp(Const(p, V), Bang(UNIT_T)) for p in (0, 1))
-    answers = set()
-    for lhs, rhs in ((PEEK, look), (PEEK, PEEK), (Comp(BUMP, zero), one),
-                     (Comp(BUMP, one), zero), (Comp(BUMP, look), look)):
-        for mode in Mode:
-            got = _outcome(ctx.check, Equation(mode, lhs, rhs))
-            assert got == _outcome(model_module.check_eq, mode, lhs, rhs, _HAND)
-            answers.add(type(got).__name__)
-    assert counts["check_eq"] == 10
-    assert answers == {"NoneType", "Counterexample", "tuple"}
+    pure_look = Op(OpSymbol("lookup_x", UNIT_T, V, Decoration(0, 0)))
+    peek = Op(OpSymbol("peek", UNIT_T, V, Decoration(1, 0)))
+    bump = Op(OpSymbol("bump", V, V, Decoration(1, 0)))
+    for mode in Mode:
+        for lhs, name in ((peek, "peek"), (Comp(bump, look), "bump"),
+                          (pure_look, "lookup_x")):
+            with pytest.raises(ValueError, match=f"operation '{name}'"):
+                ctx.check(Equation(mode, lhs, look))
+        with pytest.raises(ValueError, match="unit -> V and V -> V"):
+            ctx.check(Equation(mode, look, Id(V)))
 
 
-def test_a_pool_that_cannot_be_composed_is_keyed_by_outcomes():
-    """Where x is 1, this lookup gives 7, off its carrier, which the
-    update takes for 1.  So every term evaluates, the pools of terms that
-    read x are keyed by outcomes, and their checks are scanned."""
-    update = {**_HAND.interps["update_x"],
-              **{(7, (x,)): (UNIT, (1,)) for x in (0, 1)}}
-    hand = FiniteModel(carriers=CARRIERS, locations={"x": "V"}, exceptions={},
-                       interps={"lookup_x": _HAND.interps["peek"],
-                                "update_x": update})
-    ctx = ProbeContext(_ONE_X, hand, random.Random(0))
+def test_a_hand_written_model_is_probed_through_composed_tables(monkeypatch):
+    ctx = ProbeContext(_ONE_X, _HAND, random.Random(0))
     pool = ctx.pool(UNIT_T, V)
     assert any(isinstance(m, Op) for m in pool)
-    for f in pool:
-        for g in pool:
-            for mode in Mode:
-                assert ctx.check(Equation(mode, f, g)) == \
-                    check_eq(mode, f, g, hand)
-    for mode in Mode:
-        f, g = ctx.equal_pair(UNIT_T, V, mode)
-        assert check_eq(mode, f, g, hand) is None
+    pairs = [(f, g, mode) for f in pool for g in pool for mode in Mode]
+    wanted = [check_eq(mode, f, g, _HAND) for f, g, mode in pairs]
+    monkeypatch.setattr(probes, "check_eq", None)  # no scan
+    assert [ctx.check(Equation(mode, f, g)) for f, g, mode in pairs] == wanted
+    assert None in wanted and set(wanted) != {None}
+    assert all(report.ok for report in probe_all(_ONE_X, _HAND, samples=50).values())
+
+
+def test_a_context_probes_only_its_own_theory_and_model():
+    theory, model = FLAVORS["states"]
+    ctx = ProbeContext(theory, model, random.Random(0))
+    for other in ((states_theory({"x": "V", "y": "V"}), model),
+                  (theory, build_model(theory, CARRIERS)), BROKEN["pure tag"]):
+        with pytest.raises(ValueError, match="another theory or model"):
+            soundness_probe("refl", *other, samples=5, context=ctx)
 
 
 @pytest.mark.parametrize("name", sorted(UNSOUND_VARIANTS))
