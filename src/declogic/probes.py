@@ -66,8 +66,8 @@ from .model import (
 from .record import Record
 from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
                     _obs_family, check_rule, dual_name)
-from .terms import (Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id,
-                    Mode, Op, PairSeq)
+from .terms import (FORMS, Absurd, Bang, Comp, Const, DecoratedTerm, Equation,
+                    Id, Mode, Op, PairSeq)
 from .syntax import print_type
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
@@ -163,6 +163,13 @@ class _Pool(Record):
     __slots__ = ("members", "classes", "weak_splits")
 
 
+def _unfit(t: DecoratedTerm, a: ObjType, b: ObjType) -> ValueError:
+    """The error for a node whose two children do not meet at types `a`
+    and `b`."""
+    return ValueError(f"{FORMS[type(t)].head} arguments differ in type: "
+                      f"{print_type(a)} and {print_type(b)}")
+
+
 class ProbeContext:
     """Shared pools and behavior tables for one theory and a model that
     satisfies it, else `ModelError` with `validate_model`'s problems."""
@@ -193,8 +200,9 @@ class ProbeContext:
         every state.  Composed over an explicit stack from the tables of
         its nodes; a pool member's is kept, and so is a leaf's, an
         operation's from `eval_term` at each of its points.  Raises
-        ValueError at an operation the theory does not declare, and
-        KeyError where a value is off its type or children do not fit.
+        ValueError at an operation the theory does not declare or where
+        two children do not meet, and KeyError where a value is off its
+        type.
         """
         members = self._tables
         kept = members.get(id(term))
@@ -251,13 +259,13 @@ class ProbeContext:
         kind = type(t)
         if kind is Comp:
             if t.outer.source is not t.inner.target:
-                raise KeyError(t)
+                raise _unfit(t, t.outer.source, t.inner.target)
             return tuple(map(left.__getitem__, right))
         (n, o), (m, k) = self._width(t.source), self._width(t.target)
         out = []
         if kind is PairSeq:
             if t.first.source is not t.second.source:
-                raise KeyError(t)
+                raise _unfit(t, t.first.source, t.second.source)
             (na, oa), (nb, ob) = self._width(t.first.target), self._width(t.second.target)
             for i, p in enumerate(left):
                 s, v = divmod(i, n)
@@ -272,7 +280,7 @@ class ProbeContext:
                 out.append(s * m + (a * ob + b if b < ob else k + b - ob))
             return tuple(out)
         if t.on_left.target is not t.on_right.target:
-            raise KeyError(t)
+            raise _unfit(t, t.on_left.target, t.on_right.target)
         (na, oa), (nb, ob) = self._width(t.on_left.source), self._width(t.on_right.source)
         for i in range(len(self._state) * n):
             s, v = divmod(i, n)

@@ -146,9 +146,12 @@ def parse_script(text: str, signature) -> ProofScript:
 
     Equal side texts within the script are parsed once, and equal
     subterms anywhere in it are one node, so each distinct subterm's
-    canonical key is computed once.  Nothing is shared with another
-    script, not even one with the same text.  Parse errors give the
-    script line and the column within it.
+    canonical key is computed once.  A side whose top-level argument
+    texts were read earlier in the script, as sides or as arguments of
+    parsed sides, is built from their nodes without tokenizing; only the
+    exact text counts, with the printer's `", "`.  Nothing is shared
+    with another script, not even one with the same text.  Parse errors
+    give the script line and the column within it.
     """
     goal, steps = None, []
     for lineno, head, values in read_lines(text, "script", signature):

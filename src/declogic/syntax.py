@@ -241,11 +241,7 @@ class _Parser:
         whole text.  A form waits on an explicit stack of [build, heads of
         its second argument, head token, first argument] entries until its
         arguments are read, so nesting depth is not limited by recursion.
-
-        A term node is built once per key in `nodes`: its form with its
-        child nodes and op symbol by identity, its types as they are, and
-        a constant's literal as printed, so no key compares deep values.
-        Equal subterms parsed with one `nodes` are therefore one node."""
+        Term nodes come from `nodes` through `_node`."""
         tokens = self.tokens
         pos = 0
         pending: list[list] = []
@@ -308,20 +304,9 @@ class _Parser:
                 if build not in _TERM_FORMS:
                     item = build(item) if first is None else build(first, item)
                 else:
-                    if build is Const:
-                        key = (Const, self.literal(first, item, head_at + 2), item)
-                    elif build in _BY_IDENTITY:
-                        key = ((build, id(item)) if first is None
-                               else (build, id(first), id(item)))
-                    else:
-                        key = (build, item) if first is None else (build, first, item)
-                    node = nodes.get(key)
-                    if node is None:
-                        node = nodes[key] = (build(item) if first is None
-                                             else build(first, item))
-                        if build is Const:
-                            object.__setattr__(node, "_literal", key[1])
-                    item = node
+                    item = _node(nodes, build, first, item,
+                                 self.literal(first, item, head_at + 2)
+                                 if build is Const else None)
                 if tokens[pos] != ")":
                     raise self.error_at(pos, "expected ')'")
                 pos += 1
@@ -338,6 +323,26 @@ class _Parser:
             return _print((value, ty))
         except ValueError as err:
             raise self.error_at(at, f"literal does not fit type {print_type(err.at)}") from None
+
+
+def _node(nodes: dict, build, first, second, literal: str | None = None):
+    """The term node `build(first, second)`, or `build(second)` when
+    `first` is None, built once per key in `nodes`: its form with its
+    child nodes and op symbol by identity, its types as they are, and a
+    constant's `literal` as printed, so no key compares deep values.
+    Equal subterms built with one `nodes` are therefore one node."""
+    if literal is not None:
+        key = (Const, literal, second)
+    elif build in _BY_IDENTITY:
+        key = (build, id(second)) if first is None else (build, id(first), id(second))
+    else:
+        key = (build, second) if first is None else (build, first, second)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = build(second) if first is None else build(first, second)
+        if literal is not None:
+            object.__setattr__(node, "_literal", literal)
+    return node
 
 
 def parse_type(text: str) -> ObjType:
@@ -415,8 +420,7 @@ def _terms(text: str, signature, terms) -> tuple[DecoratedTerm, ...]:
             pieces.append([col + 1, part])
         col += len(part) + 1
         depth += part.count("(") - part.count(")")
-    return tuple(parse_at(parse_term, piece, 1, at, signature, terms)
-                 for at, piece in pieces)
+    return tuple(_side(piece, at, signature, terms) for at, piece in pieces)
 
 
 def _carrier(text: str, signature, terms) -> tuple[int, ...]:
@@ -455,22 +459,64 @@ def _equation(text: str, signature, terms) -> Equation:
     if not eq:
         raise ParseError("expected '<lhs> = <rhs>'", 1, 1)
     col = len(text) - len(rest) + 1
-    sides = []
-    for side in (lhs, rhs):
-        key = side.strip()
-        term = terms.get(key)
-        if term is None:
-            term = terms[key] = parse_at(parse_term, side, 1, col, signature, terms)
-        sides.append(term)
-        col += len(side) + 1
-    return Equation(mode, *sides)
+    return Equation(mode, _side(lhs, col, signature, terms),
+                    _side(rhs, col + len(lhs) + 1, signature, terms))
+
+
+# Term forms of two term arguments by head, for `_split`.
+_PAIRED = {f.head: c for c, f in FORMS.items() if f.kinds == "tt"}
+
+
+def _split(text: str) -> tuple | None:
+    """`(build, first, second)` when `text` reads `head(first, second)`
+    with the head of a form in `_PAIRED`, cut at the first `", "` outside
+    parentheses; else None.  Each character is counted once, so the cut
+    is linear in the length of `text` whatever its nesting."""
+    open_at = text.find("(")
+    build = _PAIRED.get(text[:open_at]) if open_at > 0 else None
+    if build is None or text[-1] != ")":
+        return None
+    at = open_at + 1
+    depth = 0
+    while True:
+        comma = text.find(", ", at, -1)
+        if comma < 0:
+            return None
+        depth += text.count("(", at, comma) - text.count(")", at, comma)
+        if not depth:
+            return build, text[open_at + 1:comma], text[comma + 2:-1]
+        at = comma + 2
+
+
+def _side(text: str, col: int, signature, terms) -> DecoratedTerm:
+    """The term of `text`, which starts at column `col` of its line, read
+    through the file's table `terms`.  A text read before is its term.  A
+    text `head(first, second)` of a form in `_PAIRED` whose two argument
+    texts were read before, each exactly, is built from their nodes
+    without tokenizing.  Any other text is parsed, and then its argument
+    texts, if `_split` finds them, are entered for later texts."""
+    key = text.strip()
+    term = terms.get(key)
+    if term is not None:
+        return term
+    split = _split(key)
+    if split is not None:
+        build, first, second = split
+        a, b = terms.get(first), terms.get(second)
+        if a is not None and b is not None:
+            term = terms[key] = _node(terms, build, a, b)
+            return term
+    term = terms[key] = parse_at(parse_term, text, 1, col, signature, terms)
+    if split is not None:
+        terms[first], terms[second] = FORMS[build].args(term)
+    return term
 
 
 # placeholder: (read, print).  `read(text, signature, terms)` gives the
 # value of a hole's stripped text or raises a ParseError placed in it.  Op
 # names resolve in `signature`.  `terms` is the file's table of terms: a
-# node key (a tuple, see `_Parser.parse`) gives its node, and an equation
-# side's text (a str) the term parsed from it.
+# node key (a tuple, see `_node`) gives its node, and a text (a str) read
+# as a side, an observer or an argument of one gives its term (`_side`).
 _HOLES = {
     "NAME": (_word(str.isidentifier, "bad name {!r}"), str),
     # An op line would read a base named like a type keyword as that type.
@@ -523,9 +569,13 @@ def read_lines(text: str, fmt: str, signature: dict[str, OpSymbol] | None = None
     `signature` from any `op` line.
 
     The terms of one call are built through one table: an equation side
-    whose text was read before is that term, and equal subterms anywhere
-    in `text`, in equations and `obs` lines alike, are one node.  Nothing
-    is shared across calls."""
+    or observer whose text was read before is that term, and equal
+    subterms anywhere in `text`, in equations and `obs` lines alike, are
+    one node.  A side `head(a, b)` of a form of two terms whose argument
+    texts `a` and `b` were read before, as sides or as top-level
+    arguments of parsed ones, is built from their nodes without
+    tokenizing; only the exact text counts, with the printer's `", "`.
+    Nothing is shared across calls."""
     forms = _FORMATS[fmt]
     later: list | None = [] if "op" in forms else None
     lines = enumerate(text.split("\n"), start=1)

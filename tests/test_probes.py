@@ -397,6 +397,20 @@ def test_checks_refuse_undeclared_ops_and_sides_of_two_types():
             ctx.check(Equation(mode, look, Id(V)))
 
 
+def test_checks_name_the_types_of_children_that_do_not_meet():
+    """Sides of one type can hold a node whose children do not fit:
+    the error names the form and both types, as the side-type one does."""
+    ctx = ProbeContext(_ONE_X, _HAND, random.Random(0))
+    look = lookup_op(_ONE_X, "x")
+    for side, message in ((Comp(look, look), "comp arguments differ in type: unit and V"),
+                          (PairSeq(look, Id(V)), "pair arguments differ in type: unit and V"),
+                          (CaseSeq(look, Bang(V)), "case arguments differ in type: V and unit")):
+        for mode in Mode:
+            with pytest.raises(ValueError) as err:
+                ctx.check(Equation(mode, side, side))
+            assert str(err.value) == message
+
+
 def test_a_hand_written_model_is_probed_through_composed_tables(monkeypatch):
     ctx = ProbeContext(_ONE_X, _HAND, random.Random(0))
     pool = ctx.pool(UNIT_T, V)

@@ -7,9 +7,13 @@ rule change is caught by the model oracle and an over-strict one by
 the script replay.
 """
 
+import gc
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from declogic import syntax
 from declogic.derivations import ScriptBuilder, all_law_scripts, law_script
 from declogic.model import build_model, check_eq
 from declogic.proofs import (
@@ -28,7 +32,8 @@ from declogic.rules import (
     check_rule,
 )
 from declogic.syntax import ParseError, parse_term, print_term
-from declogic.terms import FORMS, Bang, Comp, Equation, Id, Mode, Op, PairSeq, Proj2
+from declogic.terms import (FORMS, Bang, CaseSeq, Comp, Equation, Id, Mode, Op, PairSeq,
+                            Proj2, canonical_key)
 from declogic.theory import (
     combine,
     dualize,
@@ -140,10 +145,13 @@ def test_print_parse_round_trip():
             assert check_script(again, theory).ok
 
 
+def _equations(script):
+    return [script.goal] + [step.conclusion for step in script.steps]
+
+
 def _nodes(script):
     """Every distinct node of a parsed script's equations, each once."""
-    stack = [side for eq in [script.goal] + [step.conclusion for step in script.steps]
-             for side in (eq.lhs, eq.rhs)]
+    stack = [side for eq in _equations(script) for side in (eq.lhs, eq.rhs)]
     seen = {}
     while stack:
         node = stack.pop()
@@ -154,16 +162,55 @@ def _nodes(script):
     return list(seen.values())
 
 
-def test_script_sides_parse_as_alone_and_repeats_share_a_term():
+# A side whose two argument texts the script has read before is built
+# from their nodes; these tests pin that it is the term `parse_term`
+# gives, that it shares nodes, that errors are unchanged, and that the
+# cut of a side is linear in its length.
+
+_TWO_TERM_FORMS = (Comp, PairSeq, CaseSeq)
+
+
+def _tamper(term, kind):
+    """`term` with the arguments of its top node swapped ("swap") or
+    under the next form of two terms ("rehead"); other terms as they are.
+    The result may be ill-typed, which parsing does not check."""
+    form = FORMS[type(term)]
+    if form.kinds != "tt":
+        return term
+    a, b = form.args(term)
+    if kind == "swap":
+        return type(term)(b, a)
+    return _TWO_TERM_FORMS[(_TWO_TERM_FORMS.index(type(term)) + 1) % 3](a, b)
+
+
+def _law_scripts_and_tampered_copies():
     scripts = [(s, ST1) for s in all_law_scripts(ST1).values()]
     scripts += [(s, ST2) for s in all_law_scripts(ST2).values()]
     scripts += [(dualize_script(s, ST2), EX2) for s in all_law_scripts(ST2).values()]
-    for script, theory in scripts:
-        parsed = parse_script(print_script(script), theory.signature)
-        equations = [parsed.goal] + [step.conclusion for step in parsed.steps]
-        for eq in equations:
+    for script, theory in list(scripts):
+        for kind in ("swap", "rehead"):
+            def tamper(eq):
+                return Equation(eq.mode, _tamper(eq.lhs, kind), _tamper(eq.rhs, kind))
+            copy = ProofScript(tamper(script.goal), tuple(
+                ProofStep(step.rule, step.premises, tamper(step.conclusion))
+                for step in script.steps))
+            scripts.append((copy, theory))
+    return scripts
+
+
+def test_script_sides_parse_as_alone_and_repeats_share_a_term():
+    """Law scripts and copies whose sides are new forms of texts read
+    before give back their text, and each side is the term it parses to
+    alone, with the same canonical key."""
+    for script, theory in _law_scripts_and_tampered_copies():
+        text = print_script(script)
+        parsed = parse_script(text, theory.signature)
+        assert print_script(parsed) == text
+        for eq in _equations(parsed):
             for side in (eq.lhs, eq.rhs):
-                assert side == parse_term(print_term(side), theory.signature)
+                alone = parse_term(print_term(side), theory.signature)
+                assert side == alone
+                assert canonical_key(side) == canonical_key(alone)
         # Within one script, subterms that print alike are one node:
         # every side, and every subterm of one.
         by_text = {}
@@ -176,6 +223,85 @@ def test_two_parses_of_one_script_share_no_node():
     first, second = (parse_script(text, ST2.signature) for _ in range(2))
     assert check_script(first, ST2).ok and check_script(second, ST2).ok
     assert not {id(node) for node in _nodes(first)} & {id(node) for node in _nodes(second)}
+
+
+def _count_parses(monkeypatch):
+    """The texts `declogic.syntax.parse_term` is called on from now on."""
+    texts = []
+    original = syntax.parse_term
+    monkeypatch.setattr(syntax, "parse_term",
+                        lambda text, *args: texts.append(text) or original(text, *args))
+    return texts
+
+
+def test_a_side_of_texts_read_before_is_built_without_parsing(monkeypatch):
+    look, put = "op(lookup_x)", "op(update_x)"
+    first, second = f"comp({look}, {put})", f"comp({put}, {look})"
+    parses = _count_parses(monkeypatch)
+    script = parse_script(
+        f"goal strong {first} = {second}\n"
+        f"step 1: refl [] |- weak pair({first}, {second}) = pair({first}, {second})\n"
+        f"step 2: refl [] |- weak case({look}, {put}) = comp({put}, {look})\n",
+        ST1.signature)
+    goal, one, two = _equations(script)
+    # Parsing the goal's left side enters `look` and `put` as its argument
+    # texts; every later side is built from texts read before.
+    assert parses == [first]
+    assert goal.rhs.outer is goal.lhs.inner and goal.rhs.inner is goal.lhs.outer
+    assert one.lhs is one.rhs
+    assert one.lhs.first is goal.lhs and one.lhs.second is goal.rhs
+    assert two.lhs.on_left is goal.lhs.outer and two.lhs.on_right is goal.lhs.inner
+    assert two.rhs is goal.rhs
+
+
+@pytest.mark.parametrize("side", ["comp(op(lookup_x),op(update_x))",
+                                  "comp( op(lookup_x), op(update_x))",
+                                  "comp(op(lookup_x), op(update_x) )"])
+def test_a_side_spaced_otherwise_is_parsed_to_the_same_node(monkeypatch, side):
+    printed = "comp(op(lookup_x), op(update_x))"
+    parses = _count_parses(monkeypatch)
+    script = parse_script(f"goal strong {printed} = op(lookup_x)\n"
+                          f"step 1: refl [] |- weak {side} = {printed}\n", ST1.signature)
+    assert parses[-1] == side
+    assert script.steps[0].conclusion.lhs is script.goal.lhs
+
+
+# Each side's argument texts were read in the goal; the messages and
+# columns are the ones parsing the side alone gives.
+MALFORMED = [
+    ("cmop(op(update_x), op(lookup_x))", "unknown term form 'cmop'", 25),
+    ("comp(op(update_x), op(lookup_x)", "expected ')'", 56),
+    ("comp(op(update_x), op(lookup_x)) x", "unexpected trailing input", 58),
+    ("comp(op(update_x), op(lookup_x)))", "unexpected trailing input", 57),
+    ("pair(op(update_x), op(lookup_x)) (x)", "unexpected trailing input", 58),
+]
+
+
+@pytest.mark.parametrize("side, message, col", MALFORMED)
+def test_a_malformed_side_of_known_argument_texts_is_a_parse_error(side, message, col):
+    text = ("goal strong comp(op(update_x), op(lookup_x)) = id(V)\n"
+            f"step 1: refl [] |- weak {side} = id(V)\n")
+    with pytest.raises(ParseError) as info:
+        parse_script(text, ST1.signature)
+    assert (info.value.message, info.value.line, info.value.col) == (message, 2, col)
+
+
+def test_cutting_a_left_nested_side_is_linear():
+    """The argument comma of a left-nested pair is its last one."""
+    def goal(depth):
+        side = "pair(" * depth + "op(lookup_x)" + ", op(lookup_x))" * depth
+        return f"goal strong {side} = {side}\n"
+
+    texts = {depth: goal(depth) for depth in (10_000, 20_000)}
+    best = {depth: float("inf") for depth in texts}
+    for _ in range(3):
+        for depth, text in texts.items():
+            gc.collect()
+            start = time.perf_counter()
+            script = parse_script(text, ST1.signature)
+            best[depth] = min(best[depth], time.perf_counter() - start)
+            assert script.goal.lhs is script.goal.rhs
+    assert best[20_000] / best[10_000] < 3, best
 
 
 def test_parse_errors_give_script_line_and_column():
