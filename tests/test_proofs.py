@@ -292,6 +292,8 @@ def test_cutting_a_left_nested_side_is_linear():
         side = "pair(" * depth + "op(lookup_x)" + ", op(lookup_x))" * depth
         return f"goal strong {side} = {side}\n"
 
+    # Best of 3 at each size, taken in turns, so that a busy spell of the
+    # host slows both sizes alike.
     texts = {depth: goal(depth) for depth in (10_000, 20_000)}
     best = {depth: float("inf") for depth in texts}
     for _ in range(3):
