@@ -25,18 +25,16 @@ exceptional) and every state.  Weak equality compares only the result
 value (with its exceptional identity) on ordinary inputs, ignoring the
 final state.  With no locations the state is trivial, so weak equality
 degenerates to agreement on ordinary arguments; with no exceptions it
-degenerates to value agreement.  Every check walks the points
-`scan_points` lists, in its one order (state-major; ordinary inputs,
-then exceptional ones), and reports the first difference;
-`check_both_eq` gives both verdicts from one walk.  These checks stop at
-their first difference, so they evaluate point by point with
-`eval_term`.  `imp.check_equiv` reads every live state of two whole
-programs unless their results differ early, so it evaluates each
-program at all its points at once with `eval_points`, by the same
-rules, and scans the results in the same order.  There a leaf or an op
-that catches nothing runs on the ordinary points only.
+degenerates to value agreement.  Every check reports the first
+difference among the points `scan_points` lists, in its one order
+(state-major; ordinary inputs, then exceptional ones); `check_both_eq`
+gives both verdicts at once.  One walk evaluates terms: `eval_points`
+runs a term at a list of points at once, and a leaf or an op that
+catches nothing runs on the ordinary points only.  `eval_term` is its
+one-point case, and `imp.check_equiv` runs `eval_points` at every point
+of two whole programs.
 
-A check walks only the live states: those whose locations outside both
+A check reads only the live states: those whose locations outside both
 sides' footprint (the locations their `lookup_x` and `update_x` ops
 name) hold their carrier's first value.  That is exact.  Neither side
 reads or writes such a location, so changing it in the initial state
@@ -44,10 +42,17 @@ changes it alike in both final states and nothing else, and the set of
 differing points is closed under that change.  Its first point in
 state-major order then holds the first value there, and so do the first
 point that raises and the first state a loop runs out of fuel from.
-`validate_model` walks every state, and so do probe tables: each holds
-a term's outcome at every point, as its position among the points of
-the target, and `declogic.probes` composes a composite's table from its
-children's by the rules above.
+
+A check is answered from behaviour tables (`Tables`) of its sides over
+the live states, which every op of the sides maps to live states.  A
+table holds a term's outcome at each point, as its position among the
+points of the target; an op's is evaluated with `eval_term` at each of
+its points, and a composite's is composed from its children's by the
+rules above.  The check scans its points with `eval_term` instead when
+the sides differ in type, when composing raises, as only the scan's
+errors are the check's, or when a count of the nodes' source points says
+the tables would outgrow the scan.  Probe contexts compose tables over
+every state, and `validate_model` walks every state.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from .terms import (
     Proj1,
     Proj2,
 )
-from .syntax import ParseError, print_lines, read_lines
+from .syntax import ParseError, print_lines, print_type, read_lines
 from .types import UNIT, Base, Empty, ObjType, Prod, Sum, Unit, numbered_type
 
 
@@ -178,24 +183,35 @@ def enumerate_points(ty: ObjType, model: FiniteModel) -> list:
     products, all-left-then-all-right for sums.  A loop, so deep types
     enumerate too: `Prod` or `Sum` itself joins the last two on `done`.
     """
-    done: list[list] = []
+    return _points(ty, model, False)
+
+
+# How `_points` joins the points, or the counts of points, of two types.
+_JOINS = {(Prod, False): lambda left, right: [(a, b) for a in left for b in right],
+          (Sum, False): lambda left, right: [("L", a) for a in left] + [("R", b) for b in right],
+          (Prod, True): int.__mul__, (Sum, True): int.__add__}
+
+
+def _points(ty: ObjType, model: FiniteModel, counting: bool):
+    """`enumerate_points`, or with `counting` the number of those points,
+    found from the carrier sizes without enumerating them."""
+    done: list = []
     todo: list = [ty]
     while todo:
         ty = todo.pop()
         if ty is Prod or ty is Sum:
             right, left = done.pop(), done.pop()
-            done.append([(a, b) for a in left for b in right] if ty is Prod
-                        else [("L", a) for a in left] + [("R", b) for b in right])
+            done.append(_JOINS[ty, counting](left, right))
         elif isinstance(ty, (Prod, Sum)):
             todo += (type(ty), ty.right, ty.left)
-        elif isinstance(ty, Unit):
-            done.append([UNIT])
-        elif isinstance(ty, Empty):
-            done.append([])
+        elif isinstance(ty, (Unit, Empty)):
+            points = [UNIT] if isinstance(ty, Unit) else []
+            done.append(len(points) if counting else points)
         elif isinstance(ty, Base):
             if ty.name not in model.carriers:
                 raise UnknownBaseType(f"base type {ty.name!r} has no carrier")
-            done.append(list(model.carriers[ty.name]))
+            carrier = model.carriers[ty.name]
+            done.append(len(carrier) if counting else list(carrier))
         else:
             raise TypeError(f"not an object type: {ty!r}")
     return done[0]
@@ -203,20 +219,6 @@ def enumerate_points(ty: ObjType, model: FiniteModel) -> list:
 
 def _absurd(t, v):
     raise CarrierMismatch(f"ordinary value {v!r} reached the empty type")
-
-
-# Every leaf but `Op`, as a map from (node, ordinary value) to its result.
-_LEAVES = {
-    Id: lambda t, v: v,
-    Proj1: lambda t, v: v[0],
-    Proj2: lambda t, v: v[1],
-    Inj1: lambda t, v: ("L", v),
-    Inj2: lambda t, v: ("R", v),
-    Bang: lambda t, v: UNIT,
-    Const: lambda t, v: t.value,
-    Absurd: _absurd,
-}
-_RUN = object()
 
 
 def _op_error(interps: dict, name: str, key) -> ModelError:
@@ -228,67 +230,9 @@ def _op_error(interps: dict, name: str, key) -> ModelError:
 
 
 def eval_term(term: DecoratedTerm, model: FiniteModel, value, state: tuple) -> Outcome:
-    """Evaluate `term` on one input and one state, by the rules in the
-    module docstring; iterative, so terms of any depth evaluate."""
-    interps = model.interps
-    # (node, _RUN) runs `node` next.  Post-steps: (pair, its input) after the
-    # first half, (None, first result) after the second, (case, None).
-    frames: list[tuple] = []
-    t, saved, v, s = term, _RUN, value, state
-    try:
-        while True:
-            exc = isinstance(v, Exc)
-            kind = type(t)
-            if saved is not _RUN:
-                if kind is CaseSeq:
-                    if exc:
-                        t, saved = t.on_left, _RUN
-                        continue
-                elif not exc:
-                    if kind is PairSeq:
-                        frames.append((None, v))
-                        t, saved, v = t.second, _RUN, saved
-                        continue
-                    v = (saved, v)
-            elif kind is Comp:
-                frames.append((t.outer, _RUN))
-                t = t.inner
-                continue
-            elif kind is Op:
-                if not exc or t.symbol.decoration.exc > 1:
-                    try:
-                        v, s = interps[t.symbol.name][(v, s)]
-                    except KeyError:
-                        raise _op_error(interps, t.symbol.name, (v, s)) from None
-            elif kind is PairSeq:
-                if not exc:
-                    frames.append((t, v))
-                    t = t.first
-                    continue
-            elif kind is CaseSeq:
-                if not exc:
-                    tag, v = v
-                    if tag == "L":
-                        t = t.on_left
-                        continue
-                frames.append((t, None))
-                t = t.on_right
-                continue
-            elif kind in _LEAVES:
-                if not exc:
-                    v = _LEAVES[kind](t, v)
-            else:
-                raise TypeError(f"not a term: {t!r}")
-            if not frames:
-                return Outcome(v, s)
-            t, saved = frames.pop()
-    except (TypeError, ValueError, IndexError):
-        # Only an input off the carrier fails inside a projection or a
-        # case split; converting here keeps the loop free of checks.
-        if kind not in (Proj1, Proj2, CaseSeq):
-            raise
-        raise CarrierMismatch(f"{kind.__name__} undefined on input {v!r} "
-                              f"in state {s!r}") from None
+    """The outcome of `term` on one input in one state: `eval_points`."""
+    (v, s), = eval_points(term, model, [(value, state)])
+    return Outcome(v, s)
 
 
 # The post-steps of `eval_points`, the first field of each of its frames.
@@ -309,7 +253,7 @@ _KERNELS = {
 
 def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
     """The (value, state) result of `term` at each (value, state) point of
-    `points`, in their order, by the rules of `eval_term`.
+    `points`, in their order, by the rules in the module docstring.
 
     One walk carries every point through the term, so each node is
     dispatched once for all the points that reach it rather than once per
@@ -436,11 +380,20 @@ def eval_points(term: DecoratedTerm, model: FiniteModel, points: list) -> list:
             else:
                 return pts
     except (TypeError, ValueError, IndexError):
-        # As in `eval_term`: only an input off the carrier fails here.
+        # Only an input off the carrier fails inside a projection or a case
+        # split; running the node's points one at a time finds the first.
         if kind not in (Proj1, Proj2, CaseSeq):
             raise
-        raise CarrierMismatch(f"{kind.__name__} undefined on an input off its "
-                              f"carrier") from None
+        for v, s in pts:
+            try:
+                if kind is not CaseSeq:
+                    _KERNELS[kind](t, [(v, s)])
+                elif type(v) is not Exc:
+                    tag, _ = v
+            except (TypeError, ValueError, IndexError):
+                raise CarrierMismatch(f"{kind.__name__} undefined on input {v!r} "
+                                      f"in state {s!r}") from None
+        raise
 
 
 class Counterexample(Record):
@@ -472,10 +425,10 @@ def scan_points(source: ObjType, model: FiniteModel, exceptional: bool = True,
     Given the two `terms` of a check, only their live states are listed
     (see the module docstring), which gives every check the verdict and
     the first difference of a walk over all states.  Without them it
-    lists every state, which tables compared point by point need."""
-    inputs = enumerate_points(source, model)
-    if exceptional:
-        inputs += model.exceptional_values()
+    lists every state, as `validate_model` needs."""
+    inputs = scan_inputs(source, model)[0]
+    if not exceptional:
+        inputs = inputs[:len(inputs) - len(model.exceptional_values())]
     states = model.states if terms is None else _live_states(model, terms)
     return [(v, state) for state in states for v in inputs]
 
@@ -546,6 +499,182 @@ def _live_states(model: FiniteModel, terms) -> tuple:
     return states
 
 
+# The two types that must meet in each node with two children, by form.
+_MEETS = {Comp: lambda t: (t.outer.source, t.inner.target),
+          PairSeq: lambda t: (t.first.source, t.second.source),
+          CaseSeq: lambda t: (t.on_left.target, t.on_right.target)}
+
+
+class Tables:
+    """Behaviour tables over `states` of `model`, which the ops of the
+    terms tabulated map to one another: every state, or a check's live ones.
+
+    A term's table lists, at each point of `scan_points` over `states`,
+    the position of its outcome among the points of its target, where
+    position `s * n + v` is input `v` of a type with `n` in state
+    `states[s]`.  So a `Comp`'s table is the outer table read at the inner
+    table's entries, and a `PairSeq`'s or a `CaseSeq`'s is one lookup or
+    two per point, by the rules in the module docstring."""
+
+    def __init__(self, model: FiniteModel, states: tuple) -> None:
+        self.model, self.states = model, states
+        self._state = {state: i for i, state in enumerate(states)}
+        self._raises = len(model.exceptional_values())
+        # Tables kept by node identity; each entry holds its node, so no id
+        # is reused.
+        self._tables: dict[int, tuple] = {}
+        # Leaves' tables by node, so an op's by its symbol.
+        self._leaves: dict[DecoratedTerm, tuple] = {}
+
+    def tables(self, term: DecoratedTerm) -> tuple:
+        """The table of `term`, composed over an explicit stack from the
+        tables of its nodes; a kept one is read, and a leaf's is kept.
+        Raises ValueError where two children do not meet, KeyError where an
+        outcome is off its type or states, and as `eval_term` at an op."""
+        done: dict[int, tuple] = {}
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            if id(t) in done:
+                continue
+            kept = self._tables.get(id(t))
+            kind = type(t)
+            if kept is not None:
+                table = kept[1]
+            elif kind in _BRANCHES:
+                a, b = _BRANCHES[kind](t)
+                left, right = done.get(id(a)), done.get(id(b))
+                if left is None or right is None:
+                    todo += (t, a, b)
+                    continue
+                a, b = _MEETS[kind](t)
+                if a is not b:
+                    raise ValueError(f"{FORMS[kind].head} arguments differ in type: "
+                                     f"{print_type(a)} and {print_type(b)}")
+                table = self._compose(t, left, right)
+            else:
+                table = self._leaves.get(t)
+                if table is None:
+                    table = self._leaves[t] = self._leaf(t)
+            done[id(t)] = table
+        return done[id(term)]
+
+    def _width(self, ty: ObjType) -> tuple[int, int]:
+        """(inputs, ordinary inputs) of each state of `ty`."""
+        n = len(scan_inputs(ty, self.model)[0])
+        return n, n - self._raises
+
+    def _leaf(self, t: DecoratedTerm) -> tuple:
+        """A leaf's table.  An op's is evaluated with `eval_term` at each
+        of its points, but a non-catching op's, as any other leaf's, passes
+        exceptional inputs on as they are."""
+        index, inputs = scan_inputs(t.target, self.model)[1], scan_inputs(t.source, self.model)[0]
+        m, k = self._width(t.target)
+        ordinary = inputs[:len(inputs) - self._raises]
+        if type(t) is Op:
+            catches = t.symbol.decoration.exc > 1
+            table = []
+            for s, state in enumerate(self.states):
+                outs = [eval_term(t, self.model, v, state)
+                        for v in (inputs if catches else ordinary)]
+                table += [self._state[out.state] * m + index[out.value] for out in outs]
+                if not catches:
+                    table += range(s * m + k, s * m + m)
+            return tuple(table)
+        row = [index[v] for v, _ in _KERNELS[type(t)](t, [(v, None) for v in ordinary])]
+        row += range(k, m)
+        return tuple(s * m + r for s in range(len(self.states)) for r in row)
+
+    def _compose(self, t: DecoratedTerm, left: tuple, right: tuple) -> tuple:
+        """The table of a node with two children from theirs."""
+        kind = type(t)
+        if kind is Comp:
+            return tuple(map(left.__getitem__, right))
+        (n, o), (m, k) = self._width(t.source), self._width(t.target)
+        out = []
+        if kind is PairSeq:
+            (na, oa), (nb, ob) = self._width(t.first.target), self._width(t.second.target)
+            for i, p in enumerate(left):
+                s, v = divmod(i, n)
+                if v >= o:
+                    out.append(s * m + k + v - o)
+                    continue
+                s, a = divmod(p, na)
+                if a >= oa:
+                    out.append(s * m + k + a - oa)
+                    continue
+                s, b = divmod(right[s * n + v], nb)
+                out.append(s * m + (a * ob + b if b < ob else k + b - ob))
+            return tuple(out)
+        (na, oa), (nb, ob) = self._width(t.on_left.source), self._width(t.on_right.source)
+        for i in range(len(self.states) * n):
+            s, v = divmod(i, n)
+            if v < oa:
+                out.append(left[s * na + v])
+                continue
+            p = right[s * nb + (v - oa if v < o else ob + v - o)]
+            s, c = divmod(p, m)
+            out.append(p if c < k else left[s * na + oa + c - k])
+        return tuple(out)
+
+    def difference(self, lhs: DecoratedTerm, a: tuple, b: tuple,
+                   strong: bool) -> Counterexample | None:
+        """The first point of `scan_points` where two terms of `lhs`'s type
+        with tables `a` and `b` differ: in outcome when `strong`, else in
+        value at an ordinary input."""
+        if a == b:
+            return None
+        (n, o), m = self._width(lhs.source), self._width(lhs.target)[0]
+        if strong:
+            i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        else:
+            i = next((i for i, (x, y) in enumerate(zip(a, b))
+                      if x != y and i % n < o and x % m != y % m), None)
+            if i is None:
+                return None
+        return Counterexample(*self._point(lhs.source, i),
+                              Outcome(*self._point(lhs.target, a[i])),
+                              Outcome(*self._point(lhs.target, b[i])))
+
+    def _point(self, ty: ObjType, p: int) -> tuple:
+        """The (input, state) at position `p` among the points of `ty`."""
+        inputs = scan_inputs(ty, self.model)[0]
+        s, v = divmod(p, len(inputs))
+        return inputs[v], self.states[s]
+
+
+def _from_tables(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
+                 modes: tuple) -> list | None:
+    """The checks of `lhs` and `rhs` that `modes` name (True for strong),
+    from their tables over the live states; None where the scan answers,
+    and so raises its own errors: when the sides differ in type, when
+    composing raises, or when the tables would outgrow the scan.  They
+    hold an entry per node at each point of its source, where a scan
+    evaluates the nodes at the points of the check's source, so the mean
+    node's source may hold at most four times as many."""
+    if lhs.source is not rhs.source or lhs.target is not rhs.target:
+        return None
+    nodes: dict[int, DecoratedTerm] = {}
+    todo = [lhs, rhs]
+    while todo:
+        t = todo.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            if type(t) in _BRANCHES:
+                todo += _BRANCHES[type(t)](t)
+    try:
+        raises = len(model.exceptional_values())
+        widths = {ty: _points(ty, model, True) + raises
+                  for ty in {t.source for t in nodes.values()}}
+        if sum(widths[t.source] for t in nodes.values()) > 4 * len(nodes) * widths[lhs.source]:
+            return None
+        tables = Tables(model, _live_states(model, (lhs, rhs)))
+        a, b = tables.tables(lhs), tables.tables(rhs)
+    except (LookupError, ValueError, TypeError, ModelError):
+        return None
+    return [tables.difference(lhs, a, b, strong) for strong in modes]
+
+
 def _scan(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
           full_outcome: bool) -> Counterexample | None:
     for v, state in scan_points(lhs.source, model, full_outcome, (lhs, rhs)):
@@ -556,40 +685,37 @@ def _scan(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
     return None
 
 
+def _check(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
+           full_outcome: bool) -> Counterexample | None:
+    found = _from_tables(lhs, rhs, model, (full_outcome,))
+    return found[0] if found else _scan(lhs, rhs, model, full_outcome)
+
+
 def check_strong_eq(lhs: DecoratedTerm, rhs: DecoratedTerm,
                     model: FiniteModel) -> Counterexample | None:
     """None when full outcomes coincide on every input (ordinary and
     exceptional) and every state; otherwise the first counterexample."""
-    return _scan(lhs, rhs, model, full_outcome=True)
+    return _check(lhs, rhs, model, full_outcome=True)
 
 
 def check_weak_eq(lhs: DecoratedTerm, rhs: DecoratedTerm,
                   model: FiniteModel) -> Counterexample | None:
     """None when result values (including exceptional identity) agree
     on every ordinary input and every state, ignoring final states."""
-    return _scan(lhs, rhs, model, full_outcome=False)
+    return _check(lhs, rhs, model, full_outcome=False)
 
 
 def check_both_eq(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel
                   ) -> tuple[Counterexample | None, Counterexample | None]:
-    """(`check_weak_eq`, `check_strong_eq`) from one walk that evaluates
-    each point once per side.  A weak difference is a strong one too,
-    so the walk stops at the first, and skips the exceptional inputs
-    once the strong verdict is known."""
-    strong = None
-    for v, state in scan_points(lhs.source, model, True, (lhs, rhs)):
-        exceptional = isinstance(v, Exc)
-        if exceptional and strong is not None:
-            continue
-        a = eval_term(lhs, model, v, state)
-        b = eval_term(rhs, model, v, state)
-        if a != b:
-            cex = Counterexample(v, state, a, b)
-            if strong is None:
-                strong = cex
-            if not exceptional and a.value != b.value:
-                return cex, strong
-    return None, strong
+    """(`check_weak_eq`, `check_strong_eq`) from one pair of tables, or
+    from two scans.  The strong scan runs first: it stops at the first
+    difference, which is at or before the weak one, so an error either
+    scan meets is the first a walk of both would meet."""
+    found = _from_tables(lhs, rhs, model, (False, True))
+    if found:
+        return tuple(found)
+    strong = _scan(lhs, rhs, model, full_outcome=True)
+    return _scan(lhs, rhs, model, full_outcome=False), strong
 
 
 def check_eq(mode, lhs, rhs, model) -> Counterexample | None:

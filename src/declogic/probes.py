@@ -24,17 +24,13 @@ and their weakly-but-not-strongly equal combinations) with random
 terms, bucketed by their full and by their value-only behavior tables
 so that equal pairs of either strength can be drawn directly.
 
-Those tables also answer every model check, as `eval_term`'s rules give
-a composite's outcome at a point from its children's outcomes.  A table
-lists, for each point of `scan_points` in its order, the position of the
-outcome among the points of the target, so a `Comp`'s table is the
-outer table read at the inner table's entries, and a `PairSeq`'s or a
-`CaseSeq`'s is one lookup or two per point.  Each side of a check is
-composed from the tables of the pool members and the operations inside
-it, and its first differing position is the check's counterexample.
-The rules are sound only where operations keep their decorations, so a
-context refuses a model that `validate_model` rejects; in any other,
-every outcome of a declared operation is a point of its target.
+Those tables (`declogic.model.Tables`, over every state) also answer
+every model check: each side of a check is composed from the tables of
+the pool members and the operations inside it, and its first differing
+position is the check's counterexample.  The rules are sound only where
+operations keep their decorations, so a context refuses a model that
+`validate_model` rejects; in any other, every outcome of a declared
+operation is a point of its target.
 
 Each mirror pair of samplers is written once, as the checkers in
 `declogic.rules` are: in the pair/state reading, run over `STATE` or
@@ -50,24 +46,19 @@ from typing import Callable
 
 from .generate import GenerationError, random_term, type_pool
 from .model import (
-    _BRANCHES,
-    _LEAVES,
     Counterexample,
     FiniteModel,
     ModelError,
-    Outcome,
+    Tables,
     check_eq,  # unused here, but perfbench traces checks through this binding
     enumerate_points,
-    eval_term,
-    scan_inputs,
-    scan_points,
+    eval_term,  # likewise, for the evaluations of the op tables
     validate_model,
 )
 from .record import Record
 from .rules import (EXC, RULES, STATE, Axis, RuleError, SideConditionViolated,
                     _obs_family, check_rule, dual_name)
-from .terms import (FORMS, Absurd, Bang, Comp, Const, DecoratedTerm, Equation,
-                    Id, Mode, Op, PairSeq)
+from .terms import Absurd, Bang, Comp, Const, DecoratedTerm, Equation, Id, Mode, Op
 from .syntax import print_type
 from .theory import Theory, lookup_op, tag_op, untag_op, update_op
 from .types import UNIT_T, ObjType
@@ -163,14 +154,7 @@ class _Pool(Record):
     __slots__ = ("members", "classes", "weak_splits")
 
 
-def _unfit(t: DecoratedTerm, a: ObjType, b: ObjType) -> ValueError:
-    """The error for a node whose two children do not meet at types `a`
-    and `b`."""
-    return ValueError(f"{FORMS[type(t)].head} arguments differ in type: "
-                      f"{print_type(a)} and {print_type(b)}")
-
-
-class ProbeContext:
+class ProbeContext(Tables):
     """Shared pools and behavior tables for one theory and a model that
     satisfies it, else `ModelError` with `validate_model`'s problems."""
 
@@ -179,118 +163,25 @@ class ProbeContext:
         problems = validate_model(model, theory)
         if problems:
             raise ModelError(f"model fails its theory: {'; '.join(problems[:3])}")
+        super().__init__(model, model.states)
         self.theory = theory
-        self.model = model
         self.rng = rng
         self.types: list[ObjType] = type_pool(theory)
         self._seeds = _seed_terms(theory, model)
         self._pools: dict[tuple[ObjType, ObjType], _Pool] = {}
-        # Pool members' tables by node identity; each entry holds its node,
-        # so no id is reused.
-        self._tables: dict[int, tuple] = {}
-        # Leaves' tables by node, so an op's by its symbol.
-        self._leaves: dict[DecoratedTerm, tuple] = {}
-        self._state = {state: i for i, state in enumerate(model.states)}
-        self._raises = len(model.exceptional_values())
         self._pairs = [(s, t) for s in self.types for t in self.types]
 
     def tables(self, term: DecoratedTerm) -> tuple:
-        """The behavior table of `term`: at each point of `scan_points`,
-        the position of its outcome among the points of its target over
-        every state.  Composed over an explicit stack from the tables of
-        its nodes; a pool member's is kept, and so is a leaf's, an
-        operation's from `eval_term` at each of its points.  Raises
-        ValueError at an operation the theory does not declare or where
-        two children do not meet, and KeyError where a value is off its
-        type.
-        """
-        members = self._tables
-        kept = members.get(id(term))
-        if kept is not None:
-            return kept[1]
-        done: dict[int, tuple] = {}
-        todo = [term]
-        while todo:
-            t = todo.pop()
-            if id(t) in done:
-                continue
-            kept = members.get(id(t))
-            kind = type(t)
-            if kept is not None:
-                table = kept[1]
-            elif kind in _BRANCHES:
-                a, b = _BRANCHES[kind](t)
-                left, right = done.get(id(a)), done.get(id(b))
-                if left is None or right is None:
-                    todo += (t, a, b)
-                    continue
-                table = self._compose(t, left, right)
-            else:
-                table = self._leaves.get(t)
-                if table is None:
-                    table = self._leaves[t] = self._leaf(t)
-            done[id(t)] = table
-        return done[id(term)]
-
-    def _width(self, ty: ObjType) -> tuple[int, int]:
-        """(inputs, ordinary inputs) of each state of `ty`."""
-        n = len(scan_inputs(ty, self.model)[0])
-        return n, n - self._raises
+        """`Tables.tables` over every state, where a pool member's is kept;
+        ValueError also at an operation the theory does not declare.  It is
+        defined here, as perfbench traces probe tables by this binding."""
+        return super().tables(term)
 
     def _leaf(self, t: DecoratedTerm) -> tuple:
-        index = scan_inputs(t.target, self.model)[1]
-        m, k = self._width(t.target)
-        if type(t) is Op:
-            if self.theory.signature.get(t.symbol.name) != t.symbol:
-                raise ValueError(f"operation {t.symbol.name!r} is not "
-                                 "one the theory declares")
-            outs = (eval_term(t, self.model, v, state)
-                    for v, state in scan_points(t.source, self.model))
-            return tuple(self._state[out.state] * m + index[out.value] for out in outs)
-        # Any other leaf keeps the state and passes exceptional values on.
-        leaf, inputs = _LEAVES[type(t)], scan_inputs(t.source, self.model)[0]
-        row = [index[leaf(t, v)] for v in inputs[:len(inputs) - self._raises]]
-        row += range(k, m)
-        return tuple(s * m + r for s in range(len(self._state)) for r in row)
-
-    def _compose(self, t: DecoratedTerm, left: tuple, right: tuple) -> tuple:
-        """The table of a node with two children from theirs; a position
-        `s * n + v` is input `v` of a type with `n` in state `s`."""
-        kind = type(t)
-        if kind is Comp:
-            if t.outer.source is not t.inner.target:
-                raise _unfit(t, t.outer.source, t.inner.target)
-            return tuple(map(left.__getitem__, right))
-        (n, o), (m, k) = self._width(t.source), self._width(t.target)
-        out = []
-        if kind is PairSeq:
-            if t.first.source is not t.second.source:
-                raise _unfit(t, t.first.source, t.second.source)
-            (na, oa), (nb, ob) = self._width(t.first.target), self._width(t.second.target)
-            for i, p in enumerate(left):
-                s, v = divmod(i, n)
-                if v >= o:
-                    out.append(s * m + k + v - o)
-                    continue
-                s, a = divmod(p, na)
-                if a >= oa:
-                    out.append(s * m + k + a - oa)
-                    continue
-                s, b = divmod(right[s * n + v], nb)
-                out.append(s * m + (a * ob + b if b < ob else k + b - ob))
-            return tuple(out)
-        if t.on_left.target is not t.on_right.target:
-            raise _unfit(t, t.on_left.target, t.on_right.target)
-        (na, oa), (nb, ob) = self._width(t.on_left.source), self._width(t.on_right.source)
-        for i in range(len(self._state) * n):
-            s, v = divmod(i, n)
-            if v < oa:
-                out.append(left[s * na + v])
-                continue
-            p = right[s * nb + (v - oa if v < o else ob + v - o)]
-            s, c = divmod(p, m)
-            out.append(p if c < k else left[s * na + oa + c - k])
-        return tuple(out)
+        if type(t) is Op and self.theory.signature.get(t.symbol.name) != t.symbol:
+            raise ValueError(f"operation {t.symbol.name!r} is not "
+                             "one the theory declares")
+        return super()._leaf(t)
 
     def check(self, eq: Equation) -> Counterexample | None:
         """`check_eq` on `eq` in this context's model, answered from the
@@ -300,26 +191,8 @@ class ProbeContext:
         if lhs.source is not rhs.source or lhs.target is not rhs.target:
             raise ValueError("sides differ in type: " + " and ".join(
                 f"{print_type(t.source)} -> {print_type(t.target)}" for t in (lhs, rhs)))
-        a, b = self.tables(lhs), self.tables(rhs)
-        if a == b:
-            return None
-        (n, o), m = self._width(lhs.source), self._width(lhs.target)[0]
-        if eq.mode is Mode.STRONG:
-            i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-        else:
-            i = next((i for i, (x, y) in enumerate(zip(a, b))
-                      if x != y and i % n < o and x % m != y % m), None)
-            if i is None:
-                return None
-        return Counterexample(*self._point(lhs.source, i),
-                              Outcome(*self._point(lhs.target, a[i])),
-                              Outcome(*self._point(lhs.target, b[i])))
-
-    def _point(self, ty: ObjType, p: int) -> tuple:
-        """The (input, state) at position `p` among the points of `ty`."""
-        inputs = scan_inputs(ty, self.model)[0]
-        s, v = divmod(p, len(inputs))
-        return inputs[v], self.model.states[s]
+        return self.difference(lhs, self.tables(lhs), self.tables(rhs),
+                               eq.mode is Mode.STRONG)
 
     def pool(self, src: ObjType, tgt: ObjType) -> list[DecoratedTerm]:
         return self._pool_for(src, tgt).members

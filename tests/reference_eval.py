@@ -122,6 +122,18 @@ def named_locations(*terms):
     return names
 
 
+def ops_of(*terms):
+    """The `Op` nodes in `terms`, as a set of nodes."""
+    ops = set()
+    for term in terms:
+        if isinstance(term, Op):
+            ops.add(term)
+        elif isinstance(term, (Comp, PairSeq, CaseSeq)):
+            ops |= ops_of(*(child for child in vars(term).values()
+                            if isinstance(child, DecoratedTerm)))
+    return ops
+
+
 def live_states(model, *terms):
     """The states of `model` in which every location that `terms` do not
     name holds its carrier's first value, in state order: the states a

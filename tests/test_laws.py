@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from reference_eval import live_states
+from reference_eval import live_states, ops_of
 from semantic_reference import LAW_MODES, single_location_laws, two_location_laws
 
 from declogic import cli
@@ -202,42 +202,48 @@ class TestOneScan:
 
     def test_laws_evaluates_each_ordinary_point_once_per_side(
             self, tmp_path, monkeypatch, capsys):
-        """Every law holds weakly, so each ordinary point of each side's
-        live states is evaluated, each exactly once, and no point outside
-        them: a law at one location never varies the other."""
+        """Every law holds weakly, and each is answered from tables of its
+        sides over their live states: each op of a side is evaluated at
+        each ordinary point of its source there, exactly once per check,
+        and at no point outside them but a catcher's exceptional ones.
+        A law at one location never varies the other."""
         path = tmp_path / "m.model"
         path.write_text("type V = {0,1}\nlocation x : V\nlocation y : V\n"
                         "exception e : V\n")
         calls = collections.Counter()
-        sides = {}
+        checks = []
         original = model_module.eval_term
         check = cli.check_both_eq
 
         def counting(term, model, value, state):
-            calls[id(term), value, state] += 1
+            calls[term, value, state] += 1
             return original(term, model, value, state)
 
         def pairing(lhs, rhs, model):
-            # kept alive: ids stay unique
-            sides[id(lhs)] = sides[id(rhs)] = lhs, rhs, model
-            return check(lhs, rhs, model)
+            calls.clear()
+            both = check(lhs, rhs, model)
+            checks.append((lhs, rhs, model, dict(calls)))
+            return both
 
         monkeypatch.setattr(model_module, "eval_term", counting)
         monkeypatch.setattr(cli, "check_both_eq", pairing)
         assert main(["laws", "--model", str(path)]) == 0
         assert "all law instantiations passed" in capsys.readouterr().out
-        assert set(calls.values()) == {1}
-        # 7 laws at x,y and at y,x, and 4 dual ones at e; two sides each.
-        assert len(sides) == 2 * (7 + 7 + 4)
-        live, sizes = set(), set()
-        for key, (lhs, rhs, model) in sides.items():
+        # 7 laws at x,y and at y,x, and 4 dual ones at e.
+        assert len(checks) == 7 + 7 + 4
+        sizes, evaluated = set(), 0
+        for lhs, rhs, model, counts in checks:
+            assert set(counts.values()) <= {1}
+            evaluated += len(counts)
             states = live_states(model, lhs, rhs)
             sizes.add(len(states))
-            ordinary = {(key, v, s) for s in states
-                        for v in enumerate_points(lhs.source, model)}
-            assert ordinary <= calls.keys()
-            live |= ordinary | {(key, v, s) for s in states
-                                for v in model.exceptional_values()}
-        assert calls.keys() <= live
+            ops = ops_of(lhs, rhs)
+            ordinary = {(op, v, s) for op in ops for s in states
+                        for v in enumerate_points(op.source, model)}
+            assert ordinary <= counts.keys()
+            assert counts.keys() <= ordinary | {
+                (op, v, s) for op in ops if op.decoration.exc == 2
+                for s in states for v in model.exceptional_values()}
+        assert evaluated > 0
         # Dual laws name no location, and some laws name only one.
         assert sizes == {1, 2, 4}

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import test_imp
+from declogic import model as model_module
 from declogic import probes
 from declogic.generate import GenerationError, random_term, type_pool
 from declogic.imp import (
@@ -35,6 +36,7 @@ from declogic.model import (
     eval_term,
     parse_model_config,
     print_model_config,
+    Tables,
     scan_points,
     validate_model,
 )
@@ -71,7 +73,7 @@ from declogic.theory import (
     update_op,
 )
 from declogic.types import UNIT_T, Base, Prod, Sum
-from reference_eval import named_locations
+from reference_eval import live_states, named_locations, ops_of
 from reference_imp import Machine, reference_check
 from semantic_reference import comonad_delta, comonad_epsilon, comonad_phi
 
@@ -433,9 +435,9 @@ def _entries(model):
 @pytest.mark.parametrize("flavor", list(LIVE))
 def test_live_scans_give_the_full_scan_verdicts(flavor):
     """On random terms that name none to all of the locations, the
-    checks, which walk only the live states, find the first difference
-    of the scan over every state, and build no table or entry it would
-    not."""
+    checks, which read only the live states, find the first difference
+    of the scan over every state.  They fill tables only for the ops the
+    sides name, and only at the live states."""
     theory = LIVE[flavor]
     carriers = {"V": (0, 1)}
     maker = build_model(theory, carriers)
@@ -455,8 +457,9 @@ def test_live_scans_give_the_full_scan_verdicts(flavor):
         assert check_strong_eq(lhs, rhs, live) == strong
         assert check_weak_eq(lhs, rhs, live) == weak
         assert check_both_eq(lhs, rhs, live) == (weak, strong)
-        assert live.interps.keys() <= full.interps.keys()
-        assert _entries(live) <= _entries(full)
+        names = {op.symbol.name for op in ops_of(lhs, rhs)}
+        states = set(live_states(live, lhs, rhs))
+        assert all(name in names and key[1] in states for name, key in _entries(live))
         named[len(named_locations(lhs, rhs))] += 1
         shapes.add((weak is None, strong is None))
     assert set(named) == set(range(len(theory.locations) + 1))
@@ -524,6 +527,117 @@ def test_listing_live_states_builds_no_table():
     assert "add_W" not in model.interps
     with pytest.raises(ModelError):
         model.interps["add_W"]
+
+
+def _verdict_or_error(run):
+    try:
+        return run()
+    except ModelError as err:
+        return type(err), str(err)
+
+
+def _scan_both(lhs, rhs, model):
+    """The reference for `check_both_eq`: the strong scan, then the weak."""
+    strong = first_difference(lhs, rhs, model, strong=True)
+    return first_difference(lhs, rhs, model, strong=False), strong
+
+
+_X = states_theory({"x": "V"})
+_X_DICTS = {"lookup_x": {(UNIT, (x,)): (x, (x,)) for x in (0, 1)},
+            "update_x": {(v, (x,)): (UNIT, (v,)) for v in (0, 1) for x in (0, 1)}}
+# Models of `_X` written out by hand, not made by `build_model`.  The
+# partial one has no entry for writing 1 where x is 0.
+HAND_MODELS = {
+    "valid": _X_DICTS,
+    "partial": {**_X_DICTS, "update_x": {key: out for key, out in _X_DICTS["update_x"].items()
+                                         if key != (1, (0,))}},
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_MODELS))
+def test_hand_made_tables_give_the_scan_verdict_or_error(case, monkeypatch):
+    """Every op may read any location there, so tables cover every state;
+    where they cannot be composed, the scan answers, and raises its own
+    error at its first point that has no entry."""
+    model = FiniteModel(carriers={"V": (0, 1)}, locations={"x": "V"},
+                        exceptions={}, interps=HAND_MODELS[case])
+    scans = collections.Counter()
+    scan = model_module._scan
+
+    def scanning(lhs, rhs, model, full_outcome):
+        scans[full_outcome] += 1
+        return scan(lhs, rhs, model, full_outcome)
+
+    monkeypatch.setattr(model_module, "_scan", scanning)
+    maker = build_model(_X, {"V": (0, 1)})
+    rng = random.Random(f"hand:{case}")
+    types = type_pool(_X)
+    kinds = collections.Counter()
+    for _ in range(200):
+        src, tgt = rng.choice(types), rng.choice(types)
+        try:
+            lhs, rhs = (random_term(rng, _X, maker, src, tgt, 3) for _ in range(2))
+        except GenerationError:
+            continue
+        for strong, check in ((True, check_strong_eq), (False, check_weak_eq)):
+            want = _verdict_or_error(lambda: first_difference(lhs, rhs, model, strong))
+            assert _verdict_or_error(lambda: check(lhs, rhs, model)) == want
+            kinds[type(want).__name__] += 1
+        assert _verdict_or_error(lambda: check_both_eq(lhs, rhs, model)) == \
+            _verdict_or_error(lambda: _scan_both(lhs, rhs, model))
+    assert {"NoneType", "Counterexample"} <= kinds.keys()
+    assert ("tuple" in kinds) == (case == "partial")
+    # `kinds` counts two checks a pair, and so many are strong.
+    if case == "valid":
+        assert not scans
+    else:
+        assert 0 < scans[True] < kinds.total()
+
+
+def test_ill_typed_sides_give_the_scan_verdict_or_error():
+    """A node whose children do not meet cannot be tabulated, and sides
+    of two types cannot be compared as tables; the scan evaluates them
+    as far as it gets."""
+    model = build_model(_X, {"V": (0, 1)})
+    look = lookup_op(_X, "x")
+    pairs = [(Comp(look, look), Comp(look, look)),
+             (PairSeq(look, Id(V)), PairSeq(look, Bang(V))),
+             (CaseSeq(look, Bang(V)), CaseSeq(look, Bang(V))),
+             (look, Id(V)), (Comp(look, Bang(V)), look)]
+    wanted = set()
+    for lhs, rhs in pairs:
+        for strong, check in ((True, check_strong_eq), (False, check_weak_eq)):
+            want = _verdict_or_error(lambda: first_difference(lhs, rhs, model, strong))
+            assert _verdict_or_error(lambda: check(lhs, rhs, model)) == want
+            wanted.add(type(want).__name__)
+        assert _verdict_or_error(lambda: check_both_eq(lhs, rhs, model)) == \
+            _verdict_or_error(lambda: _scan_both(lhs, rhs, model))
+    assert {"tuple", "Counterexample"} <= wanted
+
+
+def _nested_handlers(depth: int) -> str:
+    """`depth` handlers, each in the one around it, each binding a name."""
+    program = "x := v0"
+    for k in range(depth):
+        program = f"try {{ throw e(x) }} catch e(v{k}) {{ {program} }}"
+    return program
+
+
+@pytest.mark.parametrize("depth, composed", [(1, True), (6, False)])
+def test_a_check_whose_tables_would_outgrow_its_scan_scans(depth, composed, monkeypatch):
+    """Each handler's environment holds one more value, so the nodes'
+    sources grow by a factor of the carrier size: six of them would cost
+    the tables 4**6 points per node, where the scan reads four states."""
+    theory = build_imp_theory({"x": "V"}, {"e": "V"}, {"V": 4})
+    model = build_model(theory, default_carriers(theory))
+    lhs = elaborate(parse_command(_nested_handlers(depth)), theory, 16)
+    rhs = elaborate(parse_command("x := 0"), theory, 16)
+    made = []
+    monkeypatch.setattr(model_module, "Tables",
+                        lambda *args: made.append(args) or Tables(*args))
+    want = first_difference(lhs, rhs, model, strong=True)
+    assert check_strong_eq(lhs, rhs, model) == want
+    assert want is not None and bool(made) == composed
 
 
 class TestPurityInvariants:
