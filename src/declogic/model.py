@@ -428,7 +428,7 @@ def scan_points(source: ObjType, model: FiniteModel, exceptional: bool = True,
     lists every state, as `validate_model` needs."""
     inputs = scan_inputs(source, model)[0]
     if not exceptional:
-        inputs = inputs[:len(inputs) - len(model.exceptional_values())]
+        inputs = [v for v in inputs if type(v) is not Exc]
     states = model.states if terms is None else _live_states(model, terms)
     return [(v, state) for state in states for v in inputs]
 
@@ -531,6 +531,9 @@ class Tables:
         tables of its nodes; a kept one is read, and a leaf's is kept.
         Raises ValueError where two children do not meet, KeyError where an
         outcome is off its type or states, and as `eval_term` at an op."""
+        kept = self._tables.get(id(term))
+        if kept is not None:
+            return kept[1]
         done: dict[int, tuple] = {}
         todo = [term]
         while todo:

@@ -52,7 +52,7 @@ from .model import (
     Tables,
     check_eq,  # unused here, but perfbench traces checks through this binding
     enumerate_points,
-    eval_term,  # likewise, for the evaluations of the op tables
+    eval_term,  # likewise; op tables evaluate through `declogic.model`'s
     validate_model,
 )
 from .record import Record
@@ -171,11 +171,8 @@ class ProbeContext(Tables):
         self._pools: dict[tuple[ObjType, ObjType], _Pool] = {}
         self._pairs = [(s, t) for s in self.types for t in self.types]
 
-    def tables(self, term: DecoratedTerm) -> tuple:
-        """`Tables.tables` over every state, where a pool member's is kept;
-        ValueError also at an operation the theory does not declare.  It is
-        defined here, as perfbench traces probe tables by this binding."""
-        return super().tables(term)
+    # Bound here as well, as perfbench traces probe tables by this binding.
+    tables = Tables.tables
 
     def _leaf(self, t: DecoratedTerm) -> tuple:
         if type(t) is Op and self.theory.signature.get(t.symbol.name) != t.symbol:
