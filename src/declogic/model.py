@@ -61,7 +61,9 @@ import itertools
 
 from .record import Record, set_field
 from .terms import (
+    CHILDREN,
     FORMS,
+    MEETS,
     Absurd,
     Bang,
     CaseSeq,
@@ -138,13 +140,14 @@ class FiniteModel(Record):
     values.  `locations` and `exceptions` map names to base type names.
     `interps` maps operation names to tables keyed by (input value,
     state), which `build_model` makes fill on first use; untags cover
-    exceptional inputs, everything else only ordinary ones.  `states`
-    and `location_index` follow from `carriers` and `locations`.  Two
-    models are equal only when they are one object.
+    exceptional inputs, everything else only ordinary ones.  `states`,
+    `location_index` and `exc_values` (the exceptional inputs in scan
+    order) follow from the others.  Two models are equal only when they
+    are one object.
     """
 
     __slots__ = ("carriers", "locations", "exceptions", "interps", "states",
-                 "location_index", "_live", "_inputs")
+                 "location_index", "exc_values", "_live", "_inputs")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -158,18 +161,13 @@ class FiniteModel(Record):
         set_field(self, "states", tuple(itertools.product(*axes)))
         set_field(self, "location_index",
                   {name: i for i, name in enumerate(locations)})
+        set_field(self, "exc_values", tuple(Exc(name, param) for name, base in exceptions.items()
+                                            for param in carriers[base]))
         # The live states of `scan_points`, by the frozenset of location
         # indices a check reads or writes.
         set_field(self, "_live", {})
         # The inputs of `scan_inputs`, by type.
         set_field(self, "_inputs", {})
-
-    def exceptional_values(self) -> list[Exc]:
-        values = []
-        for name, base in self.exceptions.items():
-            for param in self.carriers[base]:
-                values.append(Exc(name, param))
-        return values
 
     def state_str(self, state: tuple) -> str:
         return ",".join(f"{name}={value}"
@@ -438,13 +436,9 @@ def scan_inputs(ty: ObjType, model: FiniteModel) -> tuple[list, dict]:
     each input's place among them; built once per type and model."""
     found = model._inputs.get(ty)
     if found is None:
-        inputs = enumerate_points(ty, model) + model.exceptional_values()
+        inputs = enumerate_points(ty, model) + list(model.exc_values)
         found = model._inputs[ty] = (inputs, {v: i for i, v in enumerate(inputs)})
     return found
-
-
-# The children of each term node with two, for the footprint walk.
-_BRANCHES = {kind: form.args for kind, form in FORMS.items() if form.kinds == "tt"}
 
 
 def _live_states(model: FiniteModel, terms) -> tuple:
@@ -472,7 +466,7 @@ def _live_states(model: FiniteModel, terms) -> tuple:
     todo = list(terms)
     while todo:
         t = todo.pop()
-        branches = _BRANCHES.get(type(t))
+        branches = CHILDREN.get(type(t))
         if branches is not None:
             if id(t) not in seen:
                 seen.add(id(t))
@@ -499,12 +493,6 @@ def _live_states(model: FiniteModel, terms) -> tuple:
     return states
 
 
-# The two types that must meet in each node with two children, by form.
-_MEETS = {Comp: lambda t: (t.outer.source, t.inner.target),
-          PairSeq: lambda t: (t.first.source, t.second.source),
-          CaseSeq: lambda t: (t.on_left.target, t.on_right.target)}
-
-
 class Tables:
     """Behaviour tables over `states` of `model`, which the ops of the
     terms tabulated map to one another: every state, or a check's live ones.
@@ -519,7 +507,7 @@ class Tables:
     def __init__(self, model: FiniteModel, states: tuple) -> None:
         self.model, self.states = model, states
         self._state = {state: i for i, state in enumerate(states)}
-        self._raises = len(model.exceptional_values())
+        self._raises = len(model.exc_values)
         # Tables kept by node identity; each entry holds its node, so no id
         # is reused.
         self._tables: dict[int, tuple] = {}
@@ -544,13 +532,13 @@ class Tables:
             kind = type(t)
             if kept is not None:
                 table = kept[1]
-            elif kind in _BRANCHES:
-                a, b = _BRANCHES[kind](t)
+            elif kind in CHILDREN:
+                a, b = CHILDREN[kind](t)
                 left, right = done.get(id(a)), done.get(id(b))
                 if left is None or right is None:
                     todo += (t, a, b)
                     continue
-                a, b = _MEETS[kind](t)
+                a, b = MEETS[kind](t)
                 if a is not b:
                     raise ValueError(f"{FORMS[kind].head} arguments differ in type: "
                                      f"{print_type(a)} and {print_type(b)}")
@@ -663,11 +651,10 @@ def _from_tables(lhs: DecoratedTerm, rhs: DecoratedTerm, model: FiniteModel,
         t = todo.pop()
         if id(t) not in nodes:
             nodes[id(t)] = t
-            if type(t) in _BRANCHES:
-                todo += _BRANCHES[type(t)](t)
+            if type(t) in CHILDREN:
+                todo += CHILDREN[type(t)](t)
     try:
-        raises = len(model.exceptional_values())
-        widths = {ty: _points(ty, model, True) + raises
+        widths = {ty: _points(ty, model, True) + len(model.exc_values)
                   for ty in {t.source for t in nodes.values()}}
         if sum(widths[t.source] for t in nodes.values()) > 4 * len(nodes) * widths[lhs.source]:
             return None
@@ -814,7 +801,7 @@ def _family(name: str, model: FiniteModel, points: dict):
         return (frozenset(model.carriers[model.exceptions[arg]]).__contains__,
                 lambda v, s: (Exc(arg, v), s))
     if kind == "untag" and arg in model.exceptions:
-        return (frozenset(model.exceptional_values()).__contains__,
+        return (frozenset(model.exc_values).__contains__,
                 lambda v, s: (v.param if v.name == arg else v, s))
     ty = numbered_type(arg) if kind == "dist" else None
     if isinstance(ty, Prod) and isinstance(ty.right, Sum):
@@ -874,7 +861,6 @@ def validate_model(model: FiniteModel, theory) -> list[str]:
     operation, missing exceptional coverage for a catcher.
     """
     problems = []
-    exc_values = model.exceptional_values()
     for name, symbol in theory.signature.items():
         table = model.interps.get(name)
         if table is None:
@@ -910,7 +896,7 @@ def validate_model(model: FiniteModel, theory) -> list[str]:
             if isinstance(out_v, Exc):
                 if symbol.decoration.exc == 0:
                     problems.append(f"{name}: pure operation raised on {key!r}")
-                elif out_v not in exc_values:
+                elif out_v not in model.exc_values:
                     problems.append(f"{name}: unknown exceptional value {out_v!r}")
             elif out_v not in targets:
                 problems.append(f"{name}: output {out_v!r} outside target carrier")

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import re
 
-from .terms import (FORMS, Const, DecoratedTerm, Decoration, Equation, Mode,
-                    OpSymbol)
+from .terms import (CHILDREN, FORMS, Const, DecoratedTerm, Decoration, Equation,
+                    Mode, Op, OpSymbol)
 from .types import UNIT, Base, ObjType, Prod, Sum, Unit
 
 
@@ -213,11 +213,11 @@ _LITERALS.update({"(": _opens(lambda *pair: pair, "vv"),
                   "l": _opens(lambda value: ("L", value), "v"),
                   "r": _opens(lambda value: ("R", value), "v")})
 TYPE_KEYWORDS = frozenset(_TYPES)
-# Term forms whose arguments are terms or an op symbol: a node's key holds
-# their ids, since `==` on nodes is structural and deep.  The node holds
-# the arguments, so no id is reused while its key is in the table.  The
-# other term forms take types, which are interned, or a constant's literal.
-_BY_IDENTITY = frozenset(c for c, f in FORMS.items() if f.kinds in ("tt", "n"))
+# Term forms whose arguments are terms (`CHILDREN`) or an op symbol: a
+# node's key holds their ids, since `==` on nodes is structural and deep.
+# The node holds them, so no id is reused while its key is in the table.
+# The other term forms take types, which are interned, or a literal.
+_BY_IDENTITY = frozenset((*CHILDREN, Op))
 _TERM_FORMS = frozenset(c for c in FORMS if issubclass(c, DecoratedTerm))
 
 
@@ -463,8 +463,8 @@ def _equation(text: str, signature, terms) -> Equation:
                     _side(rhs, col + len(lhs) + 1, signature, terms))
 
 
-# Term forms of two term arguments by head, for `_split`.
-_PAIRED = {f.head: c for c, f in FORMS.items() if f.kinds == "tt"}
+# The forms of `CHILDREN` by head, for `_split`.
+_PAIRED = {FORMS[c].head: c for c in CHILDREN}
 
 
 def _split(text: str) -> tuple | None:
@@ -508,7 +508,7 @@ def _side(text: str, col: int, signature, terms) -> DecoratedTerm:
             return term
     term = terms[key] = parse_at(parse_term, text, 1, col, signature, terms)
     if split is not None:
-        terms[first], terms[second] = FORMS[build].args(term)
+        terms[first], terms[second] = CHILDREN[build](term)
     return term
 
 

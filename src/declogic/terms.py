@@ -225,7 +225,8 @@ class Const(DecoratedTerm):
 # ---------------------------------------------------------------------------
 # Forms: the printer and parser in `syntax`, the dualizer in `theory` and
 # the leaf keys of `canonical_key` all read this one table, and each
-# walks nested forms over an explicit stack.
+# walks nested forms over an explicit stack.  The three tables after it
+# describe the forms of two term children, kinds "tt", further.
 
 
 class Form(NamedTuple):
@@ -265,6 +266,24 @@ FORMS: dict[type, Form] = {
     Bang: Form("bang", _args("at"), "T", Absurd),
     Absurd: Form("absurd", _args("at"), "T", Bang),
     Const: Form("const", lambda c: ((c.value, c.at), c.at), "vT", None),
+}
+
+# The forms of two term children: their children in printed order; the
+# two types that must meet, as one object; and `typecheck`'s issue where
+# they do not, its detail made from them, and its path step to each child.
+CHILDREN: dict[type, Callable] = {c: f.args for c, f in FORMS.items() if f.kinds == "tt"}
+MEETS: dict[type, Callable] = {
+    Comp: lambda t: (t.outer.source, t.inner.target),
+    PairSeq: lambda t: (t.first.source, t.second.source),
+    CaseSeq: lambda t: (t.on_left.target, t.on_right.target),
+}
+MISMATCHES: dict[type, tuple[str, str, tuple[str, str]]] = {
+    Comp: ("source-target-mismatch", "inner produces {1} but outer expects {0}",
+           ("outer", "inner")),
+    PairSeq: ("pair-source-mismatch", "first reads {0} but second reads {1}",
+              ("first", "second")),
+    CaseSeq: ("case-target-mismatch", "left branch yields {0} but right branch yields {1}",
+              ("left", "right")),
 }
 
 
@@ -313,17 +332,22 @@ class TypedReport(Record):
 
 
 def typecheck(term: DecoratedTerm, signature: dict[str, OpSymbol] | None = None) -> TypedReport:
-    """Check local well-formedness of every node.
+    """Check local well-formedness of every node, the `MEETS` of its form.
 
     With a `signature`, operation symbols must match their declarations
-    exactly.  Iterative so deep terms never hit the recursion limit.
+    exactly.  An issue is reported at every path that reaches it, but a
+    subterm found clean is not walked again, so shared terms check in time
+    linear in their distinct nodes.  Iterative so deep terms never hit the
+    recursion limit.
     """
     from .syntax import print_type
 
     issues: list[TypeIssue] = []
     # A path is kept as a (parent path, step) link and spelled out only
-    # for an issue, so deep terms cost linear space.
-    stack: list[tuple[DecoratedTerm, tuple | None]] = [(term, None)]
+    # for an issue, so deep terms cost linear space.  Below its children
+    # a node waits as (None, (its id, issues so far)), clean if no more.
+    stack: list[tuple[DecoratedTerm | None, tuple | None]] = [(term, None)]
+    clean: set[int] = set()
 
     def issue(kind: str, link: tuple | None, detail: str) -> None:
         path: list[str] = []
@@ -334,28 +358,21 @@ def typecheck(term: DecoratedTerm, signature: dict[str, OpSymbol] | None = None)
 
     while stack:
         node, link = stack.pop()
-        if isinstance(node, Comp):
-            if node.inner.target != node.outer.source:
-                issue("source-target-mismatch", link,
-                      f"inner produces {print_type(node.inner.target)} "
-                      f"but outer expects {print_type(node.outer.source)}")
-            stack.append((node.outer, (link, "outer")))
-            stack.append((node.inner, (link, "inner")))
-        elif isinstance(node, PairSeq):
-            if node.first.source != node.second.source:
-                issue("pair-source-mismatch", link,
-                      f"first reads {print_type(node.first.source)} "
-                      f"but second reads {print_type(node.second.source)}")
-            stack.append((node.first, (link, "first")))
-            stack.append((node.second, (link, "second")))
-        elif isinstance(node, CaseSeq):
-            if node.on_left.target != node.on_right.target:
-                issue("case-target-mismatch", link,
-                      f"left branch yields {print_type(node.on_left.target)} "
-                      f"but right branch yields {print_type(node.on_right.target)}")
-            stack.append((node.on_left, (link, "left")))
-            stack.append((node.on_right, (link, "right")))
-        elif isinstance(node, Op) and signature is not None:
+        if node is None:
+            if link[1] == len(issues):
+                clean.add(link[0])
+            continue
+        kind = type(node)
+        if kind in MISMATCHES:
+            if id(node) in clean:
+                continue
+            stack.append((None, (id(node), len(issues))))
+            name, detail, steps = MISMATCHES[kind]
+            a, b = MEETS[kind](node)
+            if a != b:
+                issue(name, link, detail.format(print_type(a), print_type(b)))
+            stack += zip(CHILDREN[kind](node), [(link, step) for step in steps])
+        elif kind is Op and signature is not None:
             declared = signature.get(node.symbol.name)
             if declared is None:
                 issue("unknown-symbol", link,
@@ -458,39 +475,34 @@ def canonical_key(term: DecoratedTerm) -> int:
         if node._canonical_key is not None:
             stack.pop()
             continue
-        if isinstance(node, Comp):
+        kind = type(node)
+        if kind is Comp:
             factors = chain_factors(node)
             waiting = [f for f in factors if f._canonical_key is None]
-        elif isinstance(node, PairSeq):
-            waiting = [c for c in (node.first, node.second)
-                       if c._canonical_key is None]
-        elif isinstance(node, CaseSeq):
-            waiting = [c for c in (node.on_left, node.on_right)
-                       if c._canonical_key is None]
+        elif kind in CHILDREN:
+            a, b = CHILDREN[kind](node)
+            waiting = [c for c in (a, b) if c._canonical_key is None]
         else:
             waiting = None
         if waiting:
             stack += waiting
             continue
         stack.pop()
-        if isinstance(node, Comp) and len(factors) == 1:
+        if kind is Comp and len(factors) == 1:
             object.__setattr__(node, "_canonical_key", factors[0]._canonical_key)
             continue
-        if isinstance(node, Comp):
+        if kind is Comp:
             key = (tuple(f._canonical_key for f in factors) if factors
                    else (Id, node.source))
-        elif isinstance(node, PairSeq):
-            key = (PairSeq, node.first._canonical_key, node.second._canonical_key)
-        elif isinstance(node, CaseSeq):
-            key = (CaseSeq, node.on_left._canonical_key,
-                   node.on_right._canonical_key)
-        elif isinstance(node, Const):
+        elif kind in CHILDREN:
+            key = (kind, a._canonical_key, b._canonical_key)
+        elif kind is Const:
             key = (Const, node._literal or _value_key(node.value, node.at), node.at)
         else:
-            form = FORMS.get(type(node))
+            form = FORMS.get(kind)
             if form is None:
                 raise TypeError(f"not a term: {node!r}")
-            key = (type(node), *form.args(node))
+            key = (kind, *form.args(node))
         object.__setattr__(node, "_canonical_key", _IDS.setdefault(key, len(_IDS)))
     return term._canonical_key
 

@@ -243,7 +243,7 @@ class TestOneScan:
             assert ordinary <= counts.keys()
             assert counts.keys() <= ordinary | {
                 (op, v, s) for op in ops if op.decoration.exc == 2
-                for s in states for v in model.exceptional_values()}
+                for s in states for v in model.exc_values}
         assert evaluated > 0
         # Dual laws name no location, and some laws name only one.
         assert sizes == {1, 2, 4}

@@ -369,7 +369,7 @@ def first_difference(lhs, rhs, model, strong: bool):
     ordinary inputs, then (strong only) its exceptional ones."""
     kinds = [enumerate_points(lhs.source, model)]
     if strong:
-        kinds.append(model.exceptional_values())
+        kinds.append(model.exc_values)
     for state in model.states:
         for inputs in kinds:
             for v in inputs:

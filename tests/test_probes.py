@@ -27,8 +27,8 @@ from declogic.probes import (
 from declogic.rules import DUAL_RULE, RULES, RuleError, check_rule, dual_name
 from declogic import model as model_module
 from declogic import probes
-from declogic.terms import (Bang, CaseSeq, Comp, Const, Decoration, Equation, Id,
-                            Mode, Op, OpSymbol, PairSeq, typecheck)
+from declogic.terms import (CHILDREN, Bang, CaseSeq, Comp, Const, Decoration,
+                            Equation, Id, Mode, Op, OpSymbol, PairSeq, typecheck)
 from declogic.theory import (
     TheoryError,
     combine,
@@ -81,7 +81,7 @@ def test_random_terms_well_typed_and_total(flavor):
         assert term.source == src and term.target == tgt
         assert typecheck(term, theory.signature).ok
         for state in model.states:
-            for v in enumerate_points(src, model) + model.exceptional_values():
+            for v in enumerate_points(src, model) + list(model.exc_values):
                 eval_term(term, model, v, state)
         made += 1
     assert made >= 150
@@ -308,8 +308,8 @@ def _nodes(term):
     while todo:
         t = todo.pop()
         yield t
-        if type(t) in model_module._BRANCHES:
-            todo += model_module._BRANCHES[type(t)](t)
+        if type(t) in CHILDREN:
+            todo += CHILDREN[type(t)](t)
 
 
 @pytest.mark.parametrize("flavor", list(FLAVORS))

@@ -35,7 +35,7 @@ def _refuse(*args):
 
 
 def _assert_agree(term, model, source):
-    inputs = enumerate_points(source, model) + model.exceptional_values()
+    inputs = enumerate_points(source, model) + list(model.exc_values)
     points = [(value, state) for state in model.states for value in inputs]
     expected = [reference_outcome(term, model, value, state) for value, state in points]
     for (value, state), want in zip(points, expected):

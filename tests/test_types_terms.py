@@ -10,6 +10,10 @@ from declogic import syntax
 from declogic.generate import GenerationError, random_term, type_pool
 from declogic.model import build_model
 from declogic.terms import (
+    CHILDREN,
+    FORMS,
+    MEETS,
+    MISMATCHES,
     Absurd,
     Bang,
     CaseSeq,
@@ -232,11 +236,62 @@ class TestTypecheck:
         ghost = OpSymbol("ghost", V, V, PURE)
         assert typecheck(Op(ghost)).ok
 
+    GHOST = Op(OpSymbol("ghost", UNIT_T, V, PURE))
+    FORGED = Op(OpSymbol("lookup_x", UNIT_T, W, Decoration(1, 0)))
+    # Ill-typed at both children, and reached at two paths of different
+    # lengths below.
+    SHARED = PairSeq(Comp(Op(LOOKUP), Op(LOOKUP)), GHOST)
+
+    @pytest.mark.parametrize("term,text", [
+        (Comp(Op(LOOKUP), Op(LOOKUP)),
+         "ill-typed: unit -> V @ (1,0)\n"
+         "  source-target-mismatch at <root>: inner produces V but outer expects unit"),
+        (PairSeq(Op(UPDATE), Op(LOOKUP)),
+         "ill-typed: V -> prod(unit, V) @ (2,0)\n"
+         "  pair-source-mismatch at <root>: first reads V but second reads unit"),
+        (CaseSeq(Op(LOOKUP), Id(UNIT_T)),
+         "ill-typed: sum(unit, unit) -> V @ (1,0)\n"
+         "  case-target-mismatch at <root>: left branch yields V but right branch yields unit"),
+        (Op(OpSymbol("ghost", V, V, PURE)),
+         "ill-typed: V -> V @ (0,0)\n"
+         "  unknown-symbol at <root>: operation 'ghost' is not declared"),
+        (FORGED,
+         "ill-typed: unit -> W @ (1,0)\n"
+         "  symbol-mismatch at <root>: operation 'lookup_x' disagrees with its declaration"),
+        (CaseSeq(Comp(Proj1(V, V), SHARED), PairSeq(Comp(Proj2(V, V), SHARED), FORGED)),
+         "ill-typed: sum(unit, unit) -> V @ (1,0)\n"
+         "  case-target-mismatch at <root>: left branch yields V but right branch yields prod(V, W)\n"
+         "  source-target-mismatch at left.inner.first: inner produces V but outer expects unit\n"
+         "  unknown-symbol at left.inner.second: operation 'ghost' is not declared\n"
+         "  source-target-mismatch at right.first.inner.first: inner produces V but outer expects unit\n"
+         "  unknown-symbol at right.first.inner.second: operation 'ghost' is not declared\n"
+         "  symbol-mismatch at right.second: operation 'lookup_x' disagrees with its declaration"),
+    ], ids=["comp", "pair", "case", "unknown", "mismatch", "shared"])
+    def test_issue_texts(self, term, text):
+        """Every issue kind's text, and a shared ill-typed subterm reported
+        at each path that reaches it."""
+        assert typecheck(term, SIGNATURE).describe() == text
+
     def test_deep_term_checks_without_recursion(self):
         t = Id(UNIT_T)
         for _ in range(5000):
             t = Comp(Id(UNIT_T), t)
         assert typecheck(t).ok
+
+
+def test_two_child_tables_cover_exactly_the_two_child_forms():
+    """`CHILDREN`, `MEETS` and `MISMATCHES` describe every form that
+    `FORMS` gives two term arguments, and no other, each with two path
+    steps, so no such form is described in one table and missed in another."""
+    two_child = {cls for cls, form in FORMS.items() if form.kinds == "tt"}
+    assert two_child == {Comp, PairSeq, CaseSeq}
+    for table in (CHILDREN, MEETS, MISMATCHES):
+        assert set(table) == two_child
+    for _, _, steps in MISMATCHES.values():
+        assert len(steps) == 2
+    node = PairSeq(Op(LOOKUP), Id(UNIT_T))
+    assert CHILDREN[PairSeq](node) == (node.first, node.second)
+    assert MEETS[PairSeq](node) == (UNIT_T, UNIT_T)
 
 
 class TestCanonicalForm:
