@@ -538,7 +538,7 @@ class Tables:
                 if left is None or right is None:
                     todo += (t, a, b)
                     continue
-                a, b = MEETS[kind](t)
+                a, b = MEETS[kind][0](t)
                 if a is not b:
                     raise ValueError(f"{FORMS[kind].head} arguments differ in type: "
                                      f"{print_type(a)} and {print_type(b)}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .terms import (CHILDREN, FORMS, Const, DecoratedTerm, Decoration, Equation,
-                    Mode, Op, OpSymbol)
+                    Mode, OpSymbol)
 from .types import UNIT, Base, ObjType, Prod, Sum, Unit
 
 
@@ -217,7 +217,7 @@ TYPE_KEYWORDS = frozenset(_TYPES)
 # node's key holds their ids, since `==` on nodes is structural and deep.
 # The node holds them, so no id is reused while its key is in the table.
 # The other term forms take types, which are interned, or a literal.
-_BY_IDENTITY = frozenset((*CHILDREN, Op))
+_BY_IDENTITY = frozenset(CHILDREN) | {c for c, f in FORMS.items() if f.kinds == "n"}
 _TERM_FORMS = frozenset(c for c in FORMS if issubclass(c, DecoratedTerm))
 
 

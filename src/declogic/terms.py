@@ -225,7 +225,7 @@ class Const(DecoratedTerm):
 # ---------------------------------------------------------------------------
 # Forms: the printer and parser in `syntax`, the dualizer in `theory` and
 # the leaf keys of `canonical_key` all read this one table, and each
-# walks nested forms over an explicit stack.  The three tables after it
+# walks nested forms over an explicit stack.  The two tables after it
 # describe the forms of two term children, kinds "tt", further.
 
 
@@ -268,22 +268,18 @@ FORMS: dict[type, Form] = {
     Const: Form("const", lambda c: ((c.value, c.at), c.at), "vT", None),
 }
 
-# The forms of two term children: their children in printed order; the
-# two types that must meet, as one object; and `typecheck`'s issue where
-# they do not, its detail made from them, and its path step to each child.
+# The forms of two term children: their children in printed order, and
+# `MEETS` of each: the two types that must meet, as one object, then
+# `typecheck`'s issue where they do not, its detail made from them, and
+# its path step to each child.
 CHILDREN: dict[type, Callable] = {c: f.args for c, f in FORMS.items() if f.kinds == "tt"}
-MEETS: dict[type, Callable] = {
-    Comp: lambda t: (t.outer.source, t.inner.target),
-    PairSeq: lambda t: (t.first.source, t.second.source),
-    CaseSeq: lambda t: (t.on_left.target, t.on_right.target),
-}
-MISMATCHES: dict[type, tuple[str, str, tuple[str, str]]] = {
-    Comp: ("source-target-mismatch", "inner produces {1} but outer expects {0}",
-           ("outer", "inner")),
-    PairSeq: ("pair-source-mismatch", "first reads {0} but second reads {1}",
-              ("first", "second")),
-    CaseSeq: ("case-target-mismatch", "left branch yields {0} but right branch yields {1}",
-              ("left", "right")),
+MEETS: dict[type, tuple[Callable, str, str, tuple[str, str]]] = {
+    Comp: (attrgetter("outer.source", "inner.target"), "source-target-mismatch",
+           "inner produces {1} but outer expects {0}", ("outer", "inner")),
+    PairSeq: (attrgetter("first.source", "second.source"), "pair-source-mismatch",
+              "first reads {0} but second reads {1}", ("first", "second")),
+    CaseSeq: (attrgetter("on_left.target", "on_right.target"), "case-target-mismatch",
+              "left branch yields {0} but right branch yields {1}", ("left", "right")),
 }
 
 
@@ -335,19 +331,16 @@ def typecheck(term: DecoratedTerm, signature: dict[str, OpSymbol] | None = None)
     """Check local well-formedness of every node, the `MEETS` of its form.
 
     With a `signature`, operation symbols must match their declarations
-    exactly.  An issue is reported at every path that reaches it, but a
-    subterm found clean is not walked again, so shared terms check in time
-    linear in their distinct nodes.  Iterative so deep terms never hit the
+    exactly.  A shared subterm is checked, and its issues reported, at
+    every path that reaches it.  Iterative so deep terms never hit the
     recursion limit.
     """
     from .syntax import print_type
 
     issues: list[TypeIssue] = []
     # A path is kept as a (parent path, step) link and spelled out only
-    # for an issue, so deep terms cost linear space.  Below its children
-    # a node waits as (None, (its id, issues so far)), clean if no more.
-    stack: list[tuple[DecoratedTerm | None, tuple | None]] = [(term, None)]
-    clean: set[int] = set()
+    # for an issue, so deep terms cost linear space.
+    stack: list[tuple[DecoratedTerm, tuple | None]] = [(term, None)]
 
     def issue(kind: str, link: tuple | None, detail: str) -> None:
         path: list[str] = []
@@ -358,20 +351,15 @@ def typecheck(term: DecoratedTerm, signature: dict[str, OpSymbol] | None = None)
 
     while stack:
         node, link = stack.pop()
-        if node is None:
-            if link[1] == len(issues):
-                clean.add(link[0])
-            continue
         kind = type(node)
-        if kind in MISMATCHES:
-            if id(node) in clean:
-                continue
-            stack.append((None, (id(node), len(issues))))
-            name, detail, steps = MISMATCHES[kind]
-            a, b = MEETS[kind](node)
+        if kind in MEETS:
+            meets, name, detail, (one, two) = MEETS[kind]
+            a, b = meets(node)
             if a != b:
                 issue(name, link, detail.format(print_type(a), print_type(b)))
-            stack += zip(CHILDREN[kind](node), [(link, step) for step in steps])
+            first, second = CHILDREN[kind](node)
+            stack.append((first, (link, one)))
+            stack.append((second, (link, two)))
         elif kind is Op and signature is not None:
             declared = signature.get(node.symbol.name)
             if declared is None:

@@ -731,35 +731,6 @@ def test_nested_handlers_build_chains_in_linear_time(monkeypatch):
     assert best[1600] / best[800] <= 2.6, best
 
 
-def _nested_loops(depth):
-    """`depth` nested `while` loops, each counting `x` up to `y`."""
-    source = "skip"
-    for _ in range(depth):
-        source = f"while x <= y do {{ x := x + 1; {source} }}"
-    return parse_command(source)
-
-
-def test_typecheck_of_nested_loops_is_linear_in_distinct_nodes():
-    """A loop unrolls to one body per unit of fuel, all one node, so the
-    paths into nested loops multiply by the fuel at each level while
-    their distinct nodes only add up.  `typecheck` walks a clean shared
-    subterm once, so its time grows with the distinct nodes, give or take
-    noise, and not with the paths."""
-    terms = {depth: elaborate(_nested_loops(depth), THEORY, fuel=8) for depth in (2, 4)}
-    nodes = {depth: _distinct_nodes(term) for depth, term in terms.items()}
-    # Best of 5 at each size, taken in turns so that a busy spell of the
-    # host slows both sizes alike.
-    best = {depth: float("inf") for depth in terms}
-    for _ in range(5):
-        for depth, term in terms.items():
-            gc.collect()
-            start = time.perf_counter()
-            for _ in range(10):
-                assert typecheck(term, THEORY.signature).ok
-            best[depth] = min(best[depth], time.perf_counter() - start)
-    assert best[4] / best[2] <= 2 * nodes[4] / nodes[2], (best, nodes)
-
-
 def _dist_check_visits(depth):
     """How many value nodes `_inhabits` visits while `depth` nested
     handlers are checked against `skip`: the runs of its `todo.pop()`

@@ -13,7 +13,6 @@ from declogic.terms import (
     CHILDREN,
     FORMS,
     MEETS,
-    MISMATCHES,
     Absurd,
     Bang,
     CaseSeq,
@@ -280,18 +279,17 @@ class TestTypecheck:
 
 
 def test_two_child_tables_cover_exactly_the_two_child_forms():
-    """`CHILDREN`, `MEETS` and `MISMATCHES` describe every form that
-    `FORMS` gives two term arguments, and no other, each with two path
-    steps, so no such form is described in one table and missed in another."""
+    """`CHILDREN` and `MEETS` describe every form that `FORMS` gives two
+    term arguments, and no other, each with two path steps, so no such
+    form is described in one table and missed in the other."""
     two_child = {cls for cls, form in FORMS.items() if form.kinds == "tt"}
     assert two_child == {Comp, PairSeq, CaseSeq}
-    for table in (CHILDREN, MEETS, MISMATCHES):
-        assert set(table) == two_child
-    for _, _, steps in MISMATCHES.values():
+    assert set(CHILDREN) == set(MEETS) == two_child
+    for _, _, _, steps in MEETS.values():
         assert len(steps) == 2
     node = PairSeq(Op(LOOKUP), Id(UNIT_T))
     assert CHILDREN[PairSeq](node) == (node.first, node.second)
-    assert MEETS[PairSeq](node) == (UNIT_T, UNIT_T)
+    assert MEETS[PairSeq][0](node) == (UNIT_T, UNIT_T)
 
 
 class TestCanonicalForm:
